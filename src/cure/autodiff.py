@@ -1,22 +1,26 @@
-"""Reverse-mode differentiation over float64 numpy arrays.
+"""Hand-derived forward and backward passes for the encoder-decoder's cells.
 
-A small graph-node engine: every operation returns a `Value` carrying the
-result and a closure that routes the incoming gradient to its parents;
-`backward()` replays the graph in reverse topological order. Only the
-primitives the encoder-decoder needs are provided: dense affine maps,
-elementwise sigmoid/tanh, the Hadamard product, concatenation, softmax,
-cross entropy, and LSTM / GRU cell steps composed from them.
+Gates are fused so that one matmul computes all of them. An LSTM stacks its
+output, forget, input and candidate gates (o, f, i, c) as the row blocks of
+one 4h-row `W` (acting on the previous hidden state), `U` (acting on the
+input) and `b`; one step then takes one matmul with each over every
+sequence of the batch. A GRU stacks its update, reset and candidate gates (z, r, h) the same
+way, except that here `W` acts on the input and `U` on the hidden state; the
+candidate's `U` rows multiply the reset-gated state, so they run as a second
+matmul. Each backward pass reuses the activations its forward pass cached,
+and adds its weight gradients into caller-owned arrays, so a batch's
+gradients accumulate with +=.
 
-Gradients accumulate with +=, so calling backward() twice without zeroing
-doubles them. Non-finite data or gradients are a hard error.
+Also here: softmax cross entropy, global-norm gradient clipping, the SGD
+step, and the text checkpoint format.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import os
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,385 +30,201 @@ GRAD_CLIP_NORM = 5.0
 
 CHECKPOINT_HEADER = "CURE-MODEL v1"
 
+LSTM_GATES = ("o", "f", "i", "c")
+GRU_GATES = ("z", "r", "h")
 
-class Value:
-    """One graph node: a float64 array plus its accumulated gradient."""
 
-    __slots__ = ("data", "grad", "name", "_parents", "_backprop")
+@dataclass
+class CellWeights:
+    """One recurrent cell's fused weights (or their gradients), gate blocks stacked by row."""
 
-    def __init__(self, data, name: str = "", _parents: tuple = (), _backprop=None):
-        arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite values in node {name or 'value'!r}")
-        self.data = arr
-        self.grad = np.zeros_like(arr)
-        self.name = name
-        self._parents = _parents
-        self._backprop = _backprop
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
 
-    def __repr__(self) -> str:
-        return f"Value(name={self.name!r}, shape={self.shape})"
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function, as 1/2 + tanh(x/2)/2: no overflow for either sign."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
-def _require_same_shape(a: Value, b: Value, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValidationError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+# ---------------------------------------------------------------------------
+# LSTM over a batch of sequences
+# ---------------------------------------------------------------------------
 
 
-def add(a: Value, b: Value) -> Value:
-    _require_same_shape(a, b, "add")
+@dataclass
+class LstmCache:
+    """Activations of one forward pass, as its backward pass needs them."""
 
-    def backprop(g):
-        a.grad += g
-        b.grad += g
+    xs: np.ndarray  # (T, B, d) inputs
+    hs: np.ndarray  # (T + 1, B, h) hidden states, hs[0] = 0
+    cs: np.ndarray  # (T + 1, B, h) cell states, cs[0] = 0
+    gates: np.ndarray  # (T, B, 4h) o, f, i after the sigmoid, candidate after tanh
+    tanh_c: np.ndarray  # (T, B, h)
 
-    return Value(a.data + b.data, name="add", _parents=(a, b), _backprop=backprop)
 
+def lstm_forward(p: CellWeights, xs: np.ndarray, keep: bool = False) -> tuple[np.ndarray, LstmCache | None]:
+    """Hidden states (T, B, h) of an LSTM run over xs (T, B, d) from zero state.
 
-def add_n(parts: Sequence[Value]) -> Value:
-    """Elementwise sum of same-shaped values."""
-    if not parts:
-        raise ValidationError("add_n: empty input")
-    for p in parts[1:]:
-        _require_same_shape(parts[0], p, "add_n")
-
-    def backprop(g):
-        for p in parts:
-            p.grad += g
-
-    total = parts[0].data.copy()
-    for p in parts[1:]:
-        total += p.data
-    return Value(total, name="add_n", _parents=tuple(parts), _backprop=backprop)
-
-
-def mul(a: Value, b: Value) -> Value:
-    """Hadamard product."""
-    _require_same_shape(a, b, "mul")
-
-    def backprop(g):
-        a.grad += g * b.data
-        b.grad += g * a.data
-
-    return Value(a.data * b.data, name="mul", _parents=(a, b), _backprop=backprop)
-
-
-def one_minus(a: Value) -> Value:
-    def backprop(g):
-        a.grad -= g
-
-    return Value(1.0 - a.data, name="one_minus", _parents=(a,), _backprop=backprop)
-
-
-def scale(a: Value, c: float) -> Value:
-    def backprop(g):
-        a.grad += c * g
-
-    return Value(c * a.data, name="scale", _parents=(a,), _backprop=backprop)
-
-
-def matvec(w: Value, x: Value) -> Value:
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise ValidationError(f"matvec: incompatible shapes {w.shape} @ {x.shape}")
-
-    def backprop(g):
-        w.grad += np.outer(g, x.data)
-        x.grad += w.data.T @ g
-
-    return Value(w.data @ x.data, name="matvec", _parents=(w, x), _backprop=backprop)
-
-
-def sigmoid(x: Value) -> Value:
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def backprop(g):
-        x.grad += g * out * (1.0 - out)
-
-    return Value(out, name="sigmoid", _parents=(x,), _backprop=backprop)
-
-
-def tanh(x: Value) -> Value:
-    out = np.tanh(x.data)
-
-    def backprop(g):
-        x.grad += g * (1.0 - out * out)
-
-    return Value(out, name="tanh", _parents=(x,), _backprop=backprop)
-
-
-def concat(parts: Sequence[Value]) -> Value:
-    if not parts:
-        raise ValidationError("concat: empty input")
-    for p in parts:
-        if p.data.ndim != 1:
-            raise ValidationError("concat: only vectors can be concatenated")
-    sizes = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0, *sizes])
-
-    def backprop(g):
-        for p, lo, hi in zip(parts, offsets, offsets[1:]):
-            p.grad += g[lo:hi]
-
-    return Value(np.concatenate([p.data for p in parts]), name="concat", _parents=tuple(parts), _backprop=backprop)
-
-
-def blend(weights: Value, parts: Sequence[Value]) -> Value:
-    """Weighted sum of k same-dimension vectors with a k-vector of weights."""
-    if weights.data.ndim != 1 or len(parts) != weights.shape[0]:
-        raise ValidationError("blend: weights length must match number of vectors")
-    for p in parts[1:]:
-        _require_same_shape(parts[0], p, "blend")
-
-    out = np.zeros_like(parts[0].data)
-    for w, p in zip(weights.data, parts):
-        out += w * p.data
-
-    def backprop(g):
-        for i, p in enumerate(parts):
-            weights.grad[i] += float(p.data @ g)
-            p.grad += weights.data[i] * g
-
-    return Value(out, name="blend", _parents=(weights, *parts), _backprop=backprop)
-
-
-def softmax(x: Value) -> Value:
-    z = x.data - x.data.max()
-    e = np.exp(z)
-    s = e / e.sum()
-
-    def backprop(g):
-        x.grad += s * (g - float(g @ s))
-
-    return Value(s, name="softmax", _parents=(x,), _backprop=backprop)
-
-
-def sum_all(x: Value) -> Value:
-    def backprop(g):
-        x.grad += g  # scalar broadcast
-
-    return Value(x.data.sum(), name="sum_all", _parents=(x,), _backprop=backprop)
-
-
-def row(table: Value, index: int) -> Value:
-    """One row of a 2-d table; the gradient accumulates into that row."""
-    if table.data.ndim != 2:
-        raise ValidationError("row: table must be 2-dimensional")
-    if not 0 <= index < table.shape[0]:
-        raise ValidationError(f"row: index {index} out of range")
-
-    def backprop(g):
-        table.grad[index] += g
-
-    return Value(table.data[index].copy(), name="row", _parents=(table,), _backprop=backprop)
-
-
-def softmax_cross_entropy(logits: Value, target: int) -> Value:
-    """-log softmax(logits)[target], computed with max subtraction."""
-    if logits.data.ndim != 1:
-        raise ValidationError("softmax_cross_entropy: logits must be a vector")
-    if not 0 <= target < logits.shape[0]:
-        raise ValidationError(f"softmax_cross_entropy: target {target} out of range")
-    z = logits.data
-    m = z.max()
-    e = np.exp(z - m)
-    total = e.sum()
-    loss = math.log(total) + m - z[target]
-    probs = e / total
-
-    def backprop(g):
-        delta = probs.copy()
-        delta[target] -= 1.0
-        logits.grad += float(g) * delta
-
-    return Value(loss, name="xent", _parents=(logits,), _backprop=backprop)
-
-
-def backward(loss: Value) -> None:
-    """Accumulate gradients of everything reachable from a scalar loss.
-
-    Each call propagates exactly one unit of adjoint from the loss, so a
-    second call without zeroing doubles every gradient. The pass runs on
-    scratch buffers and adds its result onto the persistent grads at the end.
+    With keep, also the cache lstm_backward needs; without, nothing else is stored.
     """
-    if loss.data.size != 1:
-        raise ValidationError("backward: loss must be a scalar")
-
-    topo: list[Value] = []
-    seen: set[int] = set()
-    stack: list[tuple[Value, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-
-    saved = [node.grad for node in topo]
-    for node in topo:
-        node.grad = np.zeros_like(node.data)
-    loss.grad = np.ones_like(loss.data)
-
-    for node in reversed(topo):
-        if node._backprop is None:
-            continue
-        if not np.all(np.isfinite(node.grad)):
-            raise NumericError(f"non-finite gradient at node {node.name!r}")
-        node._backprop(node.grad)
-
-    for node, prior in zip(topo, saved):
-        prior += node.grad
-        node.grad = prior
+    steps, batch, _ = xs.shape
+    h = p.W.shape[1]
+    hs = np.zeros((steps + 1, batch, h))
+    c = np.zeros((batch, h))
+    cache = None
+    if keep:
+        cache = LstmCache(
+            xs=xs, hs=hs, cs=np.zeros((steps + 1, batch, h)),
+            gates=np.empty((steps, batch, 4 * h)), tanh_c=np.empty((steps, batch, h)),
+        )
+    # The input projection runs per step, not as one (T * B)-row matmul up
+    # front: row counts that large make the BLAS start its worker threads,
+    # which cost more than they save at these sizes and keep spinning into
+    # whatever the process runs next.
+    u_t, w_t = p.U.T, p.W.T
+    for t in range(steps):
+        z = xs[t] @ u_t + hs[t] @ w_t + p.b
+        sig = sigmoid(z[:, : 3 * h])
+        cand = np.tanh(z[:, 3 * h :])
+        c = sig[:, h : 2 * h] * c + sig[:, 2 * h :] * cand
+        tanh_c = np.tanh(c)
+        hs[t + 1] = sig[:, :h] * tanh_c
+        if cache is not None:
+            cache.cs[t + 1] = c
+            cache.gates[t, :, : 3 * h] = sig
+            cache.gates[t, :, 3 * h :] = cand
+            cache.tanh_c[t] = tanh_c
+    return hs[1:], cache
 
 
-def zero_grad(params: Iterable[Value]) -> None:
-    for p in params:
-        p.grad[...] = 0.0
+def lstm_backward(p: CellWeights, grad: CellWeights, cache: LstmCache, d_hs: np.ndarray) -> np.ndarray:
+    """Backpropagate d_hs (T, B, h), the loss gradient on every output state.
+
+    Adds the weight gradients into grad and returns the input gradient (T, B, d).
+    """
+    steps, batch, h = d_hs.shape
+    g = cache.gates
+    o, f, i, cand = g[..., :h], g[..., h : 2 * h], g[..., 2 * h : 3 * h], g[..., 3 * h :]
+    tanh_c = cache.tanh_c
+    # Per-step factors that do not depend on the recurrence, computed for all steps at once.
+    d_c_from_h = o * (1.0 - tanh_c * tanh_c)
+    d_o_from_h = tanh_c * o * (1.0 - o)
+    d_fic_from_c = np.stack(
+        [cache.cs[:-1] * f * (1.0 - f), cand * i * (1.0 - i), i * (1.0 - cand * cand)], axis=2
+    )  # (T, B, 3, h)
+
+    d_pre = np.empty((steps, batch, 4 * h))
+    by_gate = d_pre.reshape(steps, batch, 4, h)
+    dh = np.zeros((batch, h))
+    dc = np.zeros((batch, h))
+    for t in range(steps - 1, -1, -1):
+        dh = dh + d_hs[t]
+        dc = dc + dh * d_c_from_h[t]
+        by_gate[t, :, 0] = dh * d_o_from_h[t]
+        by_gate[t, :, 1:] = dc[:, None, :] * d_fic_from_c[t]
+        dc = dc * f[t]
+        dh = d_pre[t] @ p.W
+
+    flat = d_pre.reshape(steps * batch, 4 * h)
+    d = cache.xs.shape[2]
+    grad.W += flat.T @ cache.hs[:-1].reshape(steps * batch, h)
+    grad.U += flat.T @ cache.xs.reshape(steps * batch, d)
+    grad.b += flat.sum(axis=0)
+    return (flat @ p.U).reshape(steps, batch, d)
 
 
-def global_norm(params: Iterable[Value]) -> float:
-    total = 0.0
-    for p in params:
-        total += float(np.sum(p.grad * p.grad))
-    if not math.isfinite(total):
+# ---------------------------------------------------------------------------
+# GRU, one step at a time (the decoder computes each step's input from the last state)
+# ---------------------------------------------------------------------------
+
+
+def gru_step(p: CellWeights, x: np.ndarray, h_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """New state h = z * h_prev + (1 - z) * tanh(W_h x + U_h (r * h_prev) + b_h).
+
+    Returns h and the activations gru_step_backward needs: z|r and the candidate.
+    """
+    g = h_prev.shape[0]
+    xw = p.W @ x + p.b
+    zr = sigmoid(xw[: 2 * g] + p.U[: 2 * g] @ h_prev)
+    cand = np.tanh(xw[2 * g :] + p.U[2 * g :] @ (zr[g:] * h_prev))
+    z = zr[:g]
+    return z * h_prev + (1.0 - z) * cand, zr, cand
+
+
+def gru_step_backward(
+    p: CellWeights, h_prev: np.ndarray, zr: np.ndarray, cand: np.ndarray, dh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of one step from dh: pre-activation (3g, z|r|h rows), input, previous state.
+
+    The weight gradients follow from the pre-activation gradients of all
+    steps at once; see gru_weight_grads.
+    """
+    g = h_prev.shape[0]
+    z, r = zr[:g], zr[g:]
+    d_pre = np.empty(3 * g)
+    d_pre[2 * g :] = dh * (1.0 - z) * (1.0 - cand * cand)
+    d_rh = p.U[2 * g :].T @ d_pre[2 * g :]
+    d_pre[:g] = dh * (h_prev - cand) * z * (1.0 - z)
+    d_pre[g : 2 * g] = d_rh * h_prev * r * (1.0 - r)
+    d_h_prev = dh * z + d_rh * r + p.U[: 2 * g].T @ d_pre[: 2 * g]
+    return d_pre, p.W.T @ d_pre, d_h_prev
+
+
+def gru_weight_grads(
+    grad: CellWeights, d_pre: np.ndarray, xs: np.ndarray, h_prevs: np.ndarray, zrs: np.ndarray
+) -> None:
+    """Add the weight gradients of n steps, from their stacked pre-activation
+    gradients (n, 3g), inputs (n, d), previous states (n, g) and z|r (n, 2g)."""
+    g = h_prevs.shape[1]
+    grad.W += d_pre.T @ xs
+    grad.U[: 2 * g] += d_pre[:, : 2 * g].T @ h_prevs
+    grad.U[2 * g :] += d_pre[:, 2 * g :].T @ (zrs[:, g:] * h_prevs)
+    grad.b += d_pre.sum(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# Loss and optimizer
+# ---------------------------------------------------------------------------
+
+
+def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row -log softmax(logits)[target] for logits (n, V), with max
+    subtraction, and its gradient with respect to the logits (softmax minus one-hot)."""
+    if logits.ndim != 2:
+        raise ValidationError("softmax_cross_entropy: logits must be a matrix")
+    targets = np.asarray(targets, dtype=np.intp)
+    if targets.shape != (logits.shape[0],):
+        raise ValidationError("softmax_cross_entropy: one target per row expected")
+    if np.any((targets < 0) | (targets >= logits.shape[1])):
+        raise ValidationError(f"softmax_cross_entropy: target out of range [0, {logits.shape[1]})")
+    rows = np.arange(logits.shape[0])
+    peak = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - peak)
+    total = e.sum(axis=1, keepdims=True)
+    losses = (np.log(total) + peak)[:, 0] - logits[rows, targets]
+    d_logits = e / total
+    d_logits[rows, targets] -= 1.0
+    return losses, d_logits
+
+
+def clip_gradients(grad: np.ndarray, max_norm: float = GRAD_CLIP_NORM) -> float:
+    """Scale a flat gradient buffer down to a global norm cap, in place; returns the pre-clip norm."""
+    # einsum rather than a BLAS dot: on a long vector the BLAS may wake its
+    # worker threads, which costs more here than the sum itself.
+    norm = math.sqrt(float(np.einsum("i,i", grad, grad)))
+    if not math.isfinite(norm):
         raise NumericError("non-finite gradient norm")
-    return math.sqrt(total)
-
-
-def clip_gradients(params: Sequence[Value], max_norm: float = GRAD_CLIP_NORM) -> float:
-    """Scale all gradients down to a shared global norm cap; returns the pre-clip norm."""
-    norm = global_norm(params)
     if norm > max_norm:
-        factor = max_norm / norm
-        for p in params:
-            p.grad *= factor
+        grad *= max_norm / norm
     return norm
 
 
-def sgd_step(params: Iterable[Value], learning_rate: float) -> None:
-    for p in params:
-        p.data -= learning_rate * p.grad
-
-
-# ---------------------------------------------------------------------------
-# Recurrent cells
-# ---------------------------------------------------------------------------
-
-
-def glorot(rng: np.random.Generator, shape, name: str) -> Value:
-    """Fan-scaled uniform init for weight matrices."""
-    bound = math.sqrt(6.0 / (shape[0] + shape[1]))
-    return Value(rng.uniform(-bound, bound, size=shape), name=name)
-
-
-@dataclass
-class LstmParams:
-    """Gate weights: W_* act on the previous hidden state, U_* on the input."""
-
-    W_o: Value
-    U_o: Value
-    b_o: Value
-    W_f: Value
-    U_f: Value
-    b_f: Value
-    W_i: Value
-    U_i: Value
-    b_i: Value
-    W_c: Value
-    U_c: Value
-    b_c: Value
-
-    @classmethod
-    def init(cls, hidden: int, input_dim: int, rng: np.random.Generator, prefix: str) -> "LstmParams":
-        kwargs = {}
-        for gate in ("o", "f", "i", "c"):
-            kwargs[f"W_{gate}"] = glorot(rng, (hidden, hidden), f"{prefix}.W_{gate}")
-            kwargs[f"U_{gate}"] = glorot(rng, (hidden, input_dim), f"{prefix}.U_{gate}")
-            kwargs[f"b_{gate}"] = Value(np.zeros(hidden), name=f"{prefix}.b_{gate}")
-        return cls(**kwargs)
-
-    def values(self) -> list[Value]:
-        return [getattr(self, f.name) for f in fields(self)]
-
-
-@dataclass
-class LstmState:
-    h: Value
-    c: Value
-
-    @classmethod
-    def zeros(cls, hidden: int) -> "LstmState":
-        return cls(h=Value(np.zeros(hidden)), c=Value(np.zeros(hidden)))
-
-
-@dataclass
-class GruParams:
-    """Gate weights: W_* act on the input, U_* on the previous hidden state."""
-
-    W_z: Value
-    U_z: Value
-    b_z: Value
-    W_r: Value
-    U_r: Value
-    b_r: Value
-    W_h: Value
-    U_h: Value
-    b_h: Value
-
-    @classmethod
-    def init(cls, hidden: int, input_dim: int, rng: np.random.Generator, prefix: str) -> "GruParams":
-        kwargs = {}
-        for gate in ("z", "r", "h"):
-            kwargs[f"W_{gate}"] = glorot(rng, (hidden, input_dim), f"{prefix}.W_{gate}")
-            kwargs[f"U_{gate}"] = glorot(rng, (hidden, hidden), f"{prefix}.U_{gate}")
-            kwargs[f"b_{gate}"] = Value(np.zeros(hidden), name=f"{prefix}.b_{gate}")
-        return cls(**kwargs)
-
-    def values(self) -> list[Value]:
-        return [getattr(self, f.name) for f in fields(self)]
-
-
-@dataclass
-class GruState:
-    h: Value
-
-    @classmethod
-    def zeros(cls, hidden: int) -> "GruState":
-        return cls(h=Value(np.zeros(hidden)))
-
-
-def lstm_step(x: Value, prev: LstmState, p: LstmParams) -> LstmState:
-    """One LSTM step: output/forget/input gates, candidate cell, new cell and hidden."""
-    o = sigmoid(add_n([matvec(p.W_o, prev.h), matvec(p.U_o, x), p.b_o]))
-    f = sigmoid(add_n([matvec(p.W_f, prev.h), matvec(p.U_f, x), p.b_f]))
-    i = sigmoid(add_n([matvec(p.W_i, prev.h), matvec(p.U_i, x), p.b_i]))
-    c_hat = tanh(add_n([matvec(p.W_c, prev.h), matvec(p.U_c, x), p.b_c]))
-    c = add(mul(f, prev.c), mul(i, c_hat))
-    h = mul(o, tanh(c))
-    return LstmState(h=h, c=c)
-
-
-def gru_step(x: Value, prev: GruState, p: GruParams) -> GruState:
-    """One GRU step: the update gate keeps z of the old state and blends in
-    (1 - z) of the reset-gated candidate."""
-    z = sigmoid(add_n([matvec(p.W_z, x), matvec(p.U_z, prev.h), p.b_z]))
-    r = sigmoid(add_n([matvec(p.W_r, x), matvec(p.U_r, prev.h), p.b_r]))
-    candidate = tanh(add_n([matvec(p.W_h, x), matvec(p.U_h, mul(r, prev.h)), p.b_h]))
-    h = add(mul(z, prev.h), mul(one_minus(z), candidate))
-    return GruState(h=h)
+def sgd_step(param: np.ndarray, grad: np.ndarray, learning_rate: float) -> None:
+    """param -= learning_rate * grad, then zero grad for the next batch."""
+    param -= learning_rate * grad
+    grad[...] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +232,31 @@ def gru_step(x: Value, prev: GruState, p: GruParams) -> GruState:
 # ---------------------------------------------------------------------------
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Replace path with text in one step: write a temporary file beside it,
+    then rename it over path, so a failed write leaves the old file whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     """Text checkpoint: header line, then per parameter "name rows cols"
     followed by row-major values in shortest round-trip decimal form."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CHECKPOINT_HEADER + "\n")
-        for name, arr in arrays.items():
-            if " " in name:
-                raise ValidationError(f"parameter name {name!r} may not contain spaces")
-            mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-            fh.write(f"{name} {mat.shape[0]} {mat.shape[1]}\n")
-            for row in mat:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    lines = [CHECKPOINT_HEADER]
+    for name, arr in arrays.items():
+        if " " in name:
+            raise ValidationError(f"parameter name {name!r} may not contain spaces")
+        mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+        lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
+        lines.extend(" ".join(map(repr, row)) for row in mat.tolist())
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
@@ -448,29 +281,9 @@ def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
                 values = fh.readline().split()
                 if len(values) != cols:
                     raise ValidationError(f"parameter {name!r}: row {r} has {len(values)} values, expected {cols}")
-                mat[r] = [float(v) for v in values]
+                try:
+                    mat[r] = [float(v) for v in values]
+                except ValueError as exc:
+                    raise ValidationError(f"parameter {name!r}: row {r}: {exc}") from exc
             arrays[name] = mat
     return arrays
-
-
-def finite_difference(
-    loss_fn: Callable[[], float],
-    tensors: dict[str, Value],
-    step: float = 1e-4,
-) -> dict[str, np.ndarray]:
-    """Central-difference gradients of loss_fn with respect to every tensor
-    entry, perturbing the live parameter data in place."""
-    grads: dict[str, np.ndarray] = {}
-    for name, value in tensors.items():
-        flat = value.data.reshape(-1)
-        grad = np.zeros_like(flat)
-        for idx in range(flat.shape[0]):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            hi = loss_fn()
-            flat[idx] = orig - step
-            lo = loss_fn()
-            flat[idx] = orig
-            grad[idx] = (hi - lo) / (2.0 * step)
-        grads[name] = grad.reshape(value.data.shape)
-    return grads

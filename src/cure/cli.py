@@ -13,22 +13,24 @@ import argparse
 import difflib
 import hashlib
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
 from . import __version__, cluster as clustering, metrics, model as modeling, synth
-from .autodiff import read_checkpoint, write_checkpoint
+from .autodiff import read_checkpoint, write_atomic, write_checkpoint
 from .corpus import parse_corpus
 from .errors import CureError, NumericError, ValidationError
 from .labeling import candidate_set, cw_label, load_stopwords, match_to_gold, wvs_label, LabelCandidates
 from .model import ModelConfig, ModelParams, paths_to_ids
 from .paths import SspTriple, extract_instances, group_pairs
-from .vocab import build_vocab, load_pretrained
+from .vocab import Vocab, build_vocab, load_pretrained
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -57,20 +59,7 @@ class RunConfig:
     seed: int = 13
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            n_h=self.n_h,
-            n_h2=self.n_h2,
-            n_g=self.n_g,
-            n_l=self.n_l,
-            d_w=self.d_w,
-            d_d=self.d_d,
-            d_p=self.d_p,
-            max_input_paths=self.max_input_paths,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self.seed,
-        )
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -133,23 +122,6 @@ def _require(cfg: RunConfig, keys: list[str], command: str) -> None:
             raise ValidationError(f"{command}: required config key {key!r} is not set")
 
 
-def worker_cap() -> int:
-    """Worker-count cap from CURE_THREADS; machine parallelism by default.
-
-    Current stages run single-threaded, which satisfies any cap.
-    """
-    raw = os.environ.get("CURE_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"CURE_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValidationError("CURE_THREADS must be at least 1")
-    return cap
-
-
 # ---------------------------------------------------------------------------
 # File helpers
 # ---------------------------------------------------------------------------
@@ -178,20 +150,40 @@ def _write_jsonl(path: str | Path, records: list[dict]) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def read_path_instances(path: str | Path) -> list[tuple[tuple[str, str], SspTriple]]:
-    instances = []
+def _read_records(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
+    """parse() applied to every record of a JSONL file; a record it cannot
+    read (missing key, wrong type) is a ValidationError naming file and record."""
+    out = []
     for i, rec in enumerate(_read_jsonl(path), start=1):
         try:
-            pair = (str(rec["pair"][0]), str(rec["pair"][1]))
-            triple = SspTriple(
+            out.append(parse(rec))
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            raise ValidationError(f"{path}: record {i}: malformed {what} ({exc!r})") from exc
+    return out
+
+
+def _pair(rec: dict) -> tuple[str, str]:
+    first, second = rec["pair"]
+    return str(first), str(second)
+
+
+def read_path_instances(path: str | Path) -> list[tuple[tuple[str, str], SspTriple]]:
+    return _read_records(
+        path,
+        "path instance",
+        lambda rec: (
+            _pair(rec),
+            SspTriple(
                 words=tuple(map(str, rec["words"])),
                 deps=tuple(map(str, rec["deps"])),
                 poss=tuple(map(str, rec["poss"])),
-            )
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ValidationError(f"{path}: record {i}: malformed path instance ({exc})") from exc
-        instances.append((pair, triple))
-    return instances
+            ),
+        ),
+    )
+
+
+def _read_assignments(path: str | Path) -> list[tuple[tuple[str, str], int]]:
+    return _read_records(path, "cluster assignment", lambda rec: (_pair(rec), int(rec["cluster"])))
 
 
 def _meta_path(checkpoint: str | Path) -> Path:
@@ -243,19 +235,14 @@ def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path:
         write_checkpoint(checkpoint_path, result.params.arrays())
 
     meta = {
-        "config": {
-            "n_h": mcfg.n_h, "n_h2": mcfg.n_h2, "n_g": mcfg.n_g, "n_l": mcfg.n_l,
-            "d_w": mcfg.d_w, "d_d": mcfg.d_d, "d_p": mcfg.d_p,
-            "max_input_paths": mcfg.max_input_paths, "learning_rate": mcfg.learning_rate,
-            "epochs": mcfg.epochs, "batch_size": mcfg.batch_size, "seed": mcfg.seed,
-        },
+        "config": asdict(mcfg),
         "vocab": {
             "words": list(vocabs[0].symbols),
             "deps": list(vocabs[1].symbols),
             "poss": list(vocabs[2].symbols),
         },
     }
-    _meta_path(checkpoint_path).write_text(json.dumps(meta), encoding="utf-8")
+    write_atomic(_meta_path(checkpoint_path), json.dumps(meta))
 
     if log_path:
         with open(log_path, "w", encoding="utf-8") as fh:
@@ -266,22 +253,28 @@ def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path:
 
 
 def _load_model(checkpoint_path: str) -> tuple[ModelParams, tuple, ModelConfig]:
-    from .vocab import Vocab
-
     if not Path(checkpoint_path).exists():
         raise ValidationError(f"checkpoint not found: {checkpoint_path}")
     meta_file = _meta_path(checkpoint_path)
     if not meta_file.exists():
         raise ValidationError(f"checkpoint metadata not found: {meta_file}")
-    meta = json.loads(meta_file.read_text(encoding="utf-8"))
-    mcfg = ModelConfig(**meta["config"])
-    vocabs = (
-        Vocab(tuple(meta["vocab"]["words"])),
-        Vocab(tuple(meta["vocab"]["deps"])),
-        Vocab(tuple(meta["vocab"]["poss"])),
-    )
-    params = ModelParams(mcfg, len(vocabs[0]), len(vocabs[1]), len(vocabs[2]), np.random.default_rng(0))
+    try:
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{meta_file}: invalid JSON ({exc})") from exc
+    try:
+        mcfg = ModelConfig(**meta["config"])
+        vocabs = tuple(Vocab(tuple(map(str, meta["vocab"][key]))) for key in ("words", "deps", "poss"))
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"{meta_file}: malformed checkpoint metadata ({exc!r})") from exc
+    params = ModelParams(mcfg, len(vocabs[0]), len(vocabs[1]), len(vocabs[2]), None)
     params.load_arrays(read_checkpoint(checkpoint_path))
+    # Checked here rather than on the outputs: an infinite weight can saturate
+    # a gate to exactly 0 or 1 and still give finite vectors, and encoding
+    # never reads the decoder's weights.
+    if not np.isfinite(params.flat).all():
+        name = next(name for name, arr in params.arrays().items() if not np.isfinite(arr).all())
+        raise NumericError(f"{checkpoint_path}: parameter {name!r} holds a non-finite value")
     return params, vocabs, mcfg
 
 
@@ -289,19 +282,24 @@ def stage_encode(checkpoint_path: str, paths_file: str, out_path: str) -> int:
     params, vocabs, mcfg = _load_model(checkpoint_path)
     instances = read_path_instances(paths_file)
     groups = group_pairs(instances, min_paths=1)
+    ids = [paths_to_ids(group, vocabs, mcfg.n_l) for group in groups]
+    encodings = modeling.encode_distinct(params, [p for paths in ids for p in paths])
     records = []
-    for group in groups:
-        ids = paths_to_ids(group, vocabs, mcfg.n_l)
-        vector = modeling.infer_relation_vector(params, ids)
+    for group, paths in zip(groups, ids):
+        vector = modeling.infer_relation_vector(params, paths, encodings)
+        if not np.all(np.isfinite(vector)):
+            raise NumericError(f"pair {group.pair}: non-finite relation vector")
         records.append({"pair": list(group.pair), "vector": [float(v) for v in vector]})
     _write_jsonl(out_path, records)
     return len(records)
 
 
 def stage_cluster(vectors_file: str, k: int, out_path: str, centroids_path: str) -> int:
-    records = _read_jsonl(vectors_file)
-    pairs = [(str(r["pair"][0]), str(r["pair"][1])) for r in records]
-    vectors = [np.array(r["vector"], dtype=np.float64) for r in records]
+    records = _read_records(
+        vectors_file, "relation vector", lambda rec: (_pair(rec), np.array(rec["vector"], dtype=np.float64))
+    )
+    pairs = [pair for pair, _ in records]
+    vectors = [vector for _, vector in records]
     dendrogram = clustering.hac(vectors)
     clusters = clustering.cut(dendrogram, k)
     pair_cluster: dict[int, int] = {}
@@ -325,7 +323,7 @@ def stage_label(
     stopwords_path: str,
     out_path: str,
 ) -> int:
-    assignments = _read_jsonl(clusters_file)
+    assignments = _read_assignments(clusters_file)
     instances = read_path_instances(paths_file)
     stopwords = load_stopwords(stopwords_path or None)
     vectors = load_pretrained(embeddings_file) if method == "wvs" else None
@@ -335,8 +333,8 @@ def stage_label(
         paths_by_pair.setdefault(pair, []).append(triple.words)
 
     members: dict[int, list[tuple[str, str]]] = {}
-    for rec in assignments:
-        members.setdefault(int(rec["cluster"]), []).append((str(rec["pair"][0]), str(rec["pair"][1])))
+    for pair, cluster_id in assignments:
+        members.setdefault(cluster_id, []).append(pair)
 
     records = []
     for cluster_id in sorted(members):
@@ -357,14 +355,19 @@ def stage_evaluate(
     embeddings_file: str,
     out_path: str,
 ) -> tuple[float, list[metrics.RelationScore]]:
-    assignments = _read_jsonl(clusters_file)
-    label_records = _read_jsonl(labels_file)
-    gold_records = _read_jsonl(gold_file)
+    assignments = _read_assignments(clusters_file)
+    label_records = _read_records(
+        labels_file,
+        "cluster label",
+        lambda rec: (
+            int(rec["cluster"]),
+            LabelCandidates(candidates=tuple((str(w), float(s)) for w, s in rec["labels"])),
+        ),
+    )
+    gold = dict(
+        _read_records(gold_file, "gold relation", lambda rec: (_pair(rec), tuple(map(str, rec["relations"]))))
+    )
     vectors = load_pretrained(embeddings_file)
-
-    gold: dict[tuple[str, str], tuple[str, ...]] = {}
-    for rec in gold_records:
-        gold[(str(rec["pair"][0]), str(rec["pair"][1]))] = tuple(map(str, rec["relations"]))
 
     relation_names = sorted({r for rels in gold.values() for r in rels})
     missing = [r for r in relation_names if r not in vectors]
@@ -373,15 +376,12 @@ def stage_evaluate(
     gold_vectors = [(name, vectors[name]) for name in relation_names]
 
     cluster_relation: dict[int, str] = {}
-    for rec in label_records:
-        label = LabelCandidates(candidates=tuple((str(w), float(s)) for w, s in rec["labels"]))
-        cluster_relation[int(rec["cluster"])] = match_to_gold(label, gold_vectors, vectors)
+    for cluster_id, label in label_records:
+        cluster_relation[cluster_id] = match_to_gold(label, gold_vectors, vectors)
 
     predicted_relation: dict[tuple[str, str], str] = {}
     predicted_cluster: dict[tuple[str, str], int] = {}
-    for rec in assignments:
-        pair = (str(rec["pair"][0]), str(rec["pair"][1]))
-        cluster_id = int(rec["cluster"])
+    for pair, cluster_id in assignments:
         if cluster_id not in cluster_relation:
             raise ValidationError(f"cluster {cluster_id} has no label record")
         predicted_cluster[pair] = cluster_id
@@ -415,7 +415,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     """extract-paths > train > encode > cluster > label > evaluate.
 
     Every stage artifact lands in cfg.out_dir; manifest.json records the
-    seed, worker cap, and per-stage output hashes and timings.
+    seed and per-stage output hashes and timings.
     """
     _require(cfg, ["corpus", "embeddings", "gold", "out_dir"], "pipeline")
     for key in ("corpus", "embeddings", "gold"):
@@ -461,7 +461,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         ),
     ]
 
-    manifest = {"seed": cfg.seed, "worker_cap": worker_cap(), "stages": []}
+    manifest = {"seed": cfg.seed, "stages": []}
     for name, run, outputs in stages:
         started = time.perf_counter()
         try:

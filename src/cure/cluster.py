@@ -99,11 +99,3 @@ def cut(dendrogram: Dendrogram, k: int) -> list[Cluster]:
         Cluster(id=pos, members=tuple(mem), centroid=dendrogram.points[mem].mean(axis=0))
         for pos, (_, mem) in enumerate(ordered)
     ]
-
-
-def assign(vector: np.ndarray, clusters: Sequence[Cluster]) -> int:
-    """Id of the nearest centroid; ties go to the lowest cluster id."""
-    if not clusters:
-        raise ValidationError("assign: no clusters")
-    best = min(clusters, key=lambda c: (float(np.linalg.norm(vector - c.centroid)), c.id))
-    return best.id

@@ -13,7 +13,11 @@ is projected to the GRU input. Word logits come from a linear layer on the
 GRU state. No ground-truth word is fed back in.
 
 Training predicts one held-out path of a pair from the pair's remaining
-paths, with cross entropy averaged over the target's unpadded length.
+paths, with cross entropy averaged over the target's unpadded length. The
+forward and backward passes are written out by hand (see autodiff): all
+input paths of an example run through the encoder as one batch, and the
+decoder runs only the target's unpadded steps, since later steps never
+reach the loss.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -78,60 +82,91 @@ class PathIds:
 
 class ModelParams:
     """All trainable tensors: embedding tables, both encoder LSTMs, the
-    attention maps, the decoder GRU, and the output projection."""
+    attention maps, the decoder GRU, and the output projection.
 
-    def __init__(self, cfg: ModelConfig, n_words: int, n_deps: int, n_pos: int, rng: np.random.Generator):
+    The tensors are views into one flat buffer, `flat`, so that gradient
+    clipping and the SGD step are single vector operations on a parameter
+    set and its same-shaped gradient set. Recurrent cells keep their gates
+    fused; `arrays()` gives every tensor under its per-gate checkpoint name.
+    """
+
+    def __init__(self, cfg: ModelConfig, n_words: int, n_deps: int, n_pos: int, rng: np.random.Generator | None):
+        """Randomly initialized from rng; all zeros when rng is None."""
         self.cfg = cfg
-        self.n_words = n_words
+        self.n_words, self.n_deps, self.n_pos = n_words, n_deps, n_pos
         d_x = cfg.d_w + cfg.d_d + cfg.d_p
+        shapes = {
+            "word_emb": (n_words, cfg.d_w),
+            "dep_emb": (n_deps, cfg.d_d),
+            "pos_emb": (n_pos, cfg.d_p),
+            "enc_fwd.W": (4 * cfg.n_h, cfg.n_h), "enc_fwd.U": (4 * cfg.n_h, d_x), "enc_fwd.b": (4 * cfg.n_h,),
+            "enc_bwd.W": (4 * cfg.n_h2, cfg.n_h2), "enc_bwd.U": (4 * cfg.n_h2, d_x), "enc_bwd.b": (4 * cfg.n_h2,),
+            "attn_w": (cfg.n_l, cfg.n_g),
+            "attn_b": (cfg.n_l,),
+            "ctx_w": (cfg.n_g, cfg.block_dim + cfg.n_g),
+            "dec.W": (3 * cfg.n_g, cfg.n_g), "dec.U": (3 * cfg.n_g, cfg.n_g), "dec.b": (3 * cfg.n_g,),
+            "out_w": (n_words, cfg.n_g),
+            "out_b": (n_words,),
+        }
+        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        views = {}
+        offset = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            views[name] = self.flat[offset : offset + size].reshape(shape)
+            offset += size
+        self.word_emb, self.dep_emb, self.pos_emb = views["word_emb"], views["dep_emb"], views["pos_emb"]
+        self.enc_fwd = ad.CellWeights(views["enc_fwd.W"], views["enc_fwd.U"], views["enc_fwd.b"])
+        self.enc_bwd = ad.CellWeights(views["enc_bwd.W"], views["enc_bwd.U"], views["enc_bwd.b"])
+        self.attn_w, self.attn_b, self.ctx_w = views["attn_w"], views["attn_b"], views["ctx_w"]
+        self.dec = ad.CellWeights(views["dec.W"], views["dec.U"], views["dec.b"])
+        self.out_w, self.out_b = views["out_w"], views["out_b"]
+        if rng is not None:
+            # Drawn tensor by tensor in checkpoint order: embeddings uniform in
+            # +-0.1, weight matrices fan-scaled uniform per gate, biases zero.
+            for name, arr in self.arrays().items():
+                if name.endswith("_emb"):
+                    arr[...] = rng.uniform(-0.1, 0.1, size=arr.shape)
+                elif arr.ndim == 2:
+                    bound = math.sqrt(6.0 / (arr.shape[0] + arr.shape[1]))
+                    arr[...] = rng.uniform(-bound, bound, size=arr.shape)
 
-        def embedding(shape, name):
-            return ad.Value(rng.uniform(-0.1, 0.1, size=shape), name=name)
-
-        self.word_emb = embedding((n_words, cfg.d_w), "word_emb")
-        self.dep_emb = embedding((n_deps, cfg.d_d), "dep_emb")
-        self.pos_emb = embedding((n_pos, cfg.d_p), "pos_emb")
-        self.enc_fwd = ad.LstmParams.init(cfg.n_h, d_x, rng, "enc_fwd")
-        self.enc_bwd = ad.LstmParams.init(cfg.n_h2, d_x, rng, "enc_bwd")
-        self.attn_w = ad.glorot(rng, (cfg.n_l, cfg.n_g), "attn_w")
-        self.attn_b = ad.Value(np.zeros(cfg.n_l), name="attn_b")
-        self.ctx_w = ad.glorot(rng, (cfg.n_g, cfg.block_dim + cfg.n_g), "ctx_w")
-        self.dec = ad.GruParams.init(cfg.n_g, cfg.n_g, rng, "dec")
-        self.out_w = ad.glorot(rng, (n_words, cfg.n_g), "out_w")
-        self.out_b = ad.Value(np.zeros(n_words), name="out_b")
-
-    def named(self) -> dict[str, ad.Value]:
-        out = {"word_emb": self.word_emb, "dep_emb": self.dep_emb, "pos_emb": self.pos_emb}
-        for prefix, cell in (("enc_fwd", self.enc_fwd), ("enc_bwd", self.enc_bwd)):
-            for v in cell.values():
-                out[v.name] = v
-        out["attn_w"] = self.attn_w
-        out["attn_b"] = self.attn_b
-        out["ctx_w"] = self.ctx_w
-        for v in self.dec.values():
-            out[v.name] = v
-        out["out_w"] = self.out_w
-        out["out_b"] = self.out_b
-        return out
-
-    def trainable(self) -> list[ad.Value]:
-        return list(self.named().values())
+    def zeros_like(self) -> "ModelParams":
+        """A same-shaped all-zero set, used to accumulate gradients."""
+        return ModelParams(self.cfg, self.n_words, self.n_deps, self.n_pos, None)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {name: v.data for name, v in self.named().items()}
+        """Every tensor in checkpoint order, fused gates split into per-gate views."""
+        out = {"word_emb": self.word_emb, "dep_emb": self.dep_emb, "pos_emb": self.pos_emb}
+        out.update(_gate_views("enc_fwd", self.enc_fwd, ad.LSTM_GATES))
+        out.update(_gate_views("enc_bwd", self.enc_bwd, ad.LSTM_GATES))
+        out.update(attn_w=self.attn_w, attn_b=self.attn_b, ctx_w=self.ctx_w)
+        out.update(_gate_views("dec", self.dec, ad.GRU_GATES))
+        out.update(out_w=self.out_w, out_b=self.out_b)
+        return out
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        own = self.named()
+    def load_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
+        own = self.arrays()
         missing = sorted(set(own) - set(arrays))
         extra = sorted(set(arrays) - set(own))
         if missing or extra:
             raise ValidationError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
-        for name, value in own.items():
+        for name, view in own.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.size != value.data.size:
-                raise ValidationError(f"parameter {name!r}: expected {value.data.shape}, got {arr.shape}")
-            value.data = arr.reshape(value.data.shape).copy()
-            value.grad = np.zeros_like(value.data)
+            if arr.size != view.size:
+                raise ValidationError(f"parameter {name!r}: expected {view.shape}, got {arr.shape}")
+            view[...] = arr.reshape(view.shape)
+
+
+def _gate_views(prefix: str, cell: ad.CellWeights, gates: Sequence[str]) -> dict[str, np.ndarray]:
+    size = cell.b.shape[0] // len(gates)
+    out = {}
+    for k, gate in enumerate(gates):
+        rows = slice(k * size, (k + 1) * size)
+        out[f"{prefix}.W_{gate}"] = cell.W[rows]
+        out[f"{prefix}.U_{gate}"] = cell.U[rows]
+        out[f"{prefix}.b_{gate}"] = cell.b[rows]
+    return out
 
 
 def paths_to_ids(group: PairGroup, vocabs: tuple[Vocab, Vocab, Vocab], n_l: int) -> list[PathIds]:
@@ -150,39 +185,81 @@ def paths_to_ids(group: PairGroup, vocabs: tuple[Vocab, Vocab, Vocab], n_l: int)
     return out
 
 
-def _embed_positions(params: ModelParams, path: PathIds) -> list[ad.Value]:
-    return [
-        ad.concat([ad.row(params.word_emb, w), ad.row(params.dep_emb, d), ad.row(params.pos_emb, p)])
-        for w, d, p in zip(path.word_ids, path.dep_ids, path.pos_ids)
-    ]
+# ---------------------------------------------------------------------------
+# Encoder
+# ---------------------------------------------------------------------------
 
 
-def encode_blocks(params: ModelParams, path: PathIds) -> list[ad.Value]:
-    """Per-position concatenated forward/backward LSTM states."""
+def _position_ids(params: ModelParams, paths: Sequence[PathIds]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Word, dependency and POS ids, each (n_l, len(paths))."""
+    n_l = params.cfg.n_l
+    for p in paths:
+        if len(p.word_ids) != n_l:
+            raise ValidationError(f"path length {len(p.word_ids)} != configured n_l {n_l}")
+    return tuple(
+        np.array([getattr(p, key) for p in paths], dtype=np.intp).T for key in ("word_ids", "dep_ids", "pos_ids")
+    )
+
+
+def _embed(params: ModelParams, ids: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    words, deps, poss = ids
+    return np.concatenate([params.word_emb[words], params.dep_emb[deps], params.pos_emb[poss]], axis=2)
+
+
+@dataclass
+class EncoderCache:
+    """What encoder_backward needs from an encode_blocks run."""
+
+    ids: tuple[np.ndarray, np.ndarray, np.ndarray]  # word, dependency, POS ids, each (n_l, len(paths))
+    forward: ad.LstmCache
+    backward: ad.LstmCache  # over the time-reversed inputs
+
+
+def encode_blocks(
+    params: ModelParams, paths: Sequence[PathIds], keep: bool = False
+) -> tuple[np.ndarray, EncoderCache | None]:
+    """Per-position concatenated forward/backward LSTM states of every path,
+    (len(paths), n_l, n_h + n_h2), all paths run as one batch.
+
+    With keep, also the cache encoder_backward needs; without, nothing else is stored.
+    """
+    ids = _position_ids(params, paths)
+    xs = _embed(params, ids)
+    forward, fwd_cache = ad.lstm_forward(params.enc_fwd, xs, keep)
+    backward, bwd_cache = ad.lstm_forward(params.enc_bwd, xs[::-1], keep)
+    blocks = np.concatenate([forward, backward[::-1]], axis=2).transpose(1, 0, 2)
+    return blocks, (EncoderCache(ids, fwd_cache, bwd_cache) if keep else None)
+
+
+def encoder_backward(params: ModelParams, grads: ModelParams, cache: EncoderCache, d_blocks: np.ndarray) -> None:
+    """Backpropagate d_blocks (len(paths), n_l, n_h + n_h2) through an
+    encode_blocks run, adding the LSTM and embedding gradients into grads."""
     cfg = params.cfg
-    if len(path.word_ids) != cfg.n_l:
-        raise ValidationError(f"path length {len(path.word_ids)} != configured n_l {cfg.n_l}")
-    xs = _embed_positions(params, path)
-
-    forward = []
-    state = ad.LstmState.zeros(cfg.n_h)
-    for x in xs:
-        state = ad.lstm_step(x, state, params.enc_fwd)
-        forward.append(state.h)
-
-    backward_rev = []
-    state = ad.LstmState.zeros(cfg.n_h2)
-    for x in reversed(xs):
-        state = ad.lstm_step(x, state, params.enc_bwd)
-        backward_rev.append(state.h)
-    backward = backward_rev[::-1]
-
-    return [ad.concat([f, b]) for f, b in zip(forward, backward)]
+    d_states = d_blocks.transpose(1, 0, 2)
+    d_xs = ad.lstm_backward(params.enc_fwd, grads.enc_fwd, cache.forward, d_states[..., : cfg.n_h])
+    d_xs += ad.lstm_backward(params.enc_bwd, grads.enc_bwd, cache.backward, d_states[::-1, :, cfg.n_h :])[::-1]
+    words, deps, poss = cache.ids
+    np.add.at(grads.word_emb, words, d_xs[..., : cfg.d_w])
+    np.add.at(grads.dep_emb, deps, d_xs[..., cfg.d_w : cfg.d_w + cfg.d_d])
+    np.add.at(grads.pos_emb, poss, d_xs[..., cfg.d_w + cfg.d_d :])
 
 
-def encode_path(params: ModelParams, path: PathIds) -> ad.Value:
+def encode_path(params: ModelParams, path: PathIds) -> np.ndarray:
     """Fixed-size encoding of one path: all position blocks concatenated."""
-    return ad.concat(encode_blocks(params, path))
+    return encode_blocks(params, [path])[0].reshape(-1)
+
+
+def encode_distinct(params: ModelParams, paths: Sequence[PathIds]) -> dict[PathIds, np.ndarray]:
+    """The encoding of each distinct path among paths, all run as one batch.
+
+    A row of a batched matmul can round differently with the batch's size,
+    so encoding every path of a stage in one call is what makes identical
+    paths encode to identical vectors whatever pair they belong to.
+    """
+    distinct = list(dict.fromkeys(paths))
+    if not distinct:
+        return {}
+    return dict(zip(distinct, encode_blocks(params, distinct)[0].reshape(len(distinct), -1)))
 
 
 def aggregate(encodings: Sequence[np.ndarray]) -> np.ndarray:
@@ -197,61 +274,129 @@ def aggregate(encodings: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def split_blocks(vector: np.ndarray, n_l: int) -> list[np.ndarray]:
-    if vector.ndim != 1 or vector.shape[0] % n_l != 0:
-        raise ValidationError(f"relation vector of size {vector.shape} does not split into {n_l} blocks")
-    return list(vector.reshape(n_l, -1))
+def infer_relation_vector(
+    params: ModelParams, paths: Sequence[PathIds], encodings: Mapping[PathIds, np.ndarray] | None = None
+) -> np.ndarray:
+    """Relation vector over all of a pair's paths (nothing held out), summed in
+    path order. Path encodings come from `encodings` (see encode_distinct)
+    when given, else are computed here."""
+    if encodings is None:
+        encodings = encode_distinct(params, paths)
+    return aggregate([encodings[p] for p in paths])
 
 
-def decode_path(params: ModelParams, blocks: Sequence[ad.Value]) -> list[ad.Value]:
-    """Word logits for every step, attending over the relation-vector blocks."""
+# ---------------------------------------------------------------------------
+# Decoder
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class DecoderPass:
+    """Logits of a decoder run, and the activations its backward pass needs."""
+
+    blocks: np.ndarray  # (n_l, block_dim) attended blocks
+    weights: np.ndarray  # (n, n_l) attention weights per step
+    joined: np.ndarray  # (n, block_dim + n_g) attended block sum, then the previous context
+    contexts: np.ndarray  # (n, n_g) GRU inputs
+    hs: np.ndarray  # (n + 1, n_g) GRU states, hs[0] = 0
+    zrs: np.ndarray  # (n, 2 n_g) update and reset gates
+    cands: np.ndarray  # (n, n_g) candidate states
+    logits: np.ndarray  # (n, n_words)
+
+
+def decode_path(params: ModelParams, blocks, steps: int | None = None) -> DecoderPass:
+    """Word logits for the first `steps` steps (default n_l), attending over
+    the relation-vector blocks (n_l, n_h + n_h2)."""
     cfg = params.cfg
-    if len(blocks) != cfg.n_l:
-        raise ValidationError(f"expected {cfg.n_l} blocks, got {len(blocks)}")
-    hidden = ad.GruState.zeros(cfg.n_g)
-    context_prev = ad.Value(np.zeros(cfg.n_g))
-    logits = []
-    for _ in range(cfg.n_l):
-        scores = ad.add(ad.matvec(params.attn_w, hidden.h), params.attn_b)
-        weights = ad.softmax(scores)
-        focus = ad.blend(weights, list(blocks))
-        context = ad.matvec(params.ctx_w, ad.concat([focus, context_prev]))
-        hidden = ad.gru_step(context, hidden, params.dec)
-        logits.append(ad.add(ad.matvec(params.out_w, hidden.h), params.out_b))
-        context_prev = context
-    return logits
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if blocks.shape != (cfg.n_l, cfg.block_dim):
+        raise ValidationError(f"expected {cfg.n_l} blocks of size {cfg.block_dim}, got shape {blocks.shape}")
+    n = cfg.n_l if steps is None else steps
+    g, bd = cfg.n_g, cfg.block_dim
+    weights = np.empty((n, cfg.n_l))
+    joined = np.zeros((n, bd + g))
+    contexts = np.empty((n, g))
+    hs = np.zeros((n + 1, g))
+    zrs = np.empty((n, 2 * g))
+    cands = np.empty((n, g))
+    for t in range(n):
+        scores = params.attn_w @ hs[t] + params.attn_b
+        e = np.exp(scores - scores.max())
+        weights[t] = e / e.sum()
+        joined[t, :bd] = weights[t] @ blocks
+        if t:
+            joined[t, bd:] = contexts[t - 1]
+        contexts[t] = params.ctx_w @ joined[t]
+        hs[t + 1], zrs[t], cands[t] = ad.gru_step(params.dec, contexts[t], hs[t])
+    logits = hs[1:] @ params.out_w.T + params.out_b
+    return DecoderPass(blocks, weights, joined, contexts, hs, zrs, cands, logits)
 
 
-def decode_vector(params: ModelParams, relation_vector: np.ndarray) -> list[ad.Value]:
-    """Decode from a plain relation vector (no gradient into the encoder)."""
-    blocks = [ad.Value(b) for b in split_blocks(relation_vector, params.cfg.n_l)]
-    return decode_path(params, blocks)
+def decoder_backward(params: ModelParams, grads: ModelParams, run: DecoderPass, d_logits: np.ndarray) -> np.ndarray:
+    """Backpropagate d_logits (n, n_words) through a decoder run: adds the
+    decoder's weight gradients into grads, returns the blocks' gradient."""
+    g, bd = params.cfg.n_g, params.cfg.block_dim
+    n = d_logits.shape[0]
+    grads.out_w += d_logits.T @ run.hs[1:]
+    grads.out_b += d_logits.sum(axis=0)
+    d_h_out = d_logits @ params.out_w
+    d_gru = np.empty((n, 3 * g))
+    d_ctx = np.empty((n, g))
+    d_focus = np.empty((n, bd))
+    d_scores = np.empty((n, params.cfg.n_l))
+    dh = np.zeros(g)
+    d_ctx_next = np.zeros(g)  # reaches context t through step t + 1's joined input
+    for t in range(n - 1, -1, -1):
+        d_gru[t], d_x, dh = ad.gru_step_backward(params.dec, run.hs[t], run.zrs[t], run.cands[t], dh + d_h_out[t])
+        d_ctx[t] = d_x + d_ctx_next
+        d_joined = d_ctx[t] @ params.ctx_w
+        d_focus[t] = d_joined[:bd]
+        d_ctx_next = d_joined[bd:]
+        a = run.weights[t]
+        d_a = run.blocks @ d_focus[t]
+        d_scores[t] = a * (d_a - a @ d_a)
+        dh = dh + d_scores[t] @ params.attn_w
+    ad.gru_weight_grads(grads.dec, d_gru, run.contexts, run.hs[:-1], run.zrs)
+    grads.ctx_w += d_ctx.T @ run.joined
+    grads.attn_w += d_scores.T @ run.hs[:-1]
+    grads.attn_b += d_scores.sum(axis=0)
+    return run.weights.T @ d_focus
 
 
-def _path_prediction_loss(params: ModelParams, inputs: Sequence[PathIds], target: PathIds) -> ad.Value:
-    per_path_blocks = [encode_blocks(params, p) for p in inputs]
-    summed = [ad.add_n([blocks[i] for blocks in per_path_blocks]) for i in range(params.cfg.n_l)]
-    logits = decode_path(params, summed)
+# ---------------------------------------------------------------------------
+# Training objective
+# ---------------------------------------------------------------------------
+
+
+def _path_prediction_loss(
+    params: ModelParams, inputs: Sequence[PathIds], target: PathIds, grads: ModelParams | None = None
+) -> float:
+    """Mean cross entropy of the target's unpadded words, decoded from the sum
+    of the inputs' encodings; with grads, also adds the loss gradient into grads."""
+    blocks, cache = encode_blocks(params, inputs, keep=grads is not None)
     n = target.true_length
-    losses = [ad.softmax_cross_entropy(logits[i], target.word_ids[i]) for i in range(n)]
-    return ad.scale(ad.add_n(losses), 1.0 / n)
+    run = decode_path(params, blocks.sum(axis=0), steps=n)
+    losses, d_logits = ad.softmax_cross_entropy(run.logits, target.word_ids[:n])
+    loss = float(losses.sum()) / n
+    if grads is not None:
+        d_summed = decoder_backward(params, grads, run, d_logits / n)
+        encoder_backward(params, grads, cache, np.broadcast_to(d_summed, blocks.shape))
+    return loss
 
 
-def training_loss(params: ModelParams, group: Sequence[PathIds], held_out: int) -> ad.Value:
+def training_loss(
+    params: ModelParams, group: Sequence[PathIds], held_out: int, grads: ModelParams | None = None
+) -> float:
     """Cross entropy of predicting path `held_out` from the group's other
-    paths, averaged over the target's unpadded length."""
+    paths, averaged over the target's unpadded length. With grads, the loss
+    gradient is added into grads."""
     if len(group) < 2:
         raise ValidationError("training needs a group with at least 2 paths")
     if not 0 <= held_out < len(group):
         raise ValidationError(f"held-out index {held_out} out of range")
     target = group[held_out]
     inputs = [p for i, p in enumerate(group) if i != held_out]
-    return _path_prediction_loss(params, inputs, target)
-
-
-def infer_relation_vector(params: ModelParams, paths: Sequence[PathIds]) -> np.ndarray:
-    """Relation vector over all of a pair's paths (nothing held out)."""
-    return aggregate([encode_path(params, p).data for p in paths])
+    return _path_prediction_loss(params, inputs, target, grads)
 
 
 @dataclass
@@ -277,49 +422,48 @@ def train(
     cap the encoder inputs at max_input_paths (random subsample), sum losses
     over each batch of size m, clip the global gradient norm, and step. All
     randomness flows from cfg.seed, so identical inputs give bitwise
-    identical parameters.
+    identical parameters. A non-finite example loss or gradient norm is a
+    NumericError naming the epoch and pair.
     """
     if not groups:
         raise ValidationError("train: no groups")
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(cfg, n_words, n_deps, n_pos, rng)
-    trainable = params.trainable()
+    grads = params.zeros_like()
     result = TrainResult(params=params)
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(groups))
-        batch: list[ad.Value] = []
+        pending = 0
         example_losses: list[float] = []
         for gi in order:
             pair, paths = groups[int(gi)]
+            where = f"epoch {epoch + 1}, pair {pair}"
             u = int(rng.integers(len(paths)))
             inputs = [p for i, p in enumerate(paths) if i != u]
             if len(inputs) > cfg.max_input_paths:
                 keep = sorted(rng.choice(len(inputs), size=cfg.max_input_paths, replace=False).tolist())
                 inputs = [inputs[i] for i in keep]
-            try:
-                loss = _path_prediction_loss(params, inputs, paths[u])
-                example_losses.append(float(loss.data))
-                batch.append(loss)
-                if len(batch) == cfg.batch_size:
-                    _apply_batch(trainable, batch, cfg.learning_rate)
-                    batch = []
-            except NumericError as exc:
-                raise NumericError(f"epoch {epoch + 1}, pair {pair}: {exc}") from exc
-        if batch:
-            _apply_batch(trainable, batch, cfg.learning_rate)
+            loss = _path_prediction_loss(params, inputs, paths[u], grads)
+            if not math.isfinite(loss):
+                raise NumericError(f"{where}: non-finite example loss")
+            example_losses.append(loss)
+            pending += 1
+            if pending == cfg.batch_size:
+                _apply_batch(params, grads, cfg.learning_rate, where)
+                pending = 0
+        if pending:
+            _apply_batch(params, grads, cfg.learning_rate, where)
         mean_loss = fmean(example_losses)
-        if not math.isfinite(mean_loss):
-            raise NumericError(f"epoch {epoch + 1}: mean loss is not finite")
         result.epoch_losses.append(mean_loss)
         if on_epoch is not None:
             on_epoch(epoch + 1, mean_loss, params)
     return result
 
 
-def _apply_batch(trainable: Sequence[ad.Value], batch: list[ad.Value], learning_rate: float) -> None:
-    total = batch[0] if len(batch) == 1 else ad.add_n(batch)
-    ad.backward(total)
-    ad.clip_gradients(trainable)
-    ad.sgd_step(trainable, learning_rate)
-    ad.zero_grad(trainable)
+def _apply_batch(params: ModelParams, grads: ModelParams, learning_rate: float, where: str) -> None:
+    try:
+        ad.clip_gradients(grads.flat)
+    except NumericError as exc:
+        raise NumericError(f"{where}: {exc}") from exc
+    ad.sgd_step(params.flat, grads.flat, learning_rate)

@@ -1,4 +1,4 @@
-"""Vocabularies, trainable embedding tables, and pretrained word vectors."""
+"""Vocabularies and pretrained word vectors."""
 
 from __future__ import annotations
 
@@ -67,27 +67,6 @@ def build_vocab(paths: Iterable[SspTriple], min_freq: int = 2) -> tuple[Vocab, V
         deps.update(path.deps)
         poss.update(path.poss)
     return _from_counts(words, min_freq), _from_counts(deps, 1), _from_counts(poss, 1)
-
-
-@dataclass
-class EmbeddingTable:
-    """Trainable rows, one per vocab symbol."""
-
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.rows.ndim != 2:
-            raise ValidationError("embedding table must be 2-dimensional")
-        if not np.all(np.isfinite(self.rows)):
-            raise ValidationError("embedding table contains non-finite values")
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    @classmethod
-    def init(cls, vocab_size: int, dim: int, rng: np.random.Generator) -> "EmbeddingTable":
-        return cls(rows=rng.uniform(-0.1, 0.1, size=(vocab_size, dim)))
 
 
 class PretrainedVectors:

@@ -237,3 +237,10 @@ def brute_force_rand_index(predicted: dict, gold: dict) -> float:
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) -> float:
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def tensor_rel_error(got: np.ndarray, expected: np.ndarray) -> float:
+    """Largest entry-wise difference relative to the expected tensor's largest entry."""
+    scale = float(np.max(np.abs(expected)))
+    diff = float(np.max(np.abs(got - expected)))
+    return diff / scale if scale > 0 else diff

@@ -1,6 +1,8 @@
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cure.cli import RunConfig, load_config, main, run_pipeline
@@ -39,6 +41,22 @@ seed = 3
         encoding="utf-8",
     )
     return root, cfg
+
+
+@pytest.fixture(scope="module")
+def trained(tiny_setup, tmp_path_factory):
+    """Extracted paths and a trained checkpoint of the tiny setup."""
+    root, cfg = tiny_setup
+    out = tmp_path_factory.mktemp("trained")
+    paths, ckpt = out / "paths.jsonl", out / "model.ckpt"
+    assert run("extract-paths", "--config", str(cfg), "--out", str(paths)) == 0
+    assert run("train", "--config", str(cfg), "--paths-file", str(paths), "--out-checkpoint", str(ckpt)) == 0
+    return paths, ckpt
+
+
+def write_jsonl(path: Path, records) -> Path:
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
 
 
 class TestLoadConfig:
@@ -98,6 +116,98 @@ class TestExitCodes:
 
     def test_unknown_config_key_is_2(self, tmp_path):
         assert run("extract-paths", "--set", "bogus_key=1", "--corpus", "x", "--out", "y") == 2
+
+    # inf in a bias or an input weight saturates gates and still gives finite
+    # vectors; the checkpoint itself must be rejected.
+    @pytest.mark.parametrize(
+        "name, value", [("enc_fwd.W_o", "inf"), ("enc_fwd.b_o", "inf"), ("enc_bwd.U_f", "-inf"), ("dec.b_h", "nan")]
+    )
+    def test_nonfinite_parameter_is_3(self, trained, tmp_path, capsys, name, value):
+        paths, ckpt = trained
+        bad = tmp_path / "model.ckpt"
+        shutil.copy(Path(str(ckpt) + ".meta.json"), Path(str(bad) + ".meta.json"))
+        lines = ckpt.read_text(encoding="utf-8").splitlines()
+        row = lines.index(next(line for line in lines if line.startswith(f"{name} "))) + 1
+        lines[row] = " ".join([value] + lines[row].split()[1:])
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = run("encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", str(tmp_path / "v.jsonl"))
+        assert code == 3
+        assert f"parameter {name!r} holds a non-finite value" in capsys.readouterr().err
+
+
+class TestMalformedArtifacts:
+    """A malformed input file exits 2 with the file and record named, never a traceback."""
+
+    def assert_exit_2(self, capsys, argv, *fragments):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        for fragment in fragments:
+            assert fragment in err, err
+
+    def test_vectors_record_without_pair(self, tmp_path, capsys):
+        vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": ["a", "b"], "vector": [0.0]}, {"vector": [1.0]}])
+        self.assert_exit_2(
+            capsys, ["cluster", "--vectors", str(vectors), "--k", "1", "--out", str(tmp_path / "c.jsonl")],
+            str(vectors), "record 2",
+        )
+
+    def encode_argv(self, trained, tmp_path, meta: str) -> list[str]:
+        paths, ckpt = trained
+        copy = tmp_path / "model.ckpt"
+        shutil.copy(ckpt, copy)
+        Path(str(copy) + ".meta.json").write_text(meta, encoding="utf-8")
+        return ["encode", "--checkpoint", str(copy), "--paths-file", str(paths), "--out", str(tmp_path / "v.jsonl")]
+
+    def test_corrupt_meta(self, trained, tmp_path, capsys):
+        argv = self.encode_argv(trained, tmp_path, '{"config": {"n_h": 4,')
+        self.assert_exit_2(capsys, argv, "model.ckpt.meta.json", "invalid JSON")
+
+    def test_meta_config_with_unknown_key(self, trained, tmp_path, capsys):
+        meta = json.loads(Path(str(trained[1]) + ".meta.json").read_text(encoding="utf-8"))
+        meta["config"]["n_hidden"] = 4
+        argv = self.encode_argv(trained, tmp_path, json.dumps(meta))
+        self.assert_exit_2(capsys, argv, "model.ckpt.meta.json", "n_hidden")
+
+    def test_clusters_record_without_cluster(self, tiny_setup, trained, tmp_path, capsys):
+        root, cfg = tiny_setup
+        paths, _ = trained
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"pair": ["a", "b"]}])
+        self.assert_exit_2(
+            capsys,
+            ["label", "--config", str(cfg), "--clusters", str(clusters), "--paths-file", str(paths),
+             "--out", str(tmp_path / "l.jsonl")],
+            str(clusters), "record 1",
+        )
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
+        self.assert_exit_2(
+            capsys,
+            ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+             "--out", str(tmp_path / "s.csv")],
+            str(clusters), "record 1",
+        )
+
+    def test_labels_record_without_labels(self, tiny_setup, tmp_path, capsys):
+        root, cfg = tiny_setup
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}, {"cluster": 1}])
+        self.assert_exit_2(
+            capsys,
+            ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+             "--out", str(tmp_path / "s.csv")],
+            str(labels), "record 2",
+        )
+
+    def test_gold_record_without_relations(self, tiny_setup, tmp_path, capsys):
+        root, cfg = tiny_setup
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
+        gold = write_jsonl(tmp_path / "g.jsonl", [{"pair": ["a", "b"]}])
+        self.assert_exit_2(
+            capsys,
+            ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+             "--gold", str(gold), "--out", str(tmp_path / "s.csv")],
+            str(gold), "record 1",
+        )
 
 
 class TestStages:
@@ -173,6 +283,31 @@ class TestStages:
         assert rec["labels"][0][1] >= rec["labels"][-1][1]
 
 
+    def test_identical_paths_encode_identically_in_pairs_of_any_size(self, trained, tmp_path):
+        """One path shared by pairs of 1 to 8 paths: every pair's vector is the
+        sum of its paths' own vectors, in the pair's (sorted) path order, bit for bit."""
+        paths, ckpt = trained
+        pool = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()][:9]
+        shared, others = pool[0], pool[1:]
+        records = []
+        for size in range(1, 9):
+            members = others[: size - 1]
+            members.insert(size // 2, shared)
+            records += [{**m, "pair": [f"S{size}", f"O{size}"]} for m in members]
+        records += [{**m, "pair": [f"single{i}", "x"]} for i, m in enumerate(pool)]
+        mixed = write_jsonl(tmp_path / "paths.jsonl", records)
+        out = tmp_path / "v.jsonl"
+        assert run("encode", "--checkpoint", str(ckpt), "--paths-file", str(mixed), "--out", str(out)) == 0
+        vectors = {tuple(r["pair"]): np.array(r["vector"]) for r in map(json.loads, out.read_text().splitlines())}
+        own = [vectors[(f"single{i}", "x")] for i in range(len(pool))]
+        for size in range(1, 9):
+            order = sorted(range(size), key=lambda i: [pool[i][key] for key in ("words", "deps", "poss")])
+            expected = own[order[0]]
+            for i in order[1:]:
+                expected = expected + own[i]
+            assert np.array_equal(vectors[(f"S{size}", f"O{size}")], expected), size
+
+
 class TestPipeline:
     def test_end_to_end_artifacts(self, tiny_setup):
         root, cfg = tiny_setup
@@ -202,16 +337,3 @@ class TestPipeline:
     def test_missing_required_key(self, tmp_path):
         with pytest.raises(ValidationError, match="corpus"):
             run_pipeline(RunConfig(out_dir=str(tmp_path)))
-
-
-class TestWorkerCap:
-    def test_env_var_parsed(self, monkeypatch):
-        from cure.cli import worker_cap
-
-        monkeypatch.setenv("CURE_THREADS", "2")
-        assert worker_cap() == 2
-        monkeypatch.setenv("CURE_THREADS", "zero")
-        with pytest.raises(ValidationError):
-            worker_cap()
-        monkeypatch.delenv("CURE_THREADS")
-        assert worker_cap() >= 1

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cure.cluster import Cluster, assign, cut, hac
+from cure.cluster import cut, hac
 from cure.errors import ValidationError
 
 from helpers import brute_force_agglomeration
@@ -93,42 +93,3 @@ class TestCut:
         for bad in (0, 3):
             with pytest.raises(ValidationError):
                 cut(dendrogram, bad)
-
-
-class TestAssign:
-    def clusters(self):
-        return [
-            Cluster(id=0, members=(0,), centroid=np.array([0.0, 0.0])),
-            Cluster(id=1, members=(1,), centroid=np.array([4.0, 0.0])),
-            Cluster(id=2, members=(2,), centroid=np.array([0.0, 4.0])),
-        ]
-
-    def test_exact_centroid(self):
-        assert assign(np.array([4.0, 0.0]), self.clusters()) == 1
-
-    def test_equidistant_takes_lower_id(self):
-        # (3, 3) ties clusters 1 and 2 at sqrt(10); cluster 0 is farther
-        assert assign(np.array([3.0, 3.0]), self.clusters()) == 1
-
-    def test_equidistant_three_way(self):
-        assert assign(np.array([2.0, 0.0]), self.clusters()[:2]) == 0
-
-    def test_matches_linear_scan_oracle(self):
-        rng = np.random.default_rng(13)
-        centroids = [rng.normal(size=5) for _ in range(5)]
-        clusters = [Cluster(id=i, members=(i,), centroid=c) for i, c in enumerate(centroids)]
-        for _ in range(100):
-            q = rng.normal(size=5)
-            expected = min(range(5), key=lambda i: (float(np.linalg.norm(q - centroids[i])), i))
-            assert assign(q, clusters) == expected
-
-    def test_assign_centroids_recovers_ids(self):
-        rng = np.random.default_rng(17)
-        points = list(rng.normal(size=(9, 3)))
-        clusters = cut(hac(points), 4)
-        for c in clusters:
-            assert assign(c.centroid, clusters) == c.id
-
-    def test_no_clusters(self):
-        with pytest.raises(ValidationError):
-            assign(np.zeros(2), [])

@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 
 import cure.autodiff as ad
-from cure.errors import ValidationError
+import graph_oracle as g
+from cure.errors import NumericError, ValidationError
 from cure.model import (
     ModelConfig,
     ModelParams,
     PathIds,
     aggregate,
     decode_path,
-    decode_vector,
     encode_blocks,
     encode_path,
     infer_relation_vector,
-    split_blocks,
     train,
     training_loss,
 )
 
-from helpers import max_rel_error, scalar_gru_step, scalar_lstm_step
+from helpers import max_rel_error, scalar_gru_step, scalar_lstm_step, tensor_rel_error
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -37,8 +36,7 @@ def make_params(cfg, n_words=10, n_deps=5, n_pos=5, seed=1):
 
 
 def zero_out(params: ModelParams) -> None:
-    for v in params.trainable():
-        v.data[...] = 0.0
+    params.flat[...] = 0.0
 
 
 def ids_path(cfg, word_ids, dep_ids=None, pos_ids=None, true_length=None):
@@ -52,8 +50,11 @@ def ids_path(cfg, word_ids, dep_ids=None, pos_ids=None, true_length=None):
     )
 
 
-def cell_dict(p) -> dict:
-    return {v.name.split(".")[-1]: v.data.tolist() for v in p.values()}
+def cell_dict(params: ModelParams, prefix: str) -> dict:
+    """One cell's per-gate tensors, by checkpoint name without the prefix."""
+    return {
+        name.split(".")[-1]: arr.tolist() for name, arr in params.arrays().items() if name.startswith(prefix + ".")
+    }
 
 
 def scalar_encode_blocks(params: ModelParams, path: PathIds) -> list[list[float]]:
@@ -62,9 +63,9 @@ def scalar_encode_blocks(params: ModelParams, path: PathIds) -> list[list[float]
     xs = []
     for w, d, p in zip(path.word_ids, path.dep_ids, path.pos_ids):
         xs.append(
-            list(params.word_emb.data[w]) + list(params.dep_emb.data[d]) + list(params.pos_emb.data[p])
+            list(params.word_emb[w]) + list(params.dep_emb[d]) + list(params.pos_emb[p])
         )
-    fwd_p, bwd_p = cell_dict(params.enc_fwd), cell_dict(params.enc_bwd)
+    fwd_p, bwd_p = cell_dict(params, "enc_fwd"), cell_dict(params, "enc_bwd")
     forward = []
     h, c = [0.0] * cfg.n_h, [0.0] * cfg.n_h
     for x in xs:
@@ -84,13 +85,13 @@ def scalar_decode_logits(params: ModelParams, blocks: list[list[float]]) -> list
     blend them by softmax weight, project with the previous context, step
     the GRU, and read logits off the output layer."""
     cfg = params.cfg
-    gru_p = cell_dict(params.dec)
+    gru_p = cell_dict(params, "dec")
     h = [0.0] * cfg.n_g
     ctx_prev = [0.0] * cfg.n_g
     logits = []
     for _ in range(cfg.n_l):
         scores = [
-            float(params.attn_b.data[b]) + sum(float(params.attn_w.data[b][k]) * h[k] for k in range(cfg.n_g))
+            float(params.attn_b[b]) + sum(float(params.attn_w[b][k]) * h[k] for k in range(cfg.n_g))
             for b in range(cfg.n_l)
         ]
         peak = max(scores)
@@ -100,12 +101,12 @@ def scalar_decode_logits(params: ModelParams, blocks: list[list[float]]) -> list
         focus = [sum(weights[b] * blocks[b][k] for b in range(cfg.n_l)) for k in range(cfg.block_dim)]
         joined = focus + ctx_prev
         context = [
-            sum(float(params.ctx_w.data[r][k]) * joined[k] for k in range(len(joined)))
+            sum(float(params.ctx_w[r][k]) * joined[k] for k in range(len(joined)))
             for r in range(cfg.n_g)
         ]
         h = scalar_gru_step(context, h, gru_p)
         step_logits = [
-            float(params.out_b.data[r]) + sum(float(params.out_w.data[r][k]) * h[k] for k in range(cfg.n_g))
+            float(params.out_b[r]) + sum(float(params.out_w[r][k]) * h[k] for k in range(cfg.n_g))
             for r in range(params.n_words)
         ]
         logits.append(step_logits)
@@ -119,29 +120,33 @@ class TestEncode:
         params = make_params(cfg)
         zero_out(params)
         out = encode_path(params, ids_path(cfg, [3, 4, 5]))
-        assert np.array_equal(out.data, np.zeros(cfg.relation_dim))
+        assert np.array_equal(out, np.zeros(cfg.relation_dim))
 
     def test_dimension_arithmetic(self):
         cfg = tiny_config(n_l=3, n_h=2, n_h2=2)
         params = make_params(cfg)
-        assert encode_path(params, ids_path(cfg, [1, 2, 3])).data.shape == (12,)
+        assert encode_path(params, ids_path(cfg, [1, 2, 3])).shape == (12,)
+        blocks, cache = encode_blocks(params, [ids_path(cfg, [1, 2, 3])] * 5)
+        assert blocks.shape == (5, 3, 4)
+        assert cache is None
 
     def test_matches_scalar_oracle(self):
         cfg = tiny_config()
         params = make_params(cfg, seed=21)
         path = ids_path(cfg, [3, 1, 7], dep_ids=[2, 3, 1], pos_ids=[4, 2, 0])
-        blocks = encode_blocks(params, path)
-        expected = scalar_encode_blocks(params, path)
-        for got, want in zip(blocks, expected):
-            assert np.allclose(got.data, want, rtol=1e-12)
+        other = ids_path(cfg, [5, 0, 2], dep_ids=[1, 1, 4], pos_ids=[3, 3, 1])
+        blocks, _ = encode_blocks(params, [path, other])
+        for got, p in zip(blocks, [path, other]):
+            expected = scalar_encode_blocks(params, p)
+            assert np.allclose(got, expected, rtol=1e-12)
         flat = encode_path(params, path)
-        assert np.allclose(flat.data, [v for blk in expected for v in blk], rtol=1e-12)
+        assert np.allclose(flat, [v for blk in scalar_encode_blocks(params, path) for v in blk], rtol=1e-12)
 
     def test_wrong_length_path_rejected(self):
         cfg = tiny_config()
         params = make_params(cfg)
         with pytest.raises(ValidationError):
-            encode_blocks(params, PathIds((1, 2), (1, 2), (1, 2), 2))
+            encode_blocks(params, [PathIds((1, 2), (1, 2), (1, 2), 2)])
 
 
 class TestAggregate:
@@ -171,35 +176,36 @@ class TestDecode:
     def test_shape_contract(self):
         cfg = tiny_config(n_l=4)
         params = make_params(cfg, n_words=9)
-        logits = decode_vector(params, np.zeros(cfg.relation_dim))
-        assert len(logits) == 4
-        assert all(step.data.shape == (9,) for step in logits)
+        logits = decode_path(params, np.zeros((cfg.n_l, cfg.block_dim))).logits
+        assert logits.shape == (4, 9)
+        assert decode_path(params, np.zeros((cfg.n_l, cfg.block_dim)), steps=2).logits.shape == (2, 9)
 
     def test_zero_everything_gives_uniform_prediction(self):
         cfg = tiny_config()
         params = make_params(cfg, n_words=10)
         zero_out(params)
-        logits = decode_vector(params, np.zeros(cfg.relation_dim))
-        for step in logits:
-            assert np.array_equal(step.data, np.zeros(10))
-            loss = ad.softmax_cross_entropy(step, 0)
-            assert math.isclose(float(loss.data), math.log(10), rel_tol=1e-15)
+        logits = decode_path(params, np.zeros((cfg.n_l, cfg.block_dim))).logits
+        assert np.array_equal(logits, np.zeros((cfg.n_l, 10)))
+        losses, _ = ad.softmax_cross_entropy(logits, [0] * cfg.n_l)
+        for loss in losses:
+            assert math.isclose(float(loss), math.log(10), rel_tol=1e-15)
 
     def test_matches_scalar_oracle(self):
         cfg = tiny_config()
         params = make_params(cfg, n_words=7, seed=33)
         rng = np.random.default_rng(34)
         vector = rng.uniform(-1, 1, cfg.relation_dim)
-        logits = decode_vector(params, vector)
-        expected = scalar_decode_logits(params, [list(b) for b in split_blocks(vector, cfg.n_l)])
+        blocks = vector.reshape(cfg.n_l, cfg.block_dim)
+        logits = decode_path(params, blocks).logits
+        expected = scalar_decode_logits(params, [list(b) for b in blocks])
         for got, want in zip(logits, expected):
-            assert np.allclose(got.data, want, rtol=1e-10)
+            assert np.allclose(got, want, rtol=1e-10)
 
     def test_block_count_checked(self):
         cfg = tiny_config()
         params = make_params(cfg)
         with pytest.raises(ValidationError):
-            decode_path(params, [ad.Value(np.zeros(cfg.block_dim))] * (cfg.n_l + 1))
+            decode_path(params, np.zeros((cfg.n_l + 1, cfg.block_dim)))
 
 
 class TestTrainingLoss:
@@ -210,17 +216,17 @@ class TestTrainingLoss:
         zero_out(params)
         group = [ids_path(cfg, [1, 2, 3, 4, 5], true_length=4), ids_path(cfg, [2, 3, 4, 5, 6], true_length=4)]
         loss = training_loss(params, group, held_out=1)
-        assert abs(float(loss.data) - math.log(10)) < 1e-12
+        assert abs(loss - math.log(10)) < 1e-12
 
     def test_true_length_one_is_single_position_entropy(self):
         cfg = tiny_config()
         params = make_params(cfg, n_words=8, seed=41)
         group = [ids_path(cfg, [1, 2, 3]), ids_path(cfg, [4, 0, 0], true_length=1)]
         loss = training_loss(params, group, held_out=1)
-        blocks = encode_blocks(params, group[0])
-        step0 = decode_path(params, blocks)[0]
-        direct = ad.softmax_cross_entropy(step0, 4)
-        assert math.isclose(float(loss.data), float(direct.data), rel_tol=1e-12)
+        blocks = encode_blocks(params, [group[0]])[0][0]
+        step0 = decode_path(params, blocks).logits[:1]
+        direct, _ = ad.softmax_cross_entropy(step0, [4])
+        assert math.isclose(loss, float(direct[0]), rel_tol=1e-12)
 
     def test_single_path_group_rejected(self):
         cfg = tiny_config()
@@ -232,25 +238,22 @@ class TestTrainingLoss:
         cfg = tiny_config()
         params = make_params(cfg, seed=43)
         group = [ids_path(cfg, [1, 2, 3]), ids_path(cfg, [3, 2, 1])]
-        assert float(training_loss(params, group, held_out=0).data) >= 0.0
+        assert training_loss(params, group, held_out=0) >= 0.0
 
     def test_fifty_sgd_steps_halve_the_loss(self):
         """Two identical paths: repeated steps on the same example converge."""
         cfg = tiny_config(n_l=4)
         params = make_params(cfg, n_words=12, seed=44)
         group = [ids_path(cfg, [5, 2, 9, 3]), ids_path(cfg, [5, 2, 9, 3])]
-        trainable = params.trainable()
+        grads = params.zeros_like()
         first = None
         last = None
         for _ in range(50):
-            loss = training_loss(params, group, held_out=1)
-            last = float(loss.data)
+            last = training_loss(params, group, held_out=1, grads=grads)
             if first is None:
                 first = last
-            ad.backward(loss)
-            ad.clip_gradients(trainable)
-            ad.sgd_step(trainable, 0.5)
-            ad.zero_grad(trainable)
+            ad.clip_gradients(grads.flat)
+            ad.sgd_step(params.flat, grads.flat, 0.5)
         assert last < 0.5 * first
 
 
@@ -264,15 +267,60 @@ class TestEndToEndGradients:
             ids_path(cfg, [2, 6, 3, 7], dep_ids=[2, 1, 3, 0], pos_ids=[1, 3, 2, 0], true_length=3),
         ]
 
-        def graph():
-            return training_loss(params, group, held_out=1)
-
-        ad.backward(graph())
-        tensors = params.named()
-        fd = ad.finite_difference(lambda: float(graph().data), tensors)
-        for name, v in tensors.items():
-            err = max_rel_error(v.grad, fd[name])
+        grads = params.zeros_like()
+        training_loss(params, group, held_out=1, grads=grads)
+        fd = g.finite_difference(lambda: training_loss(params, group, held_out=1), params.arrays())
+        for name, grad in grads.arrays().items():
+            err = max_rel_error(grad, fd[name])
             assert err < 1e-3, f"{name}: max rel error {err}"
+
+
+
+class TestGraphOracle:
+    """The hand-derived passes against the reverse-mode graph, which computes
+    the same model one per-gate vector op at a time. The threshold, 1e-12
+    relative to each tensor's largest entry, allows float64 rounding in a
+    different summation order and nothing else."""
+
+    def random_case(self, rng, n_inputs: int, batch_size: int):
+        cfg = tiny_config(
+            n_h=int(rng.integers(1, 6)), n_h2=int(rng.integers(1, 6)), n_g=int(rng.integers(1, 7)),
+            n_l=int(rng.integers(2, 7)), d_w=int(rng.integers(1, 5)), d_d=int(rng.integers(1, 4)),
+            d_p=int(rng.integers(1, 4)),
+        )
+        sizes = dict(n_words=int(rng.integers(2, 15)), n_deps=int(rng.integers(2, 6)), n_pos=int(rng.integers(2, 6)))
+        params = ModelParams(cfg, **sizes, rng=rng)
+        examples = []
+        for _ in range(batch_size):
+            group = [
+                PathIds(
+                    word_ids=tuple(int(v) for v in rng.integers(sizes["n_words"], size=cfg.n_l)),
+                    dep_ids=tuple(int(v) for v in rng.integers(sizes["n_deps"], size=cfg.n_l)),
+                    pos_ids=tuple(int(v) for v in rng.integers(sizes["n_pos"], size=cfg.n_l)),
+                    true_length=int(rng.integers(1, cfg.n_l + 1)),
+                )
+                for _ in range(n_inputs + 1)
+            ]
+            examples.append((group, int(rng.integers(n_inputs + 1))))
+        return cfg, params, examples
+
+    def test_loss_and_every_gradient_match_graph_oracle(self):
+        rng = np.random.default_rng(71)
+        short_targets = 0
+        for trial in range(32):
+            n_inputs, batch_size = trial % 8 + 1, (1, 3)[trial // 8 % 2]
+            cfg, params, examples = self.random_case(rng, n_inputs, batch_size)
+            short_targets += sum(group[u].true_length < cfg.n_l for group, u in examples)
+            tensors = g.graph_tensors(params)
+            oracle = g.add_n([g.training_loss(tensors, cfg, group, u) for group, u in examples])
+            g.backward(oracle)
+            grads = params.zeros_like()
+            total = sum(training_loss(params, group, u, grads=grads) for group, u in examples)
+            assert abs(total - float(oracle.data)) <= 1e-12 * abs(float(oracle.data)), trial
+            for name, grad in grads.arrays().items():
+                err = tensor_rel_error(grad, tensors[name].grad)
+                assert err < 1e-12, f"trial {trial}, {name}: {err:.2e}"
+        assert short_targets > 0
 
 
 class TestTrain:
@@ -307,6 +355,21 @@ class TestTrain:
         cfg = tiny_config()
         with pytest.raises(ValidationError):
             train([], cfg, 10, 5, 5)
+
+    def test_nonfinite_loss_names_epoch_and_pair(self):
+        """A step this large overflows the parameters; the next example's loss is not finite."""
+        cfg = tiny_config(epochs=2, batch_size=1, learning_rate=1e308)
+        with pytest.raises(NumericError, match=r"epoch \d+, pair \('[A-D]', '[A-D]'\): non-finite example loss"):
+            train(self.groups(cfg), cfg, 10, 5, 5)
+
+    def test_nonfinite_gradient_norm_names_epoch_and_pair(self, monkeypatch):
+        def clip(grad, max_norm=ad.GRAD_CLIP_NORM):
+            raise NumericError("non-finite gradient norm")
+
+        monkeypatch.setattr(ad, "clip_gradients", clip)
+        cfg = tiny_config()
+        with pytest.raises(NumericError, match=r"epoch 1, pair \('[A-D]', '[A-D]'\): non-finite gradient norm"):
+            train(self.groups(cfg), cfg, 10, 5, 5)
 
 
 class TestInference:

@@ -3,7 +3,7 @@ import pytest
 
 from cure.errors import ValidationError
 from cure.paths import PAD, UNK, SspTriple
-from cure.vocab import EmbeddingTable, PAD_ID, UNK_ID, Vocab, build_vocab, load_pretrained
+from cure.vocab import PAD_ID, UNK_ID, Vocab, build_vocab, load_pretrained
 
 
 def path_of(*words):
@@ -70,15 +70,6 @@ class TestVocab:
     def test_reserved_symbols_required(self):
         with pytest.raises(ValidationError):
             Vocab(("a", "b"))
-
-
-class TestEmbeddingTable:
-    def test_seeded_init_is_reproducible(self):
-        a = EmbeddingTable.init(7, 5, np.random.default_rng(42))
-        b = EmbeddingTable.init(7, 5, np.random.default_rng(42))
-        assert np.array_equal(a.rows, b.rows)
-        assert a.rows.shape == (7, 5)
-        assert np.all(np.abs(a.rows) <= 0.1)
 
 
 class TestLoadPretrained:
