@@ -145,9 +145,7 @@ def _read_jsonl(path: str | Path) -> list[dict]:
 
 
 def _write_jsonl(path: str | Path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+    write_atomic(path, "".join(json.dumps(record) + "\n" for record in records))
 
 
 def _read_records(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
@@ -245,10 +243,7 @@ def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path:
     write_atomic(_meta_path(checkpoint_path), json.dumps(meta))
 
     if log_path:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,loss\n")
-            for epoch, loss in loss_rows:
-                fh.write(f"{epoch},{loss!r}\n")
+        write_atomic(log_path, "epoch,loss\n" + "".join(f"{epoch},{loss!r}\n" for epoch, loss in loss_rows))
     return result.epoch_losses
 
 
@@ -294,10 +289,18 @@ def stage_encode(checkpoint_path: str, paths_file: str, out_path: str) -> int:
     return len(records)
 
 
-def stage_cluster(vectors_file: str, k: int, out_path: str, centroids_path: str) -> int:
-    records = _read_records(
-        vectors_file, "relation vector", lambda rec: (_pair(rec), np.array(rec["vector"], dtype=np.float64))
-    )
+def _finite_vector(values) -> np.ndarray:
+    vector = np.array(values, dtype=np.float64)
+    if not np.isfinite(vector).all():
+        raise ValueError("vector holds a non-finite value")
+    return vector
+
+
+def stage_cluster(vectors_file: str, k: int, out_path: str, centroids_path: str) -> dict:
+    """Cluster the vectors and cut at k. Returns the cut's summary for the
+    manifest: k and the distances of the last merge kept (merge n-k) and of
+    the first merge undone (merge n-k+1), None where there is no such merge."""
+    records = _read_records(vectors_file, "relation vector", lambda rec: (_pair(rec), _finite_vector(rec["vector"])))
     pairs = [pair for pair, _ in records]
     vectors = [vector for _, vector in records]
     dendrogram = clustering.hac(vectors)
@@ -311,7 +314,12 @@ def stage_cluster(vectors_file: str, k: int, out_path: str, centroids_path: str)
         centroids_path,
         [{"cluster": c.id, "centroid": [float(v) for v in c.centroid]} for c in clusters],
     )
-    return len(clusters)
+    merges, n = dendrogram.merges, dendrogram.n
+    return {
+        "k": len(clusters),
+        "last_kept_merge_distance": merges[n - k - 1].distance if k < n else None,
+        "first_undone_merge_distance": merges[n - k].distance if k > 1 else None,
+    }
 
 
 def stage_label(
@@ -395,11 +403,8 @@ def stage_evaluate(
     ri = metrics.rand_index(predicted_cluster, gold_partition)
     scores = metrics.prf1(predicted_relation, gold)
 
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("relation,recall,precision,f1\n")
-        for s in scores:
-            fh.write(f"{s.relation},{s.recall!r},{s.precision!r},{s.f1!r}\n")
-        fh.write(f"rand_index,{ri!r}\n")
+    rows = [f"{s.relation},{s.recall!r},{s.precision!r},{s.f1!r}\n" for s in scores]
+    write_atomic(out_path, "relation,recall,precision,f1\n" + "".join(rows) + f"rand_index,{ri!r}\n")
     return ri, scores
 
 
@@ -415,7 +420,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
     """extract-paths > train > encode > cluster > label > evaluate.
 
     Every stage artifact lands in cfg.out_dir; manifest.json records the
-    seed and per-stage output hashes and timings.
+    seed and per-stage output hashes and timings, and for the cluster stage
+    the merge distances on either side of the cut.
     """
     _require(cfg, ["corpus", "embeddings", "gold", "out_dir"], "pipeline")
     for key in ("corpus", "embeddings", "gold"):
@@ -465,18 +471,18 @@ def run_pipeline(cfg: RunConfig) -> Path:
     for name, run, outputs in stages:
         started = time.perf_counter()
         try:
-            run()
+            result = run()
         except CureError as exc:
             raise type(exc)(f"stage {name!r} failed: {exc}") from exc
-        manifest["stages"].append(
-            {
-                "name": name,
-                "seconds": round(time.perf_counter() - started, 3),
-                "outputs": {p.name: _sha256(p) for p in outputs},
-            }
-        )
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        entry = {
+            "name": name,
+            "seconds": round(time.perf_counter() - started, 3),
+            "outputs": {p.name: _sha256(p) for p in outputs},
+        }
+        if name == "cluster":
+            entry["cut"] = result
+        manifest["stages"].append(entry)
+    write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     return out
 
 
@@ -609,8 +615,8 @@ def cmd_cluster(args) -> int:
     cfg = _cfg(args)
     k = args.k if args.k is not None else cfg.k_clusters
     centroids = args.centroids or f"{args.out}.centroids.jsonl"
-    count = stage_cluster(args.vectors, k, args.out, centroids)
-    print(f"cut dendrogram into {count} clusters; assignments in {args.out}")
+    cut = stage_cluster(args.vectors, k, args.out, centroids)
+    print(f"cut dendrogram into {cut['k']} clusters; assignments in {args.out}")
     return 0
 
 

@@ -230,6 +230,35 @@ def brute_force_rand_index(predicted: dict, gold: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Interrupted writes
+# ---------------------------------------------------------------------------
+
+
+class WriteFailed(Exception):
+    """Raised by the writes that fail_writes_halfway puts in place."""
+
+
+def fail_writes_halfway(monkeypatch) -> None:
+    """Every file opened for writing writes half of the text it is given,
+    then raises WriteFailed, as a full disk or a kill would leave it."""
+    real_open = open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[: len(text) // 2])
+                raise WriteFailed("disk full")
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr("builtins.open", failing_open)
+
+
+# ---------------------------------------------------------------------------
 # Gradient comparison
 # ---------------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ import cure.autodiff as ad
 import graph_oracle as g
 from cure.errors import NumericError, ValidationError
 
-from helpers import max_rel_error, scalar_gru_step, scalar_lstm_step
+from helpers import WriteFailed, fail_writes_halfway, max_rel_error, scalar_gru_step, scalar_lstm_step
 
 
 def rand_value(rng, *shape, name=""):
@@ -405,25 +405,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         ad.write_checkpoint(path, {"w": np.ones((2, 2))})
         before = path.read_bytes()
-
-        class Boom(Exception):
-            pass
-
-        real_open = open
-
-        def failing_open(file, mode="r", *args, **kwargs):
-            fh = real_open(file, mode, *args, **kwargs)
-            if "w" in mode:
-                def write(text):
-                    real_write(text[: len(text) // 2])
-                    raise Boom("disk full")
-
-                real_write = fh.write
-                fh.write = write
-            return fh
-
-        monkeypatch.setattr("builtins.open", failing_open)
-        with pytest.raises(Boom):
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(WriteFailed):
             ad.write_checkpoint(path, {"w": np.zeros((2, 2))})
         monkeypatch.undo()
         assert path.read_bytes() == before

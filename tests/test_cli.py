@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cure.cli import RunConfig, load_config, main, run_pipeline
+from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
 from cure.errors import ValidationError
+
+from helpers import WriteFailed, fail_writes_halfway
 
 
 def run(*argv) -> int:
@@ -150,6 +152,18 @@ class TestMalformedArtifacts:
             capsys, ["cluster", "--vectors", str(vectors), "--k", "1", "--out", str(tmp_path / "c.jsonl")],
             str(vectors), "record 2",
         )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_vectors_record_with_non_finite_entry(self, tmp_path, capsys, value):
+        vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": ["a", "b"], "vector": [0.0, 1.0]},
+                                                     {"pair": ["c", "d"], "vector": [1.0, value]}])
+        assert ("NaN" if value != value else "Infinity") in vectors.read_text()
+        out = tmp_path / "c.jsonl"
+        self.assert_exit_2(
+            capsys, ["cluster", "--vectors", str(vectors), "--k", "2", "--out", str(out)],
+            str(vectors), "record 2", "non-finite",
+        )
+        assert not out.exists()
 
     def encode_argv(self, trained, tmp_path, meta: str) -> list[str]:
         paths, ckpt = trained
@@ -308,6 +322,32 @@ class TestStages:
             assert np.array_equal(vectors[(f"S{size}", f"O{size}")], expected), size
 
 
+class TestClusterStage:
+    POINTS = [[0.0], [1.0], [10.0]]  # merges (0, 1) at 1.0, then (2, 3) at 9.5
+
+    def cluster(self, tmp_path, k: int) -> dict:
+        vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": [f"s{i}", "o"], "vector": v} for i, v in enumerate(self.POINTS)])
+        return stage_cluster(str(vectors), k, str(tmp_path / "c.jsonl"), str(tmp_path / "centroids.jsonl"))
+
+    @pytest.mark.parametrize("k, kept, undone", [(1, 9.5, None), (2, 1.0, 9.5), (3, None, 1.0)])
+    def test_cut_reports_merge_distances_around_the_cut(self, tmp_path, k, kept, undone):
+        assert self.cluster(tmp_path, k) == {
+            "k": k, "last_kept_merge_distance": kept, "first_undone_merge_distance": undone,
+        }
+
+    def test_failed_write_keeps_previous_clusters(self, tmp_path, monkeypatch):
+        """A write that dies partway leaves the old assignments byte-identical and no temporary behind."""
+        self.cluster(tmp_path, 3)
+        clusters = tmp_path / "c.jsonl"
+        before = clusters.read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(WriteFailed):
+            self.cluster(tmp_path, 1)
+        monkeypatch.undo()
+        assert clusters.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "centroids.jsonl", "v.jsonl"]
+
+
 class TestPipeline:
     def test_end_to_end_artifacts(self, tiny_setup):
         root, cfg = tiny_setup
@@ -324,6 +364,9 @@ class TestPipeline:
             "extract-paths", "train", "encode", "cluster", "label", "evaluate",
         ]
         assert manifest["seed"] == 3
+        cut = manifest["stages"][3]["cut"]
+        assert cut["k"] == 2
+        assert cut["last_kept_merge_distance"] <= cut["first_undone_merge_distance"]
 
     def test_rerun_is_byte_identical_except_manifest(self, tiny_setup):
         root, cfg = tiny_setup

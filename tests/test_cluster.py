@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cure.cluster import cut, hac
+from cure.cluster import Merge, cut, hac, pairwise_distances
 from cure.errors import ValidationError
 
 from helpers import brute_force_agglomeration
@@ -56,6 +58,100 @@ class TestHac:
         dendrogram = hac(list(points))
         distances = [m.distance for m in dendrogram.merges]
         assert all(a <= b + 1e-12 for a, b in zip(distances, distances[1:]))
+
+
+def assert_matches_oracle(points: np.ndarray, trial: int) -> None:
+    got = [(m.a, m.b) for m in hac(list(points)).merges]
+    assert got == brute_force_agglomeration(points.tolist()), f"trial {trial}"
+
+
+class TestAgglomeration:
+    """The nearest-partner agglomeration against the from-scratch oracle,
+    on the inputs where rounding could flip a tie."""
+
+    def test_duplicate_heavy_inputs_match_brute_force_oracle(self):
+        """2-4 distinct vectors, each repeated, up to n = 25: the zero-distance
+        merges follow the tie rule, then the clusters of duplicates merge."""
+        rng = np.random.default_rng(23)
+        for trial in range(30):
+            distinct = rng.uniform(-3, 3, size=(int(rng.integers(2, 5)), int(rng.integers(1, 5))))
+            n = int(rng.integers(len(distinct), 26))
+            points = distinct[np.concatenate([np.arange(len(distinct)), rng.integers(0, len(distinct), n - len(distinct))])]
+            points = points[rng.permutation(n)]
+            assert_matches_oracle(points, trial)
+
+    def test_random_inputs_up_to_40_points_match_brute_force_oracle(self):
+        rng = np.random.default_rng(29)
+        for trial in range(40):
+            n = int(rng.integers(9, 41))
+            points = rng.normal(size=(n, int(rng.integers(1, 6))))
+            assert_matches_oracle(points, trial)
+
+    def test_exact_ties_on_an_integer_line_match_brute_force_oracle(self):
+        """Points on an integer line have exact integer distances, so ties are
+        exact and the lowest (id_a, id_b) rule decides many merges."""
+        rng = np.random.default_rng(43)
+        for trial in range(200):
+            points = rng.integers(0, 6, size=(int(rng.integers(3, 13)), 1)).astype(np.float64)
+            assert_matches_oracle(points, trial)
+
+    def test_clusters_of_duplicates_keep_their_base_distance(self):
+        """m copies of u, v, m copies of w with d(u, v) == d(v, w): the union of
+        the u copies stays exactly at sqrt(2) from v, and the tie between (v, U)
+        and (v, W) goes to the lower id, U's."""
+        for m in range(1, 25):
+            points = vecs(*([[0.0, 0.0]] * m + [[1.0, 1.0]] + [[2.0, 2.0]] * m))
+            merges = hac(points).merges
+            clusters = {i: {i} for i in range(len(points))}
+            for t, merge in enumerate(merges[:-2]):
+                clusters[len(points) + t] = clusters.pop(merge.a) | clusters.pop(merge.b)
+            (u_id,) = [c for c, members in clusters.items() if 0 in members]
+            a, b = sorted((m, u_id))  # v is point m
+            assert merges[-2] == Merge(a=a, b=b, distance=float(np.sqrt(2.0))), m
+
+    def test_merge_ids_follow_the_n_plus_t_rule(self):
+        """Merge t joins two live clusters, lower id first, and creates id n + t."""
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 10, 40):
+            points = rng.integers(0, 3, size=(n, 2)).astype(np.float64)  # many exact duplicates
+            live = set(range(n))
+            for t, merge in enumerate(hac(list(points)).merges):
+                assert merge.a < merge.b and {merge.a, merge.b} <= live, (n, t, merge)
+                live -= {merge.a, merge.b}
+                live.add(n + t)
+            assert live == {2 * n - 2}
+
+    def test_overflowing_distances_still_follow_the_tie_rule(self):
+        """Points 1e200 apart are at infinite distance: every pair ties and the
+        lowest ids merge first."""
+        with np.errstate(over="ignore"):
+            merges = hac(vecs([0.0], [1e200], [2e200], [3e200])).merges
+        assert [(m.a, m.b, m.distance) for m in merges] == [(0, 1, np.inf), (2, 3, np.inf), (4, 5, np.inf)]
+
+    def test_peak_memory_is_quadratic_not_cubic(self):
+        """At n = 200, dim = 256 an n x n x dim temporary alone is 82 MB; the
+        matrix, the points and one n x dim temporary are about 0.7 MB."""
+        n, dim = 200, 256
+        vectors = list(np.random.default_rng(37).normal(size=(n, dim)))
+        tracemalloc.start()
+        try:
+            hac(vectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * (n * n + n * dim), peak
+
+    def test_row_wise_distances_match_the_broadcast_matrix(self):
+        rng = np.random.default_rng(41)
+        for dim in (1, 3, 8, 192):
+            points = rng.normal(size=(30, dim))
+            diff = points[:, None, :] - points[None, :, :]
+            assert np.array_equal(pairwise_distances(points), np.sqrt((diff * diff).sum(axis=-1)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_vectors_rejected(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            hac(vecs([0.0, 1.0], [value, 0.0], [1.0, 1.0]))
 
 
 class TestCut:
