@@ -12,23 +12,25 @@ and adds its weight gradients into caller-owned arrays, so a batch's
 gradients accumulate with +=.
 
 Also here: softmax cross entropy, global-norm gradient clipping, the SGD
-step, and the text checkpoint format.
+step, and the checkpoint file, the one place its layout is known.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, reading
 
 GRAD_CLIP_NORM = 5.0
 
-CHECKPOINT_HEADER = "CURE-MODEL v1"
+CHECKPOINT_HEADER = "CURE-MODEL v2"
 
 LSTM_GATES = ("o", "f", "i", "c")
 GRU_GATES = ("z", "r", "h")
@@ -246,10 +248,11 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def write_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
-    """Text checkpoint: header line, then per parameter "name rows cols"
-    followed by row-major values in shortest round-trip decimal form."""
-    lines = [CHECKPOINT_HEADER]
+def write_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Text checkpoint: header line, meta (model config and vocabularies) as
+    one JSON line, then per parameter "name rows cols" followed by row-major
+    values in shortest round-trip decimal form."""
+    lines = [CHECKPOINT_HEADER, json.dumps(meta)]
     for name, arr in arrays.items():
         if " " in name:
             raise ValidationError(f"parameter name {name!r} may not contain spaces")
@@ -259,31 +262,50 @@ def write_checkpoint(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     write_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta dict and the named arrays of a checkpoint; anything malformed
+    is a ValidationError naming the file."""
+    with reading(path, "checkpoint") as fh:
+        try:
+            return _parse_checkpoint(fh)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _parse_checkpoint(fh: IO[str]) -> tuple[dict, dict[str, np.ndarray]]:
+    header = fh.readline().rstrip("\n")
+    if header != CHECKPOINT_HEADER:
+        raise ValidationError(f"bad checkpoint header {header!r}, expected {CHECKPOINT_HEADER!r}")
+    try:
+        meta = json.loads(fh.readline())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"checkpoint metadata: invalid JSON ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise ValidationError("checkpoint metadata: not a JSON object")
     arrays: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CHECKPOINT_HEADER:
-            raise ValidationError(f"bad checkpoint header: {header!r}")
-        while True:
-            line = fh.readline()
-            if not line.strip():
-                break
+    while True:
+        line = fh.readline()
+        if not line.strip():
+            break
+        try:
+            name, rows_s, cols_s = line.split()
+            rows, cols = int(rows_s), int(cols_s)
+        except ValueError as exc:
+            raise ValidationError(f"bad parameter block header: {line!r}") from exc
+        if rows < 0 or cols < 0:
+            raise ValidationError(f"bad parameter block header: {line!r}")
+        if name in arrays:
+            raise ValidationError(f"duplicate parameter {name!r} in checkpoint")
+        # Rows are collected before the array is built, so a block claiming
+        # more rows than the file holds fails on its first short row.
+        values = []
+        for r in range(rows):
+            row = fh.readline().split()
+            if len(row) != cols:
+                raise ValidationError(f"parameter {name!r}: row {r} has {len(row)} values, expected {cols}")
             try:
-                name, rows_s, cols_s = line.split()
-                rows, cols = int(rows_s), int(cols_s)
+                values.append([float(v) for v in row])
             except ValueError as exc:
-                raise ValidationError(f"bad parameter block header: {line!r}") from exc
-            if name in arrays:
-                raise ValidationError(f"duplicate parameter {name!r} in checkpoint")
-            mat = np.empty((rows, cols), dtype=np.float64)
-            for r in range(rows):
-                values = fh.readline().split()
-                if len(values) != cols:
-                    raise ValidationError(f"parameter {name!r}: row {r} has {len(values)} values, expected {cols}")
-                try:
-                    mat[r] = [float(v) for v in values]
-                except ValueError as exc:
-                    raise ValidationError(f"parameter {name!r}: row {r}: {exc}") from exc
-            arrays[name] = mat
-    return arrays
+                raise ValidationError(f"parameter {name!r}: row {r}: {exc}") from exc
+        arrays[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
+    return meta, arrays

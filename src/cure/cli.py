@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, cluster as clustering, metrics, model as modeling, synth
 from .autodiff import read_checkpoint, write_atomic, write_checkpoint
 from .corpus import parse_corpus
-from .errors import CureError, NumericError, ValidationError
+from .errors import CureError, NumericError, ValidationError, reading
 from .labeling import candidate_set, cw_label, load_stopwords, match_to_gold, wvs_label, LabelCandidates
 from .model import ModelConfig, ModelParams, paths_to_ids
 from .paths import SspTriple, extract_instances, group_pairs
@@ -34,7 +34,10 @@ T = TypeVar("T")
 
 
 @dataclass
-class RunConfig:
+class RunConfig(ModelConfig):
+    """Every config key: the model and training keys of ModelConfig, then the
+    inputs, outputs and the clustering, labeling and vocabulary settings."""
+
     corpus: str = ""
     embeddings: str = ""
     gold: str = ""
@@ -45,30 +48,16 @@ class RunConfig:
     k_clusters: int = 4
     min_paths: int = 2
     min_freq: int = 2
-    n_h: int = 32
-    n_h2: int = 32
-    n_g: int = 64
-    n_l: int = 10
-    d_w: int = 50
-    d_d: int = 16
-    d_p: int = 16
-    max_input_paths: int = 8
-    learning_rate: float = 0.05
-    epochs: int = 10
-    batch_size: int = 8
-    seed: int = 13
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_CONFIG_KEYS = [f.name for f in fields(RunConfig)]
 
 
 def _coerce(key: str, value: str):
     default = getattr(RunConfig(), key)
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         try:
             return int(value)
@@ -83,8 +72,8 @@ def _coerce(key: str, value: str):
 
 
 def _set_key(cfg: RunConfig, key: str, value: str) -> None:
-    if key not in _CONFIG_TYPES:
-        hint = difflib.get_close_matches(key, _CONFIG_TYPES, n=1)
+    if key not in _CONFIG_KEYS:
+        hint = difflib.get_close_matches(key, _CONFIG_KEYS, n=1)
         suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
         raise ValidationError(f"unknown config key {key!r}{suffix}")
     setattr(cfg, key, _coerce(key, value))
@@ -94,10 +83,8 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
     """Defaults, then file values, then key=value overrides."""
     cfg = RunConfig()
     if path:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
+        with reading(path, "config") as fh:
+            text = fh.read()
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -128,12 +115,8 @@ def _require(cfg: RunConfig, keys: list[str], command: str) -> None:
 
 
 def _read_jsonl(path: str | Path) -> list[dict]:
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
     out = []
-    with fh:
+    with reading(path, "file") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -184,10 +167,6 @@ def _read_assignments(path: str | Path) -> list[tuple[tuple[str, str], int]]:
     return _read_records(path, "cluster assignment", lambda rec: (_pair(rec), int(rec["cluster"])))
 
 
-def _meta_path(checkpoint: str | Path) -> Path:
-    return Path(str(checkpoint) + ".meta.json")
-
-
 # ---------------------------------------------------------------------------
 # Stage implementations (shared by subcommands and `pipeline`)
 # ---------------------------------------------------------------------------
@@ -214,24 +193,7 @@ def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path:
     vocabs = build_vocab((t for _, t in instances), min_freq=cfg.min_freq)
     mcfg = cfg.model_config()
     prepared = [(g.pair, paths_to_ids(g, vocabs, mcfg.n_l)) for g in groups]
-
-    loss_rows: list[tuple[int, float]] = []
-
-    def on_epoch(epoch: int, mean_loss: float, params: ModelParams) -> None:
-        loss_rows.append((epoch, mean_loss))
-        write_checkpoint(checkpoint_path, params.arrays())
-
-    result = modeling.train(
-        prepared,
-        mcfg,
-        n_words=len(vocabs[0]),
-        n_deps=len(vocabs[1]),
-        n_pos=len(vocabs[2]),
-        on_epoch=on_epoch,
-    )
-    if cfg.epochs == 0:
-        write_checkpoint(checkpoint_path, result.params.arrays())
-
+    result = modeling.train(prepared, mcfg, n_words=len(vocabs[0]), n_deps=len(vocabs[1]), n_pos=len(vocabs[2]))
     meta = {
         "config": asdict(mcfg),
         "vocab": {
@@ -240,30 +202,26 @@ def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path:
             "poss": list(vocabs[2].symbols),
         },
     }
-    write_atomic(_meta_path(checkpoint_path), json.dumps(meta))
-
+    # Written once, after training: a run that fails or is interrupted leaves
+    # the previous checkpoint as it was.
+    write_checkpoint(checkpoint_path, result.params.arrays(), meta)
     if log_path:
-        write_atomic(log_path, "epoch,loss\n" + "".join(f"{epoch},{loss!r}\n" for epoch, loss in loss_rows))
+        rows = "".join(f"{epoch},{loss!r}\n" for epoch, loss in enumerate(result.epoch_losses, start=1))
+        write_atomic(log_path, "epoch,loss\n" + rows)
     return result.epoch_losses
 
 
 def _load_model(checkpoint_path: str) -> tuple[ModelParams, tuple, ModelConfig]:
     if not Path(checkpoint_path).exists():
         raise ValidationError(f"checkpoint not found: {checkpoint_path}")
-    meta_file = _meta_path(checkpoint_path)
-    if not meta_file.exists():
-        raise ValidationError(f"checkpoint metadata not found: {meta_file}")
-    try:
-        meta = json.loads(meta_file.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{meta_file}: invalid JSON ({exc})") from exc
+    meta, arrays = read_checkpoint(checkpoint_path)
     try:
         mcfg = ModelConfig(**meta["config"])
         vocabs = tuple(Vocab(tuple(map(str, meta["vocab"][key]))) for key in ("words", "deps", "poss"))
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"{meta_file}: malformed checkpoint metadata ({exc!r})") from exc
+    except (KeyError, TypeError, ValidationError) as exc:
+        raise ValidationError(f"{checkpoint_path}: malformed checkpoint metadata ({exc!r})") from exc
     params = ModelParams(mcfg, len(vocabs[0]), len(vocabs[1]), len(vocabs[2]), None)
-    params.load_arrays(read_checkpoint(checkpoint_path))
+    params.load_arrays(arrays)
     # Checked here rather than on the outputs: an infinite weight can saturate
     # a gate to exactly 0 or 1 and still give finite vectors, and encoding
     # never reads the decoder's weights.
@@ -444,7 +402,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         (
             "train",
             lambda: stage_train(cfg, str(paths_file), str(checkpoint), str(loss_log)),
-            [checkpoint, _meta_path(checkpoint), loss_log],
+            [checkpoint, loss_log],
         ),
         ("encode", lambda: stage_encode(str(checkpoint), str(paths_file), str(vectors_file)), [vectors_file]),
         (
@@ -494,8 +452,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
 def _config_epilog() -> str:
     lines = ["config keys and defaults:"]
     for f in fields(RunConfig):
-        default = getattr(RunConfig(), f.name)
-        lines.append(f"  {f.name} = {default!r}")
+        lines.append(f"  {f.name} = {f.default!r}")
     return "\n".join(lines)
 
 

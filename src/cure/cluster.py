@@ -89,7 +89,7 @@ def _nearest_partner(dist: np.ndarray, ids: np.ndarray, active: np.ndarray, row:
     return float(best), int(tied[np.argmin(ids[tied])])
 
 
-def hac(vectors: Sequence[np.ndarray], linkage: str = "average") -> Dendrogram:
+def hac(vectors: Sequence[np.ndarray]) -> Dendrogram:
     """Greedy agglomeration: repeatedly merge the two clusters with minimal
     average pairwise Euclidean distance.
 
@@ -100,8 +100,6 @@ def hac(vectors: Sequence[np.ndarray], linkage: str = "average") -> Dendrogram:
     of its lower id, under an id larger than every live one, so that row
     starts empty and every other row only has to compare the union with
     its cached partner."""
-    if linkage != "average":
-        raise ValidationError(f"unsupported linkage {linkage!r}")
     points = _as_matrix(vectors)
     n = points.shape[0]
     dist = pairwise_distances(points)

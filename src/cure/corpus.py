@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ValidationError
+from .errors import ValidationError, reading
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,7 @@ def sentence_to_record(sentence: ParsedSentence) -> dict:
 def parse_corpus(path: str | Path) -> list[ParsedSentence]:
     """Read a JSON Lines corpus file, validating every record. Line order is kept."""
     sentences = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read corpus {path}: {exc}") from exc
-    with fh:
+    with reading(path, "corpus") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -1,3 +1,12 @@
+"""Error types, and the guard that turns an unreadable input file into one."""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Iterator
+
+
 class CureError(Exception):
     """Base class for errors raised by this package."""
 
@@ -8,3 +17,16 @@ class ValidationError(CureError):
 
 class NumericError(CureError):
     """Non-finite values or a diverged computation."""
+
+
+@contextmanager
+def reading(path: str | Path, what: str) -> Iterator[IO[str]]:
+    """Open path as UTF-8 text. A file that cannot be opened or read, or that
+    is not UTF-8, is a ValidationError naming what it is and where."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{what} {path} is not UTF-8 text ({exc})") from exc

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, reading
 from .vocab import PretrainedVectors
 
 
@@ -25,7 +25,8 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         text = resources.files("cure").joinpath("data/stopwords.txt").read_text(encoding="utf-8")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        with reading(path, "stopwords") as fh:
+            text = fh.read()
     return frozenset(w.strip().lower() for w in text.splitlines() if w.strip() and not w.startswith("#"))
 
 

@@ -423,7 +423,8 @@ def train(
     over each batch of size m, clip the global gradient norm, and step. All
     randomness flows from cfg.seed, so identical inputs give bitwise
     identical parameters. A non-finite example loss or gradient norm is a
-    NumericError naming the epoch and pair.
+    NumericError naming the epoch and pair. on_epoch, if given, is called
+    after every epoch with its number (from 1), mean loss and the parameters.
     """
     if not groups:
         raise ValidationError("train: no groups")

@@ -51,10 +51,6 @@ class PaddedPath:
     poss: tuple[str, ...]
     true_length: int
 
-    @property
-    def triple(self) -> SspTriple:
-        return SspTriple(self.words, self.deps, self.poss)
-
 
 @dataclass(frozen=True)
 class PairGroup:

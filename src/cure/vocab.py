@@ -9,7 +9,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, reading
 from .paths import PAD, UNK, SspTriple
 
 PAD_ID = 0
@@ -31,10 +31,6 @@ class Vocab:
             raise ValidationError("vocab contains duplicate symbols")
 
     def __len__(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def size(self) -> int:
         return len(self.symbols)
 
     def lookup(self, symbol: str) -> int:
@@ -93,11 +89,7 @@ def load_pretrained(path: str | Path) -> PretrainedVectors:
     """Parse "token v1 v2 ... vd" lines; an optional "count dim" header is skipped."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read vector file {path}: {exc}") from exc
-    with fh:
+    with reading(path, "vector file") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:

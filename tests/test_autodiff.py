@@ -381,9 +381,11 @@ class TestCheckpoint:
             "b": rng.uniform(-1, 1, 4),
             "tiny": np.array([[1e-300, -0.0, 123456789.123456789]]),
         }
+        meta = {"config": {"n_h": 4}, "vocab": {"words": ["<pad>", "<unk>", "naïve\nword"]}}
         path = tmp_path / "model.ckpt"
-        ad.write_checkpoint(path, arrays)
-        loaded = ad.read_checkpoint(path)
+        ad.write_checkpoint(path, arrays, meta)
+        loaded_meta, loaded = ad.read_checkpoint(path)
+        assert loaded_meta == meta
         assert set(loaded) == set(arrays)
         for name, arr in arrays.items():
             assert np.array_equal(loaded[name], np.atleast_2d(arr)), name
@@ -396,18 +398,18 @@ class TestCheckpoint:
 
     def test_truncated_block_detected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        path.write_text("CURE-MODEL v1\nw 2 2\n1.0 2.0\n3.0\n", encoding="utf-8")
+        path.write_text("CURE-MODEL v2\n{}\nw 2 2\n1.0 2.0\n3.0\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="row 1"):
             ad.read_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         """A write that dies partway leaves the old file byte-identical and no temporary behind."""
         path = tmp_path / "model.ckpt"
-        ad.write_checkpoint(path, {"w": np.ones((2, 2))})
+        ad.write_checkpoint(path, {"w": np.ones((2, 2))}, {})
         before = path.read_bytes()
         fail_writes_halfway(monkeypatch)
         with pytest.raises(WriteFailed):
-            ad.write_checkpoint(path, {"w": np.zeros((2, 2))})
+            ad.write_checkpoint(path, {"w": np.zeros((2, 2))}, {})
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

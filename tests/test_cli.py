@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cure import autodiff, cli
 from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
-from cure.errors import ValidationError
+from cure.errors import NumericError, ValidationError
 
 from helpers import WriteFailed, fail_writes_halfway
 
@@ -127,7 +128,6 @@ class TestExitCodes:
     def test_nonfinite_parameter_is_3(self, trained, tmp_path, capsys, name, value):
         paths, ckpt = trained
         bad = tmp_path / "model.ckpt"
-        shutil.copy(Path(str(ckpt) + ".meta.json"), Path(str(bad) + ".meta.json"))
         lines = ckpt.read_text(encoding="utf-8").splitlines()
         row = lines.index(next(line for line in lines if line.startswith(f"{name} "))) + 1
         lines[row] = " ".join([value] + lines[row].split()[1:])
@@ -166,21 +166,75 @@ class TestMalformedArtifacts:
         assert not out.exists()
 
     def encode_argv(self, trained, tmp_path, meta: str) -> list[str]:
+        """encode on a copy of the trained checkpoint whose meta line (line 2) is meta."""
         paths, ckpt = trained
+        lines = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = meta + "\n"
         copy = tmp_path / "model.ckpt"
-        shutil.copy(ckpt, copy)
-        Path(str(copy) + ".meta.json").write_text(meta, encoding="utf-8")
+        copy.write_text("".join(lines), encoding="utf-8")
         return ["encode", "--checkpoint", str(copy), "--paths-file", str(paths), "--out", str(tmp_path / "v.jsonl")]
 
     def test_corrupt_meta(self, trained, tmp_path, capsys):
         argv = self.encode_argv(trained, tmp_path, '{"config": {"n_h": 4,')
-        self.assert_exit_2(capsys, argv, "model.ckpt.meta.json", "invalid JSON")
+        self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "invalid JSON")
 
     def test_meta_config_with_unknown_key(self, trained, tmp_path, capsys):
-        meta = json.loads(Path(str(trained[1]) + ".meta.json").read_text(encoding="utf-8"))
+        meta = json.loads(trained[1].read_text(encoding="utf-8").splitlines()[1])
         meta["config"]["n_hidden"] = 4
         argv = self.encode_argv(trained, tmp_path, json.dumps(meta))
-        self.assert_exit_2(capsys, argv, "model.ckpt.meta.json", "n_hidden")
+        self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "n_hidden")
+
+    def test_v1_checkpoint(self, trained, tmp_path, capsys):
+        """The old layout (tensors only, config and vocabularies in a second file) is refused by its header."""
+        paths, ckpt = trained
+        lines = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+        old = tmp_path / "model.ckpt"
+        old.write_text("CURE-MODEL v1\n" + "".join(lines[2:]), encoding="utf-8")
+        self.assert_exit_2(
+            capsys, ["encode", "--checkpoint", str(old), "--paths-file", str(paths), "--out", str(tmp_path / "v.jsonl")],
+            str(old), "'CURE-MODEL v1'",
+        )
+
+    @pytest.mark.parametrize(
+        "case",
+        ["missing stopwords", "corpus", "paths", "vectors", "embeddings", "stopwords", "checkpoint",
+         "negative row count", "huge row count"],
+    )
+    def test_unreadable_input_file(self, tiny_setup, trained, tmp_path, capsys, case):
+        """A missing or non-UTF-8 input file, or a checkpoint block claiming an
+        impossible row count, exits 2 naming the file."""
+        root, cfg = tiny_setup
+        paths, ckpt = trained
+        bad, out = tmp_path / "bad-input", str(tmp_path / "out")
+        not_utf8 = "naïve\n".encode("latin-1")
+        pairs = {tuple(json.loads(line)["pair"]) for line in paths.read_text(encoding="utf-8").splitlines()}
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": list(p)} for p in sorted(pairs)])
+        label = ["label", "--config", str(cfg), "--clusters", str(clusters), "--paths-file", str(paths), "--out", out]
+        encode = ["encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", out]
+        ckpt_lines = ckpt.read_bytes().splitlines(keepends=True)
+        block = next(i for i, line in enumerate(ckpt_lines) if line.startswith(b"enc_fwd.W_o "))
+
+        def with_block_rows(rows: bytes) -> bytes:
+            return b"".join(ckpt_lines[:block] + [b"enc_fwd.W_o " + rows + b" 4\n"] + ckpt_lines[block + 1 :])
+
+        content, argv, reason = {
+            "missing stopwords": (None, label + ["--set", f"stopwords={bad}"], "cannot read stopwords"),
+            "corpus": (not_utf8, ["extract-paths", "--corpus", str(bad), "--out", out], "not UTF-8"),
+            "paths": (paths.read_bytes() + not_utf8, ["train", "--config", str(cfg), "--paths-file", str(bad),
+                                                      "--out-checkpoint", out], "not UTF-8"),
+            "vectors": (b'{"pair": ["a", "b"], "vector": [0.0]}\n' + not_utf8,
+                        ["cluster", "--vectors", str(bad), "--k", "1", "--out", out], "not UTF-8"),
+            "embeddings": ((root / "embeddings.txt").read_bytes() + not_utf8, label + ["--embeddings", str(bad)],
+                           "not UTF-8"),
+            "stopwords": (b"the\n" + not_utf8, label + ["--set", f"stopwords={bad}"], "not UTF-8"),
+            "checkpoint": (b"".join(ckpt_lines[:block + 1] + [not_utf8] + ckpt_lines[block + 2 :]), encode,
+                           "not UTF-8"),
+            "negative row count": (with_block_rows(b"-4"), encode, "'enc_fwd.W_o -4 4\\n'"),
+            "huge row count": (with_block_rows(b"1000000000000"), encode, "parameter 'enc_fwd.W_o': row 4"),
+        }[case]
+        if content is not None:
+            bad.write_bytes(content)
+        self.assert_exit_2(capsys, argv, str(bad), reason)
 
     def test_clusters_record_without_cluster(self, tiny_setup, trained, tmp_path, capsys):
         root, cfg = tiny_setup
@@ -247,7 +301,7 @@ class TestStages:
 
         assert run("extract-paths", "--config", str(cfg), "--out", str(paths)) == 0
         assert run("train", "--config", str(cfg), "--paths-file", str(paths), "--out-checkpoint", str(ckpt), "--log", str(log)) == 0
-        assert ckpt.exists() and Path(str(ckpt) + ".meta.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv", "model.ckpt", "paths.jsonl"]
         log_lines = log.read_text().strip().splitlines()
         assert log_lines[0] == "epoch,loss"
         assert len(log_lines) == 3  # header + 2 epochs
@@ -322,6 +376,47 @@ class TestStages:
             assert np.array_equal(vectors[(f"S{size}", f"O{size}")], expected), size
 
 
+class TestTrainCheckpoint:
+    """`cure train` writes its one checkpoint file once, after the last epoch."""
+
+    def train(self, tiny_setup, trained, ckpt: Path, *overrides: str) -> int:
+        root, cfg = tiny_setup
+        paths, _ = trained
+        argv = ["train", "--config", str(cfg), "--paths-file", str(paths), "--out-checkpoint", str(ckpt)]
+        for item in overrides:
+            argv += ["--set", item]
+        return run(*argv)
+
+    def test_written_once(self, tiny_setup, trained, tmp_path, monkeypatch):
+        ckpt = tmp_path / "model.ckpt"
+        written = []
+        write = cli.write_checkpoint
+        monkeypatch.setattr(cli, "write_checkpoint", lambda path, *args: written.append(path) or write(path, *args))
+        assert self.train(tiny_setup, trained, ckpt, "epochs=3") == 0
+        assert written == [str(ckpt)]
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_training_that_fails_keeps_previous_checkpoint(self, tiny_setup, trained, tmp_path, monkeypatch, capsys):
+        """A retrain with other weights that fails in epoch 2 leaves the previous file byte-identical."""
+        ckpt = tmp_path / "model.ckpt"
+        shutil.copy(trained[1], ckpt)
+        before = ckpt.read_bytes()
+        clip, calls = autodiff.clip_gradients, []
+
+        def clip_failing_in_epoch_2(grad, *args):
+            calls.append(grad)
+            if len(calls) == 2:
+                raise NumericError("non-finite gradient norm")
+            return clip(grad, *args)
+
+        monkeypatch.setattr(autodiff, "clip_gradients", clip_failing_in_epoch_2)
+        # One batch per epoch, so the second clip is epoch 2's.
+        assert self.train(tiny_setup, trained, ckpt, "seed=4", "batch_size=100", "epochs=3") == 3
+        assert "epoch 2" in capsys.readouterr().err
+        assert ckpt.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 class TestClusterStage:
     POINTS = [[0.0], [1.0], [10.0]]  # merges (0, 1) at 1.0, then (2, 3) at 9.5
 
@@ -354,7 +449,7 @@ class TestPipeline:
         assert run("pipeline", "--config", str(cfg)) == 0
         out = root / "out"
         for name in (
-            "paths.jsonl", "model.ckpt", "model.ckpt.meta.json", "loss_log.csv",
+            "paths.jsonl", "model.ckpt", "loss_log.csv",
             "vectors.jsonl", "clusters.jsonl", "centroids.jsonl", "labels.jsonl",
             "scores.csv", "manifest.json",
         ):
@@ -364,6 +459,7 @@ class TestPipeline:
             "extract-paths", "train", "encode", "cluster", "label", "evaluate",
         ]
         assert manifest["seed"] == 3
+        assert list(manifest["stages"][1]["outputs"]) == ["model.ckpt", "loss_log.csv"]
         cut = manifest["stages"][3]["cut"]
         assert cut["k"] == 2
         assert cut["last_kept_merge_distance"] <= cut["first_undone_merge_distance"]

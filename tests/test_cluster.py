@@ -46,10 +46,6 @@ class TestHac:
         with pytest.raises(ValidationError):
             hac(vecs([0.0]))
 
-    def test_unsupported_linkage(self):
-        with pytest.raises(ValidationError):
-            hac(vecs([0.0], [1.0]), linkage="single")
-
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 12))
     def test_average_linkage_merge_distances_non_decreasing(self, seed, n):

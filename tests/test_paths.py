@@ -136,7 +136,7 @@ class TestPadOrTruncate:
 
     def test_identity_when_exact(self):
         padded = pad_or_truncate(make_path(6), 6)
-        assert padded.triple == make_path(6)
+        assert SspTriple(padded.words, padded.deps, padded.poss) == make_path(6)
         assert padded.true_length == 6
 
     def test_truncation_keeps_first_elements_plus_final(self):
@@ -154,5 +154,6 @@ class TestPadOrTruncate:
     def test_idempotent_and_fixed_length(self, n, n_l):
         once = pad_or_truncate(make_path(n), n_l)
         assert len(once.words) == len(once.deps) == len(once.poss) == n_l
-        twice = pad_or_truncate(once.triple, n_l)
-        assert twice.triple == once.triple
+        triple = SspTriple(once.words, once.deps, once.poss)
+        twice = pad_or_truncate(triple, n_l)
+        assert SspTriple(twice.words, twice.deps, twice.poss) == triple
