@@ -26,7 +26,7 @@ from .autodiff import read_checkpoint, write_atomic, write_checkpoint
 from .corpus import parse_corpus
 from .errors import CureError, NumericError, ValidationError, reading
 from .labeling import candidate_set, cw_label, load_stopwords, match_to_gold, wvs_label, LabelCandidates
-from .model import ModelConfig, ModelParams, paths_to_ids
+from .model import ModelConfig, ModelParams, PathIds, paths_to_ids
 from .paths import SspTriple, extract_instances, group_pairs
 from .vocab import Vocab, build_vocab, load_pretrained
 
@@ -100,6 +100,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
         _set_key(cfg, key.strip(), value.strip())
     if cfg.method not in ("wvs", "cw"):
         raise ValidationError(f"config method must be 'wvs' or 'cw', got {cfg.method!r}")
+    cfg.model_config()  # ModelConfig's checks, before any stage writes a file
     return cfg
 
 
@@ -237,14 +238,21 @@ def stage_encode(checkpoint_path: str, paths_file: str, out_path: str) -> int:
     groups = group_pairs(instances, min_paths=1)
     ids = [paths_to_ids(group, vocabs, mcfg.n_l) for group in groups]
     encodings = modeling.encode_distinct(params, [p for paths in ids for p in paths])
-    records = []
+    # Pairs with the same path-id sequence have bit-identical vectors (the
+    # sum runs in path order), so each sequence's vector is computed and
+    # formatted once; every line still equals json.dumps of its record.
+    vector_json: dict[tuple[PathIds, ...], str] = {}
+    lines = []
     for group, paths in zip(groups, ids):
-        vector = modeling.infer_relation_vector(params, paths, encodings)
-        if not np.all(np.isfinite(vector)):
-            raise NumericError(f"pair {group.pair}: non-finite relation vector")
-        records.append({"pair": list(group.pair), "vector": [float(v) for v in vector]})
-    _write_jsonl(out_path, records)
-    return len(records)
+        key = tuple(paths)
+        if key not in vector_json:
+            vector = modeling.infer_relation_vector(params, paths, encodings)
+            if not np.all(np.isfinite(vector)):
+                raise NumericError(f"pair {group.pair}: non-finite relation vector")
+            vector_json[key] = json.dumps(vector.tolist())
+        lines.append(f'{{"pair": {json.dumps(list(group.pair))}, "vector": {vector_json[key]}}}\n')
+    write_atomic(out_path, "".join(lines))
+    return len(lines)
 
 
 def _finite_vector(values) -> np.ndarray:

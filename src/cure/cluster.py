@@ -1,18 +1,32 @@
 """Hierarchical agglomerative clustering of relation vectors.
 
-Average linkage under Euclidean distance, by the "generic" algorithm of
-Müllner (*Modern hierarchical, agglomerative clustering algorithms*,
-arXiv:1109.2378). One n x n distance matrix, built a row at a time, is
-updated in place by the Lance-Williams formula
+Average linkage under Euclidean distance, in two phases.
+
+Exact duplicates first. Points with the same value (-0.0 counted as 0.0)
+form a group; duplicates are at distance 0, every other pair further
+apart, so the agglomeration begins with the zero-distance merges inside
+the groups, in the tie order below. Phase 1 emits them without any
+distance: it repeatedly merges the group whose two lowest live ids form
+the lowest (id_a, id_b) pair, and the union stays in its group.
+
+Then one representative per group, by the "generic" algorithm of Müllner
+(*Modern hierarchical, agglomerative clustering algorithms*,
+arXiv:1109.2378), seeded with the groups' surviving ids and sizes. One
+G x G distance matrix over the G representatives, built a row at a time,
+is updated in place by the Lance-Williams formula
 
     d(k, a u b) = (|a| d(k, a) + |b| d(k, b)) / (|a| + |b|)
 
 (kept exactly at d(k, a) when d(k, a) == d(k, b), so a cluster of
-duplicates stays at its base distance), and every row caches its nearest
-partner, so a merge rescans only the rows whose cached partner it removed.
-Memory is O(n^2 + n * dim): the matrix, the points and one n x dim
-temporary. Time is O(n^2 * dim) for the distances plus, for the merges,
-O(n^2) when few cached partners go stale and O(n^3) at worst.
+duplicates stays at its base distance: this is why phase 1 leaves the
+matrix exactly as the zero-distance merges would have), and every row
+caches its nearest partner, so a merge rescans only the rows whose cached
+partner it removed. If two distinct representatives are at distance
+exactly 0 (a squared difference underflows), the grouping is dropped and
+every point is its own group, which is the generic algorithm on all n
+points. Memory is O(G^2 + n * dim): the matrix, the points and one n x dim
+temporary. Time is O(G^2 * dim) for the distances plus, for the merges,
+O(G^2) when few cached partners go stale and O(G^3) at worst.
 
 Merge order is fully deterministic: distance ties break on the lowest
 (id_a, id_b) pair, where singleton clusters carry their input index and
@@ -21,6 +35,8 @@ the t-th merge (counting from 0) creates cluster id n + t.
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,30 +105,77 @@ def _nearest_partner(dist: np.ndarray, ids: np.ndarray, active: np.ndarray, row:
     return float(best), int(tied[np.argmin(ids[tied])])
 
 
+def _duplicate_groups(points: np.ndarray) -> list[list[int]]:
+    """The indices of each distinct point value, ascending, in order of first
+    occurrence; + 0.0 turns -0.0 into 0.0, which is the same value."""
+    n, dim = points.shape
+    # If no two projections are equal, no two points are: skip the hashing.
+    # (Singleton groups are exact in any case, only slower on duplicates;
+    # einsum, not a BLAS matvec, which can wake its worker threads.)
+    if len(set(np.einsum("ij,j->i", points, np.arange(1.0, dim + 1.0)).tolist())) == n:
+        return [[i] for i in range(n)]
+    groups: dict[bytes, list[int]] = {}
+    for i, row in enumerate(points + 0.0):
+        groups.setdefault(row.tobytes(), []).append(i)
+    return list(groups.values())
+
+
+def _merge_duplicates(groups: list[list[int]], n: int) -> tuple[list[Merge], list[int]]:
+    """The zero-distance merges inside every group, lowest (id_a, id_b) pair
+    first, and the id each group ends with. Merge t creates id n + t, the
+    largest live one, so a group's two lowest live ids are the front of a
+    queue."""
+    survivors = [group[0] for group in groups]
+    queues = {g: deque(group) for g, group in enumerate(groups) if len(group) > 1}
+    heap = [(queue[0], queue[1], g) for g, queue in queues.items()]
+    heapq.heapify(heap)
+    merges: list[Merge] = []
+    while heap:
+        a, b, g = heapq.heappop(heap)
+        merges.append(Merge(a=a, b=b, distance=0.0))
+        queue = queues[g]
+        queue.popleft()
+        queue.popleft()
+        queue.append(n + len(merges) - 1)
+        if len(queue) > 1:
+            heapq.heappush(heap, (queue[0], queue[1], g))
+        else:
+            survivors[g] = queue[0]
+    return merges, survivors
+
+
 def hac(vectors: Sequence[np.ndarray]) -> Dendrogram:
     """Greedy agglomeration: repeatedly merge the two clusters with minimal
     average pairwise Euclidean distance.
 
-    Slot i of the distance matrix holds the cluster ids[i] of sizes[i]
-    points while active[i]; the pair of clusters in slots i and j, with
-    ids[i] < ids[j], belongs to row i, whose cache (nearest[i], partner[i])
-    is its least (distance, partner id). A merge puts the union in the slot
-    of its lower id, under an id larger than every live one, so that row
-    starts empty and every other row only has to compare the union with
-    its cached partner."""
+    After the duplicates' merges, slot i of the distance matrix holds the
+    cluster ids[i] of sizes[i] points while active[i]; the pair of clusters
+    in slots i and j, with ids[i] < ids[j], belongs to row i, whose cache
+    (nearest[i], partner[i]) is its least (distance, partner id). A merge
+    puts the union in the slot of its lower id, under an id larger than
+    every live one, so that row starts empty and every other row only has
+    to compare the union with its cached partner."""
     points = _as_matrix(vectors)
     n = points.shape[0]
-    dist = pairwise_distances(points)
-    ids = np.arange(n)
-    sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
-    nearest = np.full(n, np.inf)
-    partner = np.full(n, -1)
-    for row in range(n - 1):
+    groups = _duplicate_groups(points)
+    if len(groups) < n:
+        dist = pairwise_distances(points[[group[0] for group in groups]])
+        if np.count_nonzero(dist == 0.0) > len(groups):
+            # Distinct values at distance 0 would tie with the duplicates' merges.
+            groups = [[i] for i in range(n)]
+    if len(groups) == n:
+        dist = pairwise_distances(points)
+    merges, survivors = _merge_duplicates(groups, n)
+    slots = len(groups)
+    ids = np.array(survivors)
+    sizes = np.array([len(group) for group in groups], dtype=np.float64)
+    active = np.ones(slots, dtype=bool)
+    nearest = np.full(slots, np.inf)
+    partner = np.full(slots, -1)
+    for row in range(slots):
         nearest[row], partner[row] = _nearest_partner(dist, ids, active, row)
 
-    merges: list[Merge] = []
-    for step in range(n - 1):
+    for _ in range(slots - 1):
         best = nearest.min()
         rows = np.flatnonzero((nearest == best) & (partner >= 0))
         a = int(rows[np.argmin(ids[rows])])
@@ -124,7 +187,7 @@ def hac(vectors: Sequence[np.ndarray]) -> Dendrogram:
         union = np.where(dist_a == dist_b, dist_a, union)
         dist[a] = dist[:, a] = union
         sizes[a] += sizes[b]
-        ids[a] = n + step
+        ids[a] = n + len(merges) - 1
         active[b] = False
         nearest[[a, b]], partner[[a, b]] = np.inf, -1
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .errors import ValidationError, reading
 
@@ -126,11 +125,11 @@ def parse_corpus(path: str | Path) -> list[ParsedSentence]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
             try:
                 sentences.append(sentence_from_record(record))
             except ValidationError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return sentences
 
 
@@ -141,9 +140,3 @@ def canonical_key(surface: str) -> str:
 
 def pair_key(sentence: ParsedSentence) -> tuple[str, str]:
     return canonical_key(sentence.subject.canonical), canonical_key(sentence.object.canonical)
-
-
-def write_corpus(path: str | Path, sentences: Iterable[ParsedSentence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sentence in sentences:
-            fh.write(json.dumps(sentence_to_record(sentence)) + "\n")

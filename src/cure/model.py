@@ -244,11 +244,6 @@ def encoder_backward(params: ModelParams, grads: ModelParams, cache: EncoderCach
     np.add.at(grads.pos_emb, poss, d_xs[..., cfg.d_w + cfg.d_d :])
 
 
-def encode_path(params: ModelParams, path: PathIds) -> np.ndarray:
-    """Fixed-size encoding of one path: all position blocks concatenated."""
-    return encode_blocks(params, [path])[0].reshape(-1)
-
-
 def encode_distinct(params: ModelParams, paths: Sequence[PathIds]) -> dict[PathIds, np.ndarray]:
     """The encoding of each distinct path among paths, all run as one batch.
 
@@ -382,21 +377,6 @@ def _path_prediction_loss(
         d_summed = decoder_backward(params, grads, run, d_logits / n)
         encoder_backward(params, grads, cache, np.broadcast_to(d_summed, blocks.shape))
     return loss
-
-
-def training_loss(
-    params: ModelParams, group: Sequence[PathIds], held_out: int, grads: ModelParams | None = None
-) -> float:
-    """Cross entropy of predicting path `held_out` from the group's other
-    paths, averaged over the target's unpadded length. With grads, the loss
-    gradient is added into grads."""
-    if len(group) < 2:
-        raise ValidationError("training needs a group with at least 2 paths")
-    if not 0 <= held_out < len(group):
-        raise ValidationError(f"held-out index {held_out} out of range")
-    target = group[held_out]
-    inputs = [p for i, p in enumerate(group) if i != held_out]
-    return _path_prediction_loss(params, inputs, target, grads)
 
 
 @dataclass

@@ -98,22 +98,22 @@ def load_pretrained(path: str | Path) -> PretrainedVectors:
                 continue  # header
             token, values = parts[0], parts[1:]
             if not values:
-                raise ValidationError(f"line {lineno}: no vector values for token {token!r}")
+                raise ValidationError(f"{path}:{lineno}: no vector values for token {token!r}")
             try:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
-                raise ValidationError(f"line {lineno}: unparseable vector value ({exc})") from exc
+                raise ValidationError(f"{path}:{lineno}: unparseable vector value ({exc})") from exc
             if not np.all(np.isfinite(vec)):
-                raise ValidationError(f"line {lineno}: non-finite vector value")
+                raise ValidationError(f"{path}:{lineno}: non-finite vector value")
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
-                raise ValidationError(f"line {lineno}: dimension {vec.shape[0]} != expected {dim}")
+                raise ValidationError(f"{path}:{lineno}: dimension {vec.shape[0]} != expected {dim}")
             if token in vectors:
-                raise ValidationError(f"line {lineno}: duplicate token {token!r}")
+                raise ValidationError(f"{path}:{lineno}: duplicate token {token!r}")
             vectors[token] = vec
     if dim is None:
-        raise ValidationError("no vectors found in file")
+        raise ValidationError(f"{path}: no vectors found")
     return PretrainedVectors(vectors, dim)
 
 

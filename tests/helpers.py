@@ -4,17 +4,24 @@ Every oracle here is written against the definition being tested, not
 against the implementation: BFS for tree paths, scalar loops for the
 recurrent cells, Decimal arithmetic for label scoring, from-scratch
 agglomeration for clustering, and a pair double-loop for the rand index.
+The entry points that only tests call (writing a corpus, encoding one
+path, the loss of one held-out path) live here too.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import deque
 from decimal import Decimal, getcontext
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from cure.corpus import EntitySpan, ParsedSentence, Token
+from cure.corpus import EntitySpan, ParsedSentence, Token, sentence_to_record
+from cure.errors import ValidationError
+from cure.model import ModelParams, PathIds, _path_prediction_loss, encode_blocks
 
 
 def make_reagan_sentence() -> ParsedSentence:
@@ -38,6 +45,12 @@ def make_reagan_sentence() -> ParsedSentence:
         subject=EntitySpan(0, 2, "Ronald Reagan"),
         object=EntitySpan(8, 11, "the United States"),
     )
+
+
+def write_corpus(path: str | Path, sentences: Iterable[ParsedSentence]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for sentence in sentences:
+            fh.write(json.dumps(sentence_to_record(sentence)) + "\n")
 
 
 def random_tree_sentence(rng: np.random.Generator, n_tokens: int, sent_id: str = "t") -> ParsedSentence:
@@ -138,6 +151,31 @@ def scalar_gru_step(x, h, p: dict) -> list[float]:
     reset_h = [r[k] * h[k] for k in range(len(h))]
     candidate = gate(p["W_h"], p["U_h"], p["b_h"], reset_h, math.tanh)
     return [z[k] * h[k] + (1.0 - z[k]) * candidate[k] for k in range(len(h))]
+
+
+# ---------------------------------------------------------------------------
+# Single-path encoding and the held-out-path loss
+# ---------------------------------------------------------------------------
+
+
+def encode_path(params: ModelParams, path: PathIds) -> np.ndarray:
+    """Fixed-size encoding of one path: all position blocks concatenated."""
+    return encode_blocks(params, [path])[0].reshape(-1)
+
+
+def training_loss(
+    params: ModelParams, group: Sequence[PathIds], held_out: int, grads: ModelParams | None = None
+) -> float:
+    """Cross entropy of predicting path `held_out` from the group's other
+    paths, averaged over the target's unpadded length. With grads, the loss
+    gradient is added into grads."""
+    if len(group) < 2:
+        raise ValidationError("training needs a group with at least 2 paths")
+    if not 0 <= held_out < len(group):
+        raise ValidationError(f"held-out index {held_out} out of range")
+    target = group[held_out]
+    inputs = [p for i, p in enumerate(group) if i != held_out]
+    return _path_prediction_loss(params, inputs, target, grads)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from cure import metrics
 from cure.cli import RunConfig, run_pipeline
 from cure.cluster import hac
 from cure.labeling import LabelCandidates, cw_label, match_to_gold, wvs_label
-from cure.model import ModelConfig, ModelParams, PathIds, training_loss
+from cure.model import ModelConfig, ModelParams, PathIds
 from cure.paths import representative_token, shortest_path
 from cure.synth import generate
 from cure.vocab import PretrainedVectors, load_pretrained
@@ -32,6 +32,7 @@ from helpers import (
     make_reagan_sentence,
     max_rel_error,
     random_tree_sentence,
+    training_loss,
 )
 
 ACCEPT_SEED = 13

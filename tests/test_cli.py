@@ -8,6 +8,8 @@ import pytest
 from cure import autodiff, cli
 from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
 from cure.errors import NumericError, ValidationError
+from cure.model import paths_to_ids
+from cure.paths import group_pairs
 
 from helpers import WriteFailed, fail_writes_halfway
 
@@ -278,6 +280,29 @@ class TestMalformedArtifacts:
         )
 
 
+    @pytest.mark.parametrize("case", ["corpus", "embeddings"])
+    def test_malformed_line_names_file_and_line(self, tiny_setup, trained, tmp_path, capsys, case):
+        """A corpus or embeddings line that does not parse exits 2 with
+        <file>:<line> in front of the reason."""
+        root, cfg = tiny_setup
+        paths, _ = trained
+        out = str(tmp_path / "out")
+        if case == "corpus":
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text('{"id": 1\n', encoding="utf-8")
+            argv, reason = ["extract-paths", "--corpus", str(bad), "--out", out], f"{bad}:1: invalid JSON"
+        else:
+            bad = tmp_path / "bad.txt"
+            good = (root / "embeddings.txt").read_text(encoding="utf-8")
+            bad.write_text(good + "extra 1 two\n", encoding="utf-8")
+            pairs = {tuple(json.loads(line)["pair"]) for line in paths.read_text(encoding="utf-8").splitlines()}
+            clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": list(p)} for p in sorted(pairs)])
+            argv = ["label", "--config", str(cfg), "--clusters", str(clusters), "--paths-file", str(paths),
+                    "--embeddings", str(bad), "--out", out]
+            reason = f"{bad}:{len(good.splitlines()) + 1}: unparseable vector value"
+        self.assert_exit_2(capsys, argv, reason)
+
+
 class TestStages:
     def test_extract_paths_format(self, tiny_setup, tmp_path):
         root, cfg = tiny_setup
@@ -376,6 +401,41 @@ class TestStages:
             assert np.array_equal(vectors[(f"S{size}", f"O{size}")], expected), size
 
 
+    def test_encode_computes_each_distinct_path_sequence_once(self, trained, tmp_path, monkeypatch):
+        """Pairs that repeat another pair's paths reuse its vector: one
+        infer_relation_vector call per distinct path-id sequence."""
+        paths, ckpt = trained
+        records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
+        copies = [{**r, "pair": [f"copy of {r['pair'][0]}", r["pair"][1]]} for r in records]
+        copies = write_jsonl(tmp_path / "paths.jsonl", records + copies)
+        calls = []
+        infer = cli.modeling.infer_relation_vector
+
+        def counted(params, path_ids, encodings=None):
+            calls.append(tuple(path_ids))
+            return infer(params, path_ids, encodings)
+
+        monkeypatch.setattr(cli.modeling, "infer_relation_vector", counted)
+        out = tmp_path / "v.jsonl"
+        assert run("encode", "--checkpoint", str(ckpt), "--paths-file", str(copies), "--out", str(out)) == 0
+        _, vocabs, mcfg = cli._load_model(str(ckpt))
+        groups = group_pairs(cli.read_path_instances(copies), min_paths=1)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {tuple(paths_to_ids(g, vocabs, mcfg.n_l)) for g in groups}
+        assert len(calls) < len(groups) == len(out.read_text(encoding="utf-8").splitlines())
+
+    def test_vectors_lines_are_json_dumps_of_their_records(self, trained, tmp_path):
+        paths, ckpt = trained
+        records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
+        # A quote and a non-ASCII letter in the names, which json.dumps escapes.
+        renamed = [{**r, "pair": [f'"{r["pair"][0]}" é', r["pair"][1]]} for r in records]
+        renamed = write_jsonl(tmp_path / "paths.jsonl", renamed)
+        out = tmp_path / "v.jsonl"
+        assert run("encode", "--checkpoint", str(ckpt), "--paths-file", str(renamed), "--out", str(out)) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines and all(line == json.dumps(json.loads(line)) for line in lines)
+
+
 class TestTrainCheckpoint:
     """`cure train` writes its one checkpoint file once, after the last epoch."""
 
@@ -472,6 +532,13 @@ class TestPipeline:
         assert names
         for name in names:
             assert (root / "out_a" / name).read_bytes() == (root / "out_b" / name).read_bytes(), name
+
+    def test_invalid_model_key_exits_before_any_stage_writes(self, tiny_setup, tmp_path, capsys):
+        root, cfg = tiny_setup
+        out = tmp_path / "out"
+        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={out}", "--set", "epochs=-1") == 2
+        assert "config epochs must be non-negative" in capsys.readouterr().err
+        assert not (out / "paths.jsonl").exists()
 
     def test_missing_required_key(self, tmp_path):
         with pytest.raises(ValidationError, match="corpus"):

@@ -76,6 +76,28 @@ class TestAgglomeration:
             points = points[rng.permutation(n)]
             assert_matches_oracle(points, trial)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24))
+    def test_duplicates_with_signed_zeros_match_brute_force_oracle(self, seed, n):
+        """1-4 distinct vectors with some zero coordinates, each repeated with
+        either sign on its zeros: -0.0 and 0.0 are one value, so the copies
+        merge at distance 0 in tie order, as the oracle merges them."""
+        rng = np.random.default_rng(seed)
+        distinct = rng.uniform(-3, 3, size=(int(rng.integers(1, 5)), int(rng.integers(1, 4))))
+        distinct[rng.random(distinct.shape) < 0.4] = 0.0
+        points = distinct[rng.integers(0, len(distinct), n)]
+        points[(points == 0.0) & (rng.random(points.shape) < 0.5)] = -0.0
+        assert_matches_oracle(points, seed)
+
+    def test_distinct_vectors_at_distance_zero_follow_the_tie_rule(self):
+        """1e-170 squared underflows to 0, so all three points are at distance
+        0 and the lowest pair (0, 1) merges first, although only 0 and 2 are
+        equal; merging the equal ones first would give (0, 2)."""
+        points = vecs([0.0, 0.0], [1e-170, 0.0], [0.0, 0.0])
+        merges = hac(points).merges
+        assert [(m.a, m.b, m.distance) for m in merges] == [(0, 1, 0.0), (2, 3, 0.0)]
+        assert_matches_oracle(np.array(points), 0)
+
     def test_random_inputs_up_to_40_points_match_brute_force_oracle(self):
         rng = np.random.default_rng(29)
         for trial in range(40):
@@ -136,6 +158,21 @@ class TestAgglomeration:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 8 * (n * n + n * dim), peak
+
+    def test_peak_memory_grows_with_distinct_vectors_not_with_n(self):
+        """2 000 vectors of 20 distinct values, dim 64: an n x n matrix alone
+        is 32 MB; four n x dim arrays are 4 MB."""
+        n, dim = 2000, 64
+        rng = np.random.default_rng(47)
+        vectors = list(rng.normal(size=(20, dim))[rng.integers(0, 20, n)])
+        tracemalloc.start()
+        try:
+            merges = hac(vectors).merges
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(m.distance == 0.0 for m in merges) == n - 20
+        assert peak < 4 * 8 * n * dim, peak
 
     def test_row_wise_distances_match_the_broadcast_matrix(self):
         rng = np.random.default_rng(41)

@@ -13,12 +13,11 @@ from cure.corpus import (
     sentence_from_record,
     sentence_to_record,
     validate_sentence,
-    write_corpus,
 )
 from cure.errors import ValidationError
 from cure.paths import SspTriple, group_pairs
 
-from helpers import make_reagan_sentence, random_tree_sentence
+from helpers import make_reagan_sentence, random_tree_sentence, write_corpus
 
 
 def write_lines(tmp_path, lines, name="corpus.jsonl"):
@@ -44,7 +43,7 @@ class TestParseCorpus:
     def test_malformed_json_reports_line_number(self, tmp_path):
         good = json.dumps(sentence_to_record(make_reagan_sentence()))
         path = write_lines(tmp_path, [good, "{not json"])
-        with pytest.raises(ValidationError, match="line 2"):
+        with pytest.raises(ValidationError, match=r"corpus\.jsonl:2: invalid JSON"):
             parse_corpus(path)
 
     def test_line_order_preserved(self, tmp_path):

@@ -13,13 +13,11 @@ from cure.model import (
     aggregate,
     decode_path,
     encode_blocks,
-    encode_path,
     infer_relation_vector,
     train,
-    training_loss,
 )
 
-from helpers import max_rel_error, scalar_gru_step, scalar_lstm_step, tensor_rel_error
+from helpers import encode_path, max_rel_error, scalar_gru_step, scalar_lstm_step, tensor_rel_error, training_loss
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -356,6 +354,7 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train([], cfg, 10, 5, 5)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_names_epoch_and_pair(self):
         """A step this large overflows the parameters; the next example's loss is not finite."""
         cfg = tiny_config(epochs=2, batch_size=1, learning_rate=1e308)

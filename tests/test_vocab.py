@@ -89,7 +89,7 @@ class TestLoadPretrained:
         assert len(vectors) == 3
 
     def test_dimension_error_names_line(self, tmp_path):
-        with pytest.raises(ValidationError, match="line 2"):
+        with pytest.raises(ValidationError, match=r"vecs\.txt:2: dimension"):
             load_pretrained(self.write(tmp_path, "a 1 2 3 4\nb 0 0 1\n"))
 
     def test_duplicate_token(self, tmp_path):
@@ -97,5 +97,5 @@ class TestLoadPretrained:
             load_pretrained(self.write(tmp_path, "a 1 2\na 3 4\n"))
 
     def test_unparseable_value(self, tmp_path):
-        with pytest.raises(ValidationError, match="line 1"):
+        with pytest.raises(ValidationError, match=r"vecs\.txt:1: unparseable"):
             load_pretrained(self.write(tmp_path, "a 1 two\n"))
