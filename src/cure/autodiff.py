@@ -12,7 +12,8 @@ and adds its weight gradients into caller-owned arrays, so a batch's
 gradients accumulate with +=.
 
 Also here: softmax cross entropy, global-norm gradient clipping, the SGD
-step, and the checkpoint file, the one place its layout is known.
+step, and the checkpoint file's framing (the meta keys are the CLI's, the
+order of the parameters in the buffer is the model's).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import NumericError, ValidationError, reading
 
 GRAD_CLIP_NORM = 5.0
 
-CHECKPOINT_HEADER = "CURE-MODEL v2"
+CHECKPOINT_HEADER = "CURE-MODEL v3"
 
 LSTM_GATES = ("o", "f", "i", "c")
 GRU_GATES = ("z", "r", "h")
@@ -234,78 +234,47 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, learning_rate: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Replace path with text in one step: write a temporary file beside it,
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace path with data in one step: write a temporary file beside it,
     then rename it over path, so a failed write leaves the old file whole."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def write_checkpoint(path: str | Path, arrays: dict[str, np.ndarray], meta: dict) -> None:
-    """Text checkpoint: header line, meta (model config and vocabularies) as
-    one JSON line, then per parameter "name rows cols" followed by row-major
-    values in shortest round-trip decimal form."""
-    lines = [CHECKPOINT_HEADER, json.dumps(meta)]
-    for name, arr in arrays.items():
-        if " " in name:
-            raise ValidationError(f"parameter name {name!r} may not contain spaces")
-        mat = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-        lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
-        lines.extend(" ".join(map(repr, row)) for row in mat.tolist())
-    write_atomic(path, "\n".join(lines) + "\n")
+def write_checkpoint(path: str | Path, flat: np.ndarray, meta: dict) -> None:
+    """Checkpoint file: header line, meta (model config and vocabularies) as
+    one JSON line, then the flat parameter buffer as little-endian float64."""
+    head = f"{CHECKPOINT_HEADER}\n{json.dumps(meta)}\n".encode("utf-8")
+    write_atomic(path, head + np.asarray(flat, dtype="<f8").tobytes())
 
 
-def read_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The meta dict and the named arrays of a checkpoint; anything malformed
-    is a ValidationError naming the file."""
-    with reading(path, "checkpoint") as fh:
-        try:
-            return _parse_checkpoint(fh)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
-
-
-def _parse_checkpoint(fh: IO[str]) -> tuple[dict, dict[str, np.ndarray]]:
-    header = fh.readline().rstrip("\n")
-    if header != CHECKPOINT_HEADER:
-        raise ValidationError(f"bad checkpoint header {header!r}, expected {CHECKPOINT_HEADER!r}")
+def read_checkpoint(path: str | Path) -> tuple[dict, np.ndarray]:
+    """The meta dict and the flat parameter buffer of a checkpoint. Only the
+    layout is checked here; whether the buffer fits the meta is the caller's
+    to check. Anything malformed is a ValidationError naming the file."""
+    with reading(path, "checkpoint", "rb") as fh:
+        header = fh.readline().decode("utf-8").rstrip("\n")
+        if header != CHECKPOINT_HEADER:
+            raise ValidationError(f"{path}: bad checkpoint header {header!r}, expected {CHECKPOINT_HEADER!r}")
+        meta_line = fh.readline().decode("utf-8")
+        data = fh.read()
     try:
-        meta = json.loads(fh.readline())
+        meta = json.loads(meta_line)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"checkpoint metadata: invalid JSON ({exc})") from exc
+        raise ValidationError(f"{path}: checkpoint metadata: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: checkpoint metadata: invalid JSON (nested too deeply)") from exc
     if not isinstance(meta, dict):
-        raise ValidationError("checkpoint metadata: not a JSON object")
-    arrays: dict[str, np.ndarray] = {}
-    while True:
-        line = fh.readline()
-        if not line.strip():
-            break
-        try:
-            name, rows_s, cols_s = line.split()
-            rows, cols = int(rows_s), int(cols_s)
-        except ValueError as exc:
-            raise ValidationError(f"bad parameter block header: {line!r}") from exc
-        if rows < 0 or cols < 0:
-            raise ValidationError(f"bad parameter block header: {line!r}")
-        if name in arrays:
-            raise ValidationError(f"duplicate parameter {name!r} in checkpoint")
-        # Rows are collected before the array is built, so a block claiming
-        # more rows than the file holds fails on its first short row.
-        values = []
-        for r in range(rows):
-            row = fh.readline().split()
-            if len(row) != cols:
-                raise ValidationError(f"parameter {name!r}: row {r} has {len(row)} values, expected {cols}")
-            try:
-                values.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValidationError(f"parameter {name!r}: row {r}: {exc}") from exc
-        arrays[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
-    return meta, arrays
+        raise ValidationError(f"{path}: checkpoint metadata: not a JSON object")
+    if len(data) % 8:
+        raise ValidationError(
+            f"{path}: checkpoint tensor data is {len(data)} bytes, not a whole number of float64 values"
+        )
+    return meta, np.frombuffer(data, dtype="<f8")

@@ -13,24 +13,22 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, TypeVar
 
 import numpy as np
 
 from . import __version__, cluster as clustering, metrics, model as modeling, synth
 from .autodiff import read_checkpoint, write_atomic, write_checkpoint
-from .corpus import parse_corpus
+from .corpus import parse_corpus, read_jsonl
 from .errors import CureError, NumericError, ValidationError, reading
 from .labeling import candidate_set, cw_label, load_stopwords, match_to_gold, wvs_label, LabelCandidates
 from .model import ModelConfig, ModelParams, PathIds, paths_to_ids
 from .paths import SspTriple, extract_instances, group_pairs
 from .vocab import Vocab, build_vocab, load_pretrained
-
-T = TypeVar("T")
 
 
 @dataclass
@@ -115,33 +113,8 @@ def _require(cfg: RunConfig, keys: list[str], command: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_jsonl(path: str | Path) -> list[dict]:
-    out = []
-    with reading(path, "file") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-    return out
-
-
 def _write_jsonl(path: str | Path, records: list[dict]) -> None:
-    write_atomic(path, "".join(json.dumps(record) + "\n" for record in records))
-
-
-def _read_records(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
-    """parse() applied to every record of a JSONL file; a record it cannot
-    read (missing key, wrong type) is a ValidationError naming file and record."""
-    out = []
-    for i, rec in enumerate(_read_jsonl(path), start=1):
-        try:
-            out.append(parse(rec))
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            raise ValidationError(f"{path}: record {i}: malformed {what} ({exc!r})") from exc
-    return out
+    write_atomic(path, "".join(json.dumps(record) + "\n" for record in records).encode("utf-8"))
 
 
 def _pair(rec: dict) -> tuple[str, str]:
@@ -150,7 +123,7 @@ def _pair(rec: dict) -> tuple[str, str]:
 
 
 def read_path_instances(path: str | Path) -> list[tuple[tuple[str, str], SspTriple]]:
-    return _read_records(
+    return read_jsonl(
         path,
         "path instance",
         lambda rec: (
@@ -165,7 +138,7 @@ def read_path_instances(path: str | Path) -> list[tuple[tuple[str, str], SspTrip
 
 
 def _read_assignments(path: str | Path) -> list[tuple[tuple[str, str], int]]:
-    return _read_records(path, "cluster assignment", lambda rec: (_pair(rec), int(rec["cluster"])))
+    return read_jsonl(path, "cluster assignment", lambda rec: (_pair(rec), int(rec["cluster"])))
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +178,32 @@ def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path:
     }
     # Written once, after training: a run that fails or is interrupted leaves
     # the previous checkpoint as it was.
-    write_checkpoint(checkpoint_path, result.params.arrays(), meta)
+    write_checkpoint(checkpoint_path, result.params.flat, meta)
     if log_path:
         rows = "".join(f"{epoch},{loss!r}\n" for epoch, loss in enumerate(result.epoch_losses, start=1))
-        write_atomic(log_path, "epoch,loss\n" + rows)
+        write_atomic(log_path, f"epoch,loss\n{rows}".encode("utf-8"))
     return result.epoch_losses
 
 
 def _load_model(checkpoint_path: str) -> tuple[ModelParams, tuple, ModelConfig]:
     if not Path(checkpoint_path).exists():
         raise ValidationError(f"checkpoint not found: {checkpoint_path}")
-    meta, arrays = read_checkpoint(checkpoint_path)
+    meta, flat = read_checkpoint(checkpoint_path)
     try:
         mcfg = ModelConfig(**meta["config"])
         vocabs = tuple(Vocab(tuple(map(str, meta["vocab"][key]))) for key in ("words", "deps", "poss"))
     except (KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"{checkpoint_path}: malformed checkpoint metadata ({exc!r})") from exc
-    params = ModelParams(mcfg, len(vocabs[0]), len(vocabs[1]), len(vocabs[2]), None)
-    params.load_arrays(arrays)
+    sizes = [len(vocab) for vocab in vocabs]
+    # Compared before anything is allocated, so a config that claims huge
+    # tensors is refused instead of exhausting memory.
+    expected = sum(math.prod(shape) for shape in modeling.parameter_shapes(mcfg, *sizes).values())
+    if flat.size != expected:
+        raise ValidationError(
+            f"{checkpoint_path}: config and vocabularies need {expected} parameters, the file holds {flat.size}"
+        )
+    params = ModelParams(mcfg, *sizes, None)
+    params.flat[...] = flat
     # Checked here rather than on the outputs: an infinite weight can saturate
     # a gate to exactly 0 or 1 and still give finite vectors, and encoding
     # never reads the decoder's weights.
@@ -251,7 +232,7 @@ def stage_encode(checkpoint_path: str, paths_file: str, out_path: str) -> int:
                 raise NumericError(f"pair {group.pair}: non-finite relation vector")
             vector_json[key] = json.dumps(vector.tolist())
         lines.append(f'{{"pair": {json.dumps(list(group.pair))}, "vector": {vector_json[key]}}}\n')
-    write_atomic(out_path, "".join(lines))
+    write_atomic(out_path, "".join(lines).encode("utf-8"))
     return len(lines)
 
 
@@ -266,7 +247,7 @@ def stage_cluster(vectors_file: str, k: int, out_path: str, centroids_path: str)
     """Cluster the vectors and cut at k. Returns the cut's summary for the
     manifest: k and the distances of the last merge kept (merge n-k) and of
     the first merge undone (merge n-k+1), None where there is no such merge."""
-    records = _read_records(vectors_file, "relation vector", lambda rec: (_pair(rec), _finite_vector(rec["vector"])))
+    records = read_jsonl(vectors_file, "relation vector", lambda rec: (_pair(rec), _finite_vector(rec["vector"])))
     pairs = [pair for pair, _ in records]
     vectors = [vector for _, vector in records]
     dendrogram = clustering.hac(vectors)
@@ -330,7 +311,7 @@ def stage_evaluate(
     out_path: str,
 ) -> tuple[float, list[metrics.RelationScore]]:
     assignments = _read_assignments(clusters_file)
-    label_records = _read_records(
+    label_records = read_jsonl(
         labels_file,
         "cluster label",
         lambda rec: (
@@ -339,7 +320,7 @@ def stage_evaluate(
         ),
     )
     gold = dict(
-        _read_records(gold_file, "gold relation", lambda rec: (_pair(rec), tuple(map(str, rec["relations"]))))
+        read_jsonl(gold_file, "gold relation", lambda rec: (_pair(rec), tuple(map(str, rec["relations"]))))
     )
     vectors = load_pretrained(embeddings_file)
 
@@ -370,7 +351,8 @@ def stage_evaluate(
     scores = metrics.prf1(predicted_relation, gold)
 
     rows = [f"{s.relation},{s.recall!r},{s.precision!r},{s.f1!r}\n" for s in scores]
-    write_atomic(out_path, "relation,recall,precision,f1\n" + "".join(rows) + f"rand_index,{ri!r}\n")
+    text = "relation,recall,precision,f1\n" + "".join(rows) + f"rand_index,{ri!r}\n"
+    write_atomic(out_path, text.encode("utf-8"))
     return ri, scores
 
 
@@ -448,7 +430,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         if name == "cluster":
             entry["cut"] = result
         manifest["stages"].append(entry)
-    write_atomic(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    write_atomic(out / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
     return out
 
 

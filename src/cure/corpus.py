@@ -3,6 +3,9 @@
 One record per (sentence, entity pair) instance. A sentence with several
 entity pairs appears once per pair. `head` is a 0-based token index; the
 single root token has head -1 and dependency tag "ROOT".
+
+Also here: the reader every JSON Lines input goes through (corpus, paths,
+vectors, cluster assignments, labels, gold).
 """
 
 from __future__ import annotations
@@ -10,8 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, TypeVar
 
 from .errors import ValidationError, reading
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -81,27 +87,23 @@ def validate_sentence(sentence: ParsedSentence) -> None:
         raise ValidationError(f"sentence {sentence.id!r}: subject and object spans overlap")
 
 
-def _span_from(obj: dict, what: str) -> EntitySpan:
-    try:
-        return EntitySpan(start=int(obj["start"]), end=int(obj["end"]), canonical=str(obj["canonical"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad {what} span: {exc}") from exc
+def _span_from(obj: dict) -> EntitySpan:
+    return EntitySpan(start=int(obj["start"]), end=int(obj["end"]), canonical=str(obj["canonical"]))
 
 
 def sentence_from_record(record: dict) -> ParsedSentence:
-    try:
-        tokens = tuple(
+    """The sentence a corpus record holds. A record of the wrong shape raises
+    KeyError, TypeError or ValueError; a sentence that breaks a tree or span
+    invariant raises ValidationError."""
+    sentence = ParsedSentence(
+        id=str(record["id"]),
+        tokens=tuple(
             Token(text=str(t["text"]), pos=str(t["pos"]), dep=str(t["dep"]), head=int(t["head"]))
             for t in record["tokens"]
-        )
-        sentence = ParsedSentence(
-            id=str(record["id"]),
-            tokens=tokens,
-            subject=_span_from(record["subject"], "subject"),
-            object=_span_from(record["object"], "object"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed record: {exc}") from exc
+        ),
+        subject=_span_from(record["subject"]),
+        object=_span_from(record["object"]),
+    )
     validate_sentence(sentence)
     return sentence
 
@@ -115,10 +117,14 @@ def sentence_to_record(sentence: ParsedSentence) -> dict:
     }
 
 
-def parse_corpus(path: str | Path) -> list[ParsedSentence]:
-    """Read a JSON Lines corpus file, validating every record. Line order is kept."""
-    sentences = []
-    with reading(path, "corpus") as fh:
+def read_jsonl(path: str | Path, what: str, parse: Callable[[Any], T]) -> list[T]:
+    """parse() applied to the JSON value of every non-blank line of a JSON
+    Lines file, in line order. A line that is not JSON, or whose value parse()
+    cannot read, is a ValidationError naming file and line: `<file>:<line>:
+    invalid JSON (...)`, `<file>:<line>: malformed <what> (...)` for a missing
+    key or a wrong type, or `<file>:<line>: ` before a ValidationError's text."""
+    out = []
+    with reading(path, f"{what} file") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -126,11 +132,20 @@ def parse_corpus(path: str | Path) -> list[ParsedSentence]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except RecursionError as exc:
+                raise ValidationError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
             try:
-                sentences.append(sentence_from_record(record))
+                out.append(parse(record))
+            except (KeyError, TypeError, IndexError, ValueError) as exc:
+                raise ValidationError(f"{path}:{lineno}: malformed {what} ({exc!r})") from exc
             except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return sentences
+    return out
+
+
+def parse_corpus(path: str | Path) -> list[ParsedSentence]:
+    """Read a JSON Lines corpus file, validating every record. Line order is kept."""
+    return read_jsonl(path, "corpus record", sentence_from_record)
 
 
 def canonical_key(surface: str) -> str:

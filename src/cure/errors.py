@@ -20,11 +20,13 @@ class NumericError(CureError):
 
 
 @contextmanager
-def reading(path: str | Path, what: str) -> Iterator[IO[str]]:
-    """Open path as UTF-8 text. A file that cannot be opened or read, or that
-    is not UTF-8, is a ValidationError naming what it is and where."""
+def reading(path: str | Path, what: str, mode: str = "r") -> Iterator[IO]:
+    """Open path for reading: as UTF-8 text in mode "r", as bytes in "rb". A
+    file that cannot be opened or read, or text in it (read or decoded inside
+    the block) that is not UTF-8, is a ValidationError naming what it is and
+    where."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
     except OSError as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc

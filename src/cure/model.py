@@ -52,8 +52,9 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_h", "n_h2", "n_g", "n_l", "d_w", "d_d", "d_p", "max_input_paths", "batch_size"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"config {name} must be positive")
+            value = getattr(self, name)
+            if not isinstance(value, int) or value <= 0:
+                raise ValidationError(f"config {name} must be a positive integer")
         if self.n_l < 2:
             raise ValidationError("config n_l must be at least 2")
         if self.learning_rate <= 0:
@@ -80,6 +81,25 @@ class PathIds:
     true_length: int
 
 
+def parameter_shapes(cfg: ModelConfig, n_words: int, n_deps: int, n_pos: int) -> dict[str, tuple[int, ...]]:
+    """Every trainable tensor's shape, in the order the tensors lie in
+    ModelParams.flat (and in a checkpoint's parameter buffer)."""
+    d_x = cfg.d_w + cfg.d_d + cfg.d_p
+    return {
+        "word_emb": (n_words, cfg.d_w),
+        "dep_emb": (n_deps, cfg.d_d),
+        "pos_emb": (n_pos, cfg.d_p),
+        "enc_fwd.W": (4 * cfg.n_h, cfg.n_h), "enc_fwd.U": (4 * cfg.n_h, d_x), "enc_fwd.b": (4 * cfg.n_h,),
+        "enc_bwd.W": (4 * cfg.n_h2, cfg.n_h2), "enc_bwd.U": (4 * cfg.n_h2, d_x), "enc_bwd.b": (4 * cfg.n_h2,),
+        "attn_w": (cfg.n_l, cfg.n_g),
+        "attn_b": (cfg.n_l,),
+        "ctx_w": (cfg.n_g, cfg.block_dim + cfg.n_g),
+        "dec.W": (3 * cfg.n_g, cfg.n_g), "dec.U": (3 * cfg.n_g, cfg.n_g), "dec.b": (3 * cfg.n_g,),
+        "out_w": (n_words, cfg.n_g),
+        "out_b": (n_words,),
+    }
+
+
 class ModelParams:
     """All trainable tensors: embedding tables, both encoder LSTMs, the
     attention maps, the decoder GRU, and the output projection.
@@ -87,27 +107,14 @@ class ModelParams:
     The tensors are views into one flat buffer, `flat`, so that gradient
     clipping and the SGD step are single vector operations on a parameter
     set and its same-shaped gradient set. Recurrent cells keep their gates
-    fused; `arrays()` gives every tensor under its per-gate checkpoint name.
+    fused; `arrays()` gives every tensor under its per-gate name.
     """
 
     def __init__(self, cfg: ModelConfig, n_words: int, n_deps: int, n_pos: int, rng: np.random.Generator | None):
         """Randomly initialized from rng; all zeros when rng is None."""
         self.cfg = cfg
         self.n_words, self.n_deps, self.n_pos = n_words, n_deps, n_pos
-        d_x = cfg.d_w + cfg.d_d + cfg.d_p
-        shapes = {
-            "word_emb": (n_words, cfg.d_w),
-            "dep_emb": (n_deps, cfg.d_d),
-            "pos_emb": (n_pos, cfg.d_p),
-            "enc_fwd.W": (4 * cfg.n_h, cfg.n_h), "enc_fwd.U": (4 * cfg.n_h, d_x), "enc_fwd.b": (4 * cfg.n_h,),
-            "enc_bwd.W": (4 * cfg.n_h2, cfg.n_h2), "enc_bwd.U": (4 * cfg.n_h2, d_x), "enc_bwd.b": (4 * cfg.n_h2,),
-            "attn_w": (cfg.n_l, cfg.n_g),
-            "attn_b": (cfg.n_l,),
-            "ctx_w": (cfg.n_g, cfg.block_dim + cfg.n_g),
-            "dec.W": (3 * cfg.n_g, cfg.n_g), "dec.U": (3 * cfg.n_g, cfg.n_g), "dec.b": (3 * cfg.n_g,),
-            "out_w": (n_words, cfg.n_g),
-            "out_b": (n_words,),
-        }
+        shapes = parameter_shapes(cfg, n_words, n_deps, n_pos)
         self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
         views = {}
         offset = 0
@@ -122,7 +129,7 @@ class ModelParams:
         self.dec = ad.CellWeights(views["dec.W"], views["dec.U"], views["dec.b"])
         self.out_w, self.out_b = views["out_w"], views["out_b"]
         if rng is not None:
-            # Drawn tensor by tensor in checkpoint order: embeddings uniform in
+            # Drawn tensor by tensor in arrays() order: embeddings uniform in
             # +-0.1, weight matrices fan-scaled uniform per gate, biases zero.
             for name, arr in self.arrays().items():
                 if name.endswith("_emb"):
@@ -136,7 +143,7 @@ class ModelParams:
         return ModelParams(self.cfg, self.n_words, self.n_deps, self.n_pos, None)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Every tensor in checkpoint order, fused gates split into per-gate views."""
+        """Every tensor, fused gates split into per-gate views under per-gate names."""
         out = {"word_emb": self.word_emb, "dep_emb": self.dep_emb, "pos_emb": self.pos_emb}
         out.update(_gate_views("enc_fwd", self.enc_fwd, ad.LSTM_GATES))
         out.update(_gate_views("enc_bwd", self.enc_bwd, ad.LSTM_GATES))
@@ -144,18 +151,6 @@ class ModelParams:
         out.update(_gate_views("dec", self.dec, ad.GRU_GATES))
         out.update(out_w=self.out_w, out_b=self.out_b)
         return out
-
-    def load_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        own = self.arrays()
-        missing = sorted(set(own) - set(arrays))
-        extra = sorted(set(arrays) - set(own))
-        if missing or extra:
-            raise ValidationError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
-        for name, view in own.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.size != view.size:
-                raise ValidationError(f"parameter {name!r}: expected {view.shape}, got {arr.shape}")
-            view[...] = arr.reshape(view.shape)
 
 
 def _gate_views(prefix: str, cell: ad.CellWeights, gates: Sequence[str]) -> dict[str, np.ndarray]:

@@ -1,14 +1,22 @@
 import json
+import math
+import os
 import shutil
+import struct
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cure import autodiff, cli
 from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
 from cure.errors import NumericError, ValidationError
-from cure.model import paths_to_ids
+from cure.model import ModelParams, parameter_shapes, paths_to_ids
 from cure.paths import group_pairs
 
 from helpers import WriteFailed, fail_writes_halfway
@@ -62,6 +70,28 @@ def trained(tiny_setup, tmp_path_factory):
 def write_jsonl(path: Path, records) -> Path:
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     return path
+
+
+def split_checkpoint(ckpt: Path) -> tuple[bytes, bytes, bytes]:
+    """Header line, meta line (both without their newline) and tensor bytes."""
+    header, meta, tensors = ckpt.read_bytes().split(b"\n", 2)
+    return header, meta, tensors
+
+
+def with_meta(ckpt: Path, meta: bytes) -> bytes:
+    """The bytes of ckpt with its meta line replaced by meta."""
+    header, _, tensors = split_checkpoint(ckpt)
+    return b"\n".join([header, meta, tensors])
+
+
+def tensor_offset(ckpt: Path, name: str) -> int:
+    """Byte offset in ckpt of the first value of the tensor arrays() calls name."""
+    _, vocabs, mcfg = cli._load_model(str(ckpt))
+    params = ModelParams(mcfg, *map(len, vocabs), None)
+    params.flat[...] = np.arange(params.flat.size)
+    _, _, tensors = split_checkpoint(ckpt)
+    assert len(tensors) == 8 * params.flat.size
+    return ckpt.stat().st_size - len(tensors) + 8 * int(params.arrays()[name].ravel()[0])
 
 
 class TestLoadConfig:
@@ -130,10 +160,8 @@ class TestExitCodes:
     def test_nonfinite_parameter_is_3(self, trained, tmp_path, capsys, name, value):
         paths, ckpt = trained
         bad = tmp_path / "model.ckpt"
-        lines = ckpt.read_text(encoding="utf-8").splitlines()
-        row = lines.index(next(line for line in lines if line.startswith(f"{name} "))) + 1
-        lines[row] = " ".join([value] + lines[row].split()[1:])
-        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        data, offset = ckpt.read_bytes(), tensor_offset(ckpt, name)
+        bad.write_bytes(data[:offset] + struct.pack("<d", float(value)) + data[offset + 8 :])
         code = run("encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", str(tmp_path / "v.jsonl"))
         assert code == 3
         assert f"parameter {name!r} holds a non-finite value" in capsys.readouterr().err
@@ -152,7 +180,15 @@ class TestMalformedArtifacts:
         vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": ["a", "b"], "vector": [0.0]}, {"vector": [1.0]}])
         self.assert_exit_2(
             capsys, ["cluster", "--vectors", str(vectors), "--k", "1", "--out", str(tmp_path / "c.jsonl")],
-            str(vectors), "record 2",
+            f"{vectors}:2: malformed relation vector",
+        )
+
+    def test_bad_record_after_blank_lines_names_its_line(self, tmp_path, capsys):
+        vectors = tmp_path / "v.jsonl"
+        vectors.write_text('{"pair": ["a", "b"], "vector": [0.0]}\n\n  \n{"vector": [1.0]}\n', encoding="utf-8")
+        self.assert_exit_2(
+            capsys, ["cluster", "--vectors", str(vectors), "--k", "1", "--out", str(tmp_path / "c.jsonl")],
+            f"{vectors}:4: malformed relation vector (KeyError('pair'))",
         )
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -163,48 +199,107 @@ class TestMalformedArtifacts:
         out = tmp_path / "c.jsonl"
         self.assert_exit_2(
             capsys, ["cluster", "--vectors", str(vectors), "--k", "2", "--out", str(out)],
-            str(vectors), "record 2", "non-finite",
+            f"{vectors}:2: malformed relation vector", "non-finite",
         )
         assert not out.exists()
 
-    def encode_argv(self, trained, tmp_path, meta: str) -> list[str]:
-        """encode on a copy of the trained checkpoint whose meta line (line 2) is meta."""
-        paths, ckpt = trained
-        lines = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[1] = meta + "\n"
-        copy = tmp_path / "model.ckpt"
-        copy.write_text("".join(lines), encoding="utf-8")
-        return ["encode", "--checkpoint", str(copy), "--paths-file", str(paths), "--out", str(tmp_path / "v.jsonl")]
+    def encode_argv(self, trained, tmp_path, content: bytes) -> list[str]:
+        """encode on a checkpoint file holding content."""
+        paths, _ = trained
+        bad = tmp_path / "model.ckpt"
+        bad.write_bytes(content)
+        return ["encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", str(tmp_path / "v.jsonl")]
 
     def test_corrupt_meta(self, trained, tmp_path, capsys):
-        argv = self.encode_argv(trained, tmp_path, '{"config": {"n_h": 4,')
+        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], b'{"config": {"n_h": 4,'))
         self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "invalid JSON")
 
+    def test_deeply_nested_json_is_2(self, trained, tmp_path, capsys):
+        """JSON nested deeper than the parser's recursion limit, in a JSONL line or the meta line."""
+        deep = b"[" * 100_000
+        vectors = tmp_path / "v.jsonl"
+        vectors.write_bytes(deep + b"\n")
+        argv = ["cluster", "--vectors", str(vectors), "--k", "1", "--out", str(tmp_path / "c.jsonl")]
+        self.assert_exit_2(capsys, argv, f"{vectors}:1: invalid JSON (nested too deeply)")
+        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], deep))
+        self.assert_exit_2(capsys, argv, f"{tmp_path / 'model.ckpt'}: checkpoint metadata: invalid JSON (nested too")
+
     def test_meta_config_with_unknown_key(self, trained, tmp_path, capsys):
-        meta = json.loads(trained[1].read_text(encoding="utf-8").splitlines()[1])
+        meta = json.loads(split_checkpoint(trained[1])[1])
         meta["config"]["n_hidden"] = 4
-        argv = self.encode_argv(trained, tmp_path, json.dumps(meta))
+        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], json.dumps(meta).encode()))
         self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "n_hidden")
 
+    def test_meta_config_with_non_integer_dimension(self, trained, tmp_path, capsys):
+        """4.0 for 4 asks for as many floats as the file holds, but is no array dimension."""
+        meta = json.loads(split_checkpoint(trained[1])[1])
+        meta["config"]["n_h"] = float(meta["config"]["n_h"])
+        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], json.dumps(meta).encode()))
+        self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "n_h must be a positive integer")
+
+    def test_oversized_meta_config_exits_before_allocating(self, trained, tmp_path, capsys):
+        """A config claiming tensors far larger than the file's is refused by
+        the float count, before any parameter buffer is allocated."""
+        _, meta_line, tensors = split_checkpoint(trained[1])
+        meta = json.loads(meta_line)
+        meta["config"]["n_h"] = 10**7
+        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], json.dumps(meta).encode()))
+        sizes = [len(meta["vocab"][key]) for key in ("words", "deps", "poss")]
+        shapes = parameter_shapes(cli.ModelConfig(**meta["config"]), *sizes).values()
+        expected = sum(math.prod(shape) for shape in shapes)
+        tracemalloc.start()
+        try:
+            self.assert_exit_2(
+                capsys, argv, str(tmp_path / "model.ckpt"), f"need {expected} parameters", f"holds {len(tensors) // 8}"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    def assert_header_refused(self, trained, tmp_path, capsys, header: str):
+        _, meta, tensors = split_checkpoint(trained[1])
+        argv = self.encode_argv(trained, tmp_path, b"\n".join([header.encode(), meta, tensors]))
+        self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), repr(header))
+
     def test_v1_checkpoint(self, trained, tmp_path, capsys):
-        """The old layout (tensors only, config and vocabularies in a second file) is refused by its header."""
+        """The v1 layout (tensors only, config and vocabularies in a second file) is refused by its header."""
+        self.assert_header_refused(trained, tmp_path, capsys, "CURE-MODEL v1")
+
+    def test_v2_checkpoint(self, trained, tmp_path, capsys):
+        """The v2 layout (per-tensor text blocks after the meta line) is refused by its header."""
+        self.assert_header_refused(trained, tmp_path, capsys, "CURE-MODEL v2")
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_damaged_checkpoint_never_raises(self, trained, data):
+        """Truncation at any offset, a byte flipped in the header or meta line,
+        bytes appended, or a non-UTF-8 sequence in the meta line: encode exits
+        0, 2 or 3 and raises nothing."""
         paths, ckpt = trained
-        lines = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
-        old = tmp_path / "model.ckpt"
-        old.write_text("CURE-MODEL v1\n" + "".join(lines[2:]), encoding="utf-8")
-        self.assert_exit_2(
-            capsys, ["encode", "--checkpoint", str(old), "--paths-file", str(paths), "--out", str(tmp_path / "v.jsonl")],
-            str(old), "'CURE-MODEL v1'",
+        good = ckpt.read_bytes()
+        header, meta, _ = split_checkpoint(ckpt)
+        meta_start = len(header) + 1
+        meta_end = meta_start + len(meta)  # the meta line's newline
+        truncated = st.integers(0, len(good) - 1).map(lambda n: good[:n])
+        flipped = st.tuples(st.integers(0, meta_end), st.integers(1, 255)).map(
+            lambda f: good[: f[0]] + bytes([good[f[0]] ^ f[1]]) + good[f[0] + 1 :]
         )
+        appended = st.binary(min_size=1, max_size=32).map(lambda extra: good + extra)
+        not_utf8 = st.sampled_from([b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff"])
+        in_meta = st.tuples(st.integers(meta_start, meta_end), not_utf8).map(lambda f: good[: f[0]] + f[1] + good[f[0] :])
+        bad, out = ckpt.parent / "damaged.ckpt", ckpt.parent / "damaged-vectors.jsonl"
+        bad.write_bytes(data.draw(st.one_of(truncated, flipped, appended, in_meta)))
+        assert run("encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", str(out)) in (0, 2, 3)
 
     @pytest.mark.parametrize(
         "case",
         ["missing stopwords", "corpus", "paths", "vectors", "embeddings", "stopwords", "checkpoint",
-         "negative row count", "huge row count"],
+         "tensor bytes 1 short", "8 tensor bytes extra"],
     )
     def test_unreadable_input_file(self, tiny_setup, trained, tmp_path, capsys, case):
-        """A missing or non-UTF-8 input file, or a checkpoint block claiming an
-        impossible row count, exits 2 naming the file."""
+        """A missing or non-UTF-8 input file, or a checkpoint whose tensor bytes
+        do not fit its meta line, exits 2 naming the file."""
         root, cfg = tiny_setup
         paths, ckpt = trained
         bad, out = tmp_path / "bad-input", str(tmp_path / "out")
@@ -213,11 +308,7 @@ class TestMalformedArtifacts:
         clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": list(p)} for p in sorted(pairs)])
         label = ["label", "--config", str(cfg), "--clusters", str(clusters), "--paths-file", str(paths), "--out", out]
         encode = ["encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", out]
-        ckpt_lines = ckpt.read_bytes().splitlines(keepends=True)
-        block = next(i for i, line in enumerate(ckpt_lines) if line.startswith(b"enc_fwd.W_o "))
-
-        def with_block_rows(rows: bytes) -> bytes:
-            return b"".join(ckpt_lines[:block] + [b"enc_fwd.W_o " + rows + b" 4\n"] + ckpt_lines[block + 1 :])
+        n_floats = len(split_checkpoint(ckpt)[2]) // 8
 
         content, argv, reason = {
             "missing stopwords": (None, label + ["--set", f"stopwords={bad}"], "cannot read stopwords"),
@@ -229,10 +320,10 @@ class TestMalformedArtifacts:
             "embeddings": ((root / "embeddings.txt").read_bytes() + not_utf8, label + ["--embeddings", str(bad)],
                            "not UTF-8"),
             "stopwords": (b"the\n" + not_utf8, label + ["--set", f"stopwords={bad}"], "not UTF-8"),
-            "checkpoint": (b"".join(ckpt_lines[:block + 1] + [not_utf8] + ckpt_lines[block + 2 :]), encode,
-                           "not UTF-8"),
-            "negative row count": (with_block_rows(b"-4"), encode, "'enc_fwd.W_o -4 4\\n'"),
-            "huge row count": (with_block_rows(b"1000000000000"), encode, "parameter 'enc_fwd.W_o': row 4"),
+            "checkpoint": (with_meta(ckpt, not_utf8.rstrip() + split_checkpoint(ckpt)[1]), encode, "not UTF-8"),
+            "tensor bytes 1 short": (ckpt.read_bytes()[:-1], encode, "not a whole number of float64 values"),
+            "8 tensor bytes extra": (ckpt.read_bytes() + bytes(8), encode,
+                                     f"need {n_floats} parameters, the file holds {n_floats + 1}"),
         }[case]
         if content is not None:
             bad.write_bytes(content)
@@ -246,14 +337,14 @@ class TestMalformedArtifacts:
             capsys,
             ["label", "--config", str(cfg), "--clusters", str(clusters), "--paths-file", str(paths),
              "--out", str(tmp_path / "l.jsonl")],
-            str(clusters), "record 1",
+            f"{clusters}:1: malformed cluster assignment",
         )
         labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
         self.assert_exit_2(
             capsys,
             ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
              "--out", str(tmp_path / "s.csv")],
-            str(clusters), "record 1",
+            f"{clusters}:1: malformed cluster assignment",
         )
 
     def test_labels_record_without_labels(self, tiny_setup, tmp_path, capsys):
@@ -264,7 +355,7 @@ class TestMalformedArtifacts:
             capsys,
             ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
              "--out", str(tmp_path / "s.csv")],
-            str(labels), "record 2",
+            f"{labels}:2: malformed cluster label",
         )
 
     def test_gold_record_without_relations(self, tiny_setup, tmp_path, capsys):
@@ -276,7 +367,7 @@ class TestMalformedArtifacts:
             capsys,
             ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
              "--gold", str(gold), "--out", str(tmp_path / "s.csv")],
-            str(gold), "record 1",
+            f"{gold}:1: malformed gold relation",
         )
 
 
@@ -456,6 +547,19 @@ class TestTrainCheckpoint:
         assert written == [str(ckpt)]
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
+    def test_reloaded_parameters_equal_the_trained_ones_bit_for_bit(self, tiny_setup, trained, tmp_path, monkeypatch):
+        results, train = [], cli.modeling.train
+
+        def recorded(*args, **kwargs):
+            results.append(train(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli.modeling, "train", recorded)
+        ckpt = tmp_path / "model.ckpt"
+        assert self.train(tiny_setup, trained, ckpt) == 0
+        params, _, _ = cli._load_model(str(ckpt))
+        assert params.flat.tobytes() == results[0].params.flat.tobytes()
+
     def test_training_that_fails_keeps_previous_checkpoint(self, tiny_setup, trained, tmp_path, monkeypatch, capsys):
         """A retrain with other weights that fails in epoch 2 leaves the previous file byte-identical."""
         ckpt = tmp_path / "model.ckpt"
@@ -543,3 +647,10 @@ class TestPipeline:
     def test_missing_required_key(self, tmp_path):
         with pytest.raises(ValidationError, match="corpus"):
             run_pipeline(RunConfig(out_dir=str(tmp_path)))
+
+
+def test_python_m_cure_runs_from_a_checkout():
+    src = Path(cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "cure", "--version"], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout.strip()) == (0, f"cure {cli.__version__}")

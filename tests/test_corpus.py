@@ -46,6 +46,12 @@ class TestParseCorpus:
         with pytest.raises(ValidationError, match=r"corpus\.jsonl:2: invalid JSON"):
             parse_corpus(path)
 
+    def test_malformed_record_reports_line_number(self, tmp_path):
+        good = json.dumps(sentence_to_record(make_reagan_sentence()))
+        path = write_lines(tmp_path, [good, "", json.dumps({"id": "s2"})])
+        with pytest.raises(ValidationError, match=r"corpus\.jsonl:3: malformed corpus record \(KeyError\('tokens'\)\)"):
+            parse_corpus(path)
+
     def test_line_order_preserved(self, tmp_path):
         records = []
         for i in range(5):
