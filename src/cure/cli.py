@@ -14,6 +14,7 @@ import difflib
 import hashlib
 import json
 import math
+import reprlib
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__, cluster as clustering, metrics, model as modeling, synth
 from .autodiff import read_checkpoint, write_atomic, write_checkpoint
-from .corpus import parse_corpus, read_jsonl
+from .corpus import RECORD_ERRORS, parse_corpus, parse_line, read_jsonl
 from .errors import CureError, NumericError, ValidationError, reading
 from .labeling import candidate_set, cw_label, load_stopwords, match_to_gold, wvs_label, LabelCandidates
 from .model import ModelConfig, ModelParams, PathIds, paths_to_ids
@@ -118,27 +119,88 @@ def _write_jsonl(path: str | Path, records: list[dict]) -> None:
 
 
 def _pair(rec: dict) -> tuple[str, str]:
-    first, second = rec["pair"]
-    return str(first), str(second)
+    pair = rec["pair"]
+    if isinstance(pair, list) and len(pair) == 2:
+        first, second = pair
+        if isinstance(first, str) and isinstance(second, str):
+            return first, second
+    raise ValueError(f"pair must be an array of two strings, got {reprlib.repr(pair)}")
 
 
-def read_path_instances(path: str | Path) -> list[tuple[tuple[str, str], SspTriple]]:
-    return read_jsonl(
-        path,
-        "path instance",
-        lambda rec: (
-            _pair(rec),
-            SspTriple(
-                words=tuple(map(str, rec["words"])),
-                deps=tuple(map(str, rec["deps"])),
-                poss=tuple(map(str, rec["poss"])),
-            ),
-        ),
+def _refuse_repeated_pairs(path: str | Path, pairs, hint: str = "") -> None:
+    seen = set()
+    for pair in pairs:
+        if pair in seen:
+            raise ValidationError(f"{path}: pair {list(pair)} is listed twice{hint}")
+        seen.add(pair)
+
+
+def _path_instance(rec: dict) -> tuple[tuple[str, str], SspTriple]:
+    return _pair(rec), SspTriple(
+        tuple(map(str, rec["words"])), tuple(map(str, rec["deps"])), tuple(map(str, rec["poss"]))
     )
 
 
+def read_path_instances(path: str | Path) -> list[tuple[tuple[str, str], SspTriple]]:
+    return read_jsonl(path, "path instance", _path_instance)
+
+
 def _read_assignments(path: str | Path) -> list[tuple[tuple[str, str], int]]:
-    return read_jsonl(path, "cluster assignment", lambda rec: (_pair(rec), int(rec["cluster"])))
+    assignments = read_jsonl(path, "cluster assignment", lambda rec: (_pair(rec), int(rec["cluster"])))
+    _refuse_repeated_pairs(path, (pair for pair, _ in assignments))
+    return assignments
+
+
+def _finite_vector(values) -> np.ndarray:
+    vector = np.array(values, dtype=np.float64)
+    if vector.size == 0:
+        raise ValueError("vector is empty")
+    if not np.isfinite(vector).all():
+        raise ValueError("vector holds a non-finite value")
+    return vector
+
+
+def _vector_record(rec: dict) -> tuple[tuple[str, str], np.ndarray]:
+    return _pair(rec), _finite_vector(rec["vector"])
+
+
+_JSON_SPACE = " \t\n\r"  # the whitespace JSON allows; str.strip() strips more
+_VECTOR_KEY = ', "vector": '
+
+
+def _read_vectors(path: str | Path) -> list[tuple[tuple[str, str], np.ndarray]]:
+    """The (pair, vector) records of a vectors file, each distinct vector
+    text parsed and checked once.
+
+    A line that, after its trailing whitespace, is H + ', "vector": ' + V +
+    '}', where H + '}' parses to an object holding "pair" and V parses on its
+    own, is by the JSON grammar the object {**loads(H + '}'), "vector":
+    loads(V)} (the last of duplicate keys wins in both). `encode` writes every
+    line so. Such a line takes its pair from H and its vector from a memo
+    keyed by V, which lasts for this read; the vectors in it are shared by
+    every pair that has them, so they are read-only. Every other line, and
+    one whose pair or vector is malformed, goes through parse_line, which
+    gives every error its text.
+    """
+    memo: dict[str, np.ndarray] = {}
+
+    def read_line(line: str, where: str, what: str, parse) -> tuple[tuple[str, str], np.ndarray]:
+        head, key, tail = line.rstrip(_JSON_SPACE).rpartition(_VECTOR_KEY)
+        if key and tail.endswith("}"):
+            text = tail[:-1]
+            try:
+                pair = _pair(json.loads(head + "}"))
+                vector = memo.get(text)
+                if vector is None:
+                    vector = _finite_vector(json.loads(text))
+                    vector.flags.writeable = False
+                    memo[text] = vector
+                return pair, vector
+            except (*RECORD_ERRORS, RecursionError):
+                pass  # not the split form after all, or malformed: parse_line decides
+        return parse_line(line, where, what, parse)
+
+    return read_jsonl(path, "relation vector", _vector_record, read_line)
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +298,14 @@ def stage_encode(checkpoint_path: str, paths_file: str, out_path: str) -> int:
     return len(lines)
 
 
-def _finite_vector(values) -> np.ndarray:
-    vector = np.array(values, dtype=np.float64)
-    if not np.isfinite(vector).all():
-        raise ValueError("vector holds a non-finite value")
-    return vector
-
-
 def stage_cluster(vectors_file: str, k: int, out_path: str, centroids_path: str) -> dict:
     """Cluster the vectors and cut at k. Returns the cut's summary for the
     manifest: k and the distances of the last merge kept (merge n-k) and of
     the first merge undone (merge n-k+1), None where there is no such merge."""
-    records = read_jsonl(vectors_file, "relation vector", lambda rec: (_pair(rec), _finite_vector(rec["vector"])))
+    records = _read_vectors(vectors_file)
     pairs = [pair for pair, _ in records]
     vectors = [vector for _, vector in records]
+    _refuse_repeated_pairs(vectors_file, pairs)
     dendrogram = clustering.hac(vectors)
     clusters = clustering.cut(dendrogram, k)
     pair_cluster: dict[int, int] = {}
@@ -319,9 +375,13 @@ def stage_evaluate(
             LabelCandidates(candidates=tuple((str(w), float(s)) for w, s in rec["labels"])),
         ),
     )
-    gold = dict(
-        read_jsonl(gold_file, "gold relation", lambda rec: (_pair(rec), tuple(map(str, rec["relations"]))))
+    gold_records = read_jsonl(
+        gold_file, "gold relation", lambda rec: (_pair(rec), tuple(map(str, rec["relations"])))
     )
+    _refuse_repeated_pairs(
+        gold_file, (pair for pair, _ in gold_records), "; one record lists all of a pair's relations"
+    )
+    gold = dict(gold_records)
     vectors = load_pretrained(embeddings_file)
 
     relation_names = sorted({r for rels in gold.values() for r in rels})

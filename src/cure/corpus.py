@@ -13,15 +13,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from .errors import ValidationError, reading
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token of a sentence: a tuple, not a dataclass, because a corpus
+    holds one per word and a tuple is about half the cost to build."""
+
     text: str
     pos: str
     dep: str
@@ -98,7 +100,7 @@ def sentence_from_record(record: dict) -> ParsedSentence:
     sentence = ParsedSentence(
         id=str(record["id"]),
         tokens=tuple(
-            Token(text=str(t["text"]), pos=str(t["pos"]), dep=str(t["dep"]), head=int(t["head"]))
+            Token(str(t["text"]), str(t["pos"]), str(t["dep"]), int(t["head"]))
             for t in record["tokens"]
         ),
         subject=_span_from(record["subject"]),
@@ -117,30 +119,47 @@ def sentence_to_record(sentence: ParsedSentence) -> dict:
     }
 
 
-def read_jsonl(path: str | Path, what: str, parse: Callable[[Any], T]) -> list[T]:
-    """parse() applied to the JSON value of every non-blank line of a JSON
-    Lines file, in line order. A line that is not JSON, or whose value parse()
-    cannot read, is a ValidationError naming file and line: `<file>:<line>:
-    invalid JSON (...)`, `<file>:<line>: malformed <what> (...)` for a missing
-    key or a wrong type, or `<file>:<line>: ` before a ValidationError's text."""
-    out = []
+# What a parse of a record of the wrong shape raises: a missing key, a wrong
+# type, an integer too large for a float.
+RECORD_ERRORS = (KeyError, TypeError, IndexError, ValueError, OverflowError)
+
+
+def parse_line(line: str, where: str, what: str, parse: Callable[[Any], T]) -> T:
+    """parse() applied to the JSON value of one line. A line that is not
+    JSON, or whose value parse() cannot read, is a ValidationError naming
+    `where` (`<file>:<line>`): `<where>: invalid JSON (...)`, `<where>:
+    malformed <what> (...)` for a missing key, a wrong type or a number too
+    large for a float, or `<where>: ` before a ValidationError's text."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where}: invalid JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{where}: invalid JSON (nested too deeply)") from exc
+    try:
+        return parse(record)
+    except RECORD_ERRORS as exc:
+        raise ValidationError(f"{where}: malformed {what} ({exc!r})") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def read_jsonl(
+    path: str | Path,
+    what: str,
+    parse: Callable[[Any], T],
+    read_line: Callable[[str, str, str, Callable[[Any], T]], T] = parse_line,
+) -> list[T]:
+    """read_line(line, "<file>:<line>", what, parse) of every non-blank line
+    of a JSON Lines file, in line order: by default parse() applied to the
+    line's JSON value, with parse_line's errors. A reader that recognises
+    some lines by their text gives the others to parse_line."""
     with reading(path, f"{what} file") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            except RecursionError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from exc
-            try:
-                out.append(parse(record))
-            except (KeyError, TypeError, IndexError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed {what} ({exc!r})") from exc
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return out
+        return [
+            read_line(line, f"{path}:{lineno}", what, parse)
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip()
+        ]
 
 
 def parse_corpus(path: str | Path) -> list[ParsedSentence]:

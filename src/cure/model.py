@@ -25,14 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import fmean
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericError, ValidationError
-from .paths import PairGroup, pad_or_truncate
-from .vocab import Vocab
+from .paths import PairGroup
+from .vocab import PAD_ID, Vocab
 
 
 @dataclass
@@ -71,9 +71,9 @@ class ModelConfig:
         return self.block_dim * self.n_l
 
 
-@dataclass(frozen=True)
-class PathIds:
-    """A padded path resolved to vocabulary ids."""
+class PathIds(NamedTuple):
+    """A padded path resolved to vocabulary ids. A tuple, not a dataclass:
+    encode keys its dicts by these, and a tuple hashes and compares in C."""
 
     word_ids: tuple[int, ...]
     dep_ids: tuple[int, ...]
@@ -165,19 +165,25 @@ def _gate_views(prefix: str, cell: ad.CellWeights, gates: Sequence[str]) -> dict
 
 
 def paths_to_ids(group: PairGroup, vocabs: tuple[Vocab, Vocab, Vocab], n_l: int) -> list[PathIds]:
+    """The group's paths as vocabulary ids, each brought to length n_l:
+    padded at the end with PAD_ID, or truncated to its first n_l - 1 tokens
+    plus its last, so that both endpoints survive."""
     word_vocab, dep_vocab, pos_vocab = vocabs
-    out = []
-    for path in group.paths:
-        padded = pad_or_truncate(path, n_l)
-        out.append(
-            PathIds(
-                word_ids=word_vocab.ids(padded.words),
-                dep_ids=dep_vocab.ids(padded.deps),
-                pos_ids=pos_vocab.ids(padded.poss),
-                true_length=padded.true_length,
-            )
+    return [
+        PathIds(
+            _fit(word_vocab.ids(path.words), n_l),
+            _fit(dep_vocab.ids(path.deps), n_l),
+            _fit(pos_vocab.ids(path.poss), n_l),
+            min(len(path), n_l),
         )
-    return out
+        for path in group.paths
+    ]
+
+
+def _fit(ids: tuple[int, ...], n_l: int) -> tuple[int, ...]:
+    if len(ids) > n_l:
+        return ids[: n_l - 1] + ids[-1:]
+    return ids + (PAD_ID,) * (n_l - len(ids))
 
 
 # ---------------------------------------------------------------------------

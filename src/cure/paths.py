@@ -43,16 +43,6 @@ class SspTriple:
 
 
 @dataclass(frozen=True)
-class PaddedPath:
-    """A path brought to fixed length, plus its original length."""
-
-    words: tuple[str, ...]
-    deps: tuple[str, ...]
-    poss: tuple[str, ...]
-    true_length: int
-
-
-@dataclass(frozen=True)
 class PairGroup:
     """All path instances of one ordered (subject, object) entity pair."""
 
@@ -100,35 +90,8 @@ def shortest_path(sentence: ParsedSentence) -> SspTriple:
     else:  # both chains end at the root, so unreachable
         raise ValidationError(f"sentence {sentence.id!r}: entities are not connected")
 
-    toks = [sentence.tokens[i] for i in indices]
-    return SspTriple(
-        words=tuple(t.text for t in toks),
-        deps=tuple(t.dep for t in toks),
-        poss=tuple(t.pos for t in toks),
-    )
-
-
-def pad_or_truncate(path: SspTriple, n_l: int) -> PaddedPath:
-    """Force a path to length n_l: pad at the end, or truncate keeping the
-    first n_l-1 elements plus the final element so both endpoints survive."""
-    if n_l < 2:
-        raise ValidationError("n_l must be at least 2")
-    k = len(path)
-    if k > n_l:
-        keep = list(range(n_l - 1)) + [k - 1]
-        return PaddedPath(
-            words=tuple(path.words[i] for i in keep),
-            deps=tuple(path.deps[i] for i in keep),
-            poss=tuple(path.poss[i] for i in keep),
-            true_length=n_l,
-        )
-    fill = n_l - k
-    return PaddedPath(
-        words=path.words + (PAD,) * fill,
-        deps=path.deps + (PAD,) * fill,
-        poss=path.poss + (PAD,) * fill,
-        true_length=k,
-    )
+    words, poss, deps, _ = zip(*(sentence.tokens[i] for i in indices))  # a Token is (text, pos, dep, head)
+    return SspTriple(words=words, deps=deps, poss=poss)
 
 
 def group_pairs(

@@ -18,7 +18,7 @@ UNK_ID = 1
 
 @dataclass(frozen=True)
 class Vocab:
-    """Dense string-to-id map with PAD at 0 and UNK at 1; lookup is total."""
+    """Dense string-to-id map with PAD at 0 and UNK at 1; ids() is total."""
 
     symbols: tuple[str, ...]
     index: dict[str, int] = field(init=False, repr=False)
@@ -33,11 +33,10 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def lookup(self, symbol: str) -> int:
-        return self.index.get(symbol, UNK_ID)
-
     def ids(self, symbols: Iterable[str]) -> tuple[int, ...]:
-        return tuple(self.lookup(s) for s in symbols)
+        """The id of each symbol; UNK_ID for one outside the vocabulary."""
+        get = self.index.get
+        return tuple([get(s, UNK_ID) for s in symbols])
 
 
 def _from_counts(counts: Counter, min_freq: int) -> Vocab:

@@ -5,7 +5,8 @@ against the implementation: BFS for tree paths, scalar loops for the
 recurrent cells, Decimal arithmetic for label scoring, from-scratch
 agglomeration for clustering, and a pair double-loop for the rand index.
 The entry points that only tests call (writing a corpus, encoding one
-path, the loss of one held-out path) live here too.
+path, the loss of one held-out path) live here too, and so does the
+string-level padding that `model.paths_to_ids` is checked against.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,6 +24,7 @@ import numpy as np
 from cure.corpus import EntitySpan, ParsedSentence, Token, sentence_to_record
 from cure.errors import ValidationError
 from cure.model import ModelParams, PathIds, _path_prediction_loss, encode_blocks
+from cure.paths import PAD, SspTriple
 
 
 def make_reagan_sentence() -> ParsedSentence:
@@ -151,6 +154,44 @@ def scalar_gru_step(x, h, p: dict) -> list[float]:
     reset_h = [r[k] * h[k] for k in range(len(h))]
     candidate = gate(p["W_h"], p["U_h"], p["b_h"], reset_h, math.tanh)
     return [z[k] * h[k] + (1.0 - z[k]) * candidate[k] for k in range(len(h))]
+
+
+# ---------------------------------------------------------------------------
+# Padding a path before vocabulary lookup (the reference for paths_to_ids)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PaddedPath:
+    """A path brought to fixed length, plus its original length."""
+
+    words: tuple[str, ...]
+    deps: tuple[str, ...]
+    poss: tuple[str, ...]
+    true_length: int
+
+
+def pad_or_truncate(path: SspTriple, n_l: int) -> PaddedPath:
+    """Force a path to length n_l: pad at the end, or truncate keeping the
+    first n_l-1 elements plus the final element so both endpoints survive."""
+    if n_l < 2:
+        raise ValidationError("n_l must be at least 2")
+    k = len(path)
+    if k > n_l:
+        keep = list(range(n_l - 1)) + [k - 1]
+        return PaddedPath(
+            words=tuple(path.words[i] for i in keep),
+            deps=tuple(path.deps[i] for i in keep),
+            poss=tuple(path.poss[i] for i in keep),
+            true_length=n_l,
+        )
+    fill = n_l - k
+    return PaddedPath(
+        words=path.words + (PAD,) * fill,
+        deps=path.deps + (PAD,) * fill,
+        poss=path.poss + (PAD,) * fill,
+        true_length=k,
+    )
 
 
 # ---------------------------------------------------------------------------

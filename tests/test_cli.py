@@ -203,6 +203,96 @@ class TestMalformedArtifacts:
         )
         assert not out.exists()
 
+    def cluster_argv(self, vectors: Path, tmp_path) -> list[str]:
+        return ["cluster", "--vectors", str(vectors), "--k", "1", "--out", str(tmp_path / "c.jsonl")]
+
+    @pytest.mark.parametrize("pair", ["ab", ["a"], ["a", "b", "c"], ["a", 1], [["a"], "b"], None])
+    @pytest.mark.parametrize("layout", ["as encode writes it", "keys reordered"])
+    def test_vectors_pair_must_be_two_strings(self, tmp_path, capsys, pair, layout):
+        """Both ways of reading a vectors line, the split form and plain
+        json.loads, refuse a pair that is not an array of two strings."""
+        bad = {"pair": pair, "vector": [1.0]} if layout == "as encode writes it" else {"vector": [1.0], "pair": pair}
+        vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": ["a", "b"], "vector": [0.0]}, bad])
+        self.assert_exit_2(
+            capsys, self.cluster_argv(vectors, tmp_path),
+            f"{vectors}:2: malformed relation vector", "pair must be an array of two strings",
+        )
+        assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("kind", ["paths", "clusters", "gold"])
+    def test_pair_given_as_a_string_is_2(self, tiny_setup, trained, tmp_path, capsys, kind):
+        root, cfg = tiny_setup
+        paths, _ = trained
+        out = str(tmp_path / "out")
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
+
+        def evaluate(clusters: Path) -> list[str]:
+            return ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+                    "--out", out]
+
+        if kind == "paths":
+            records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
+            bad = write_jsonl(tmp_path / "p.jsonl", [records[0], {**records[1], "pair": "ab"}])
+            argv = ["train", "--config", str(cfg), "--paths-file", str(bad), "--out-checkpoint", out]
+            what, line = "path instance", 2
+        elif kind == "clusters":
+            bad = write_jsonl(tmp_path / "bad.jsonl", [{"cluster": 0, "pair": "ab"}])
+            argv, what, line = evaluate(bad), "cluster assignment", 1
+        else:
+            clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}])
+            bad = write_jsonl(tmp_path / "g.jsonl", [{"pair": "ab", "relations": ["r"]}])
+            argv, what, line = evaluate(clusters) + ["--gold", str(bad)], "gold relation", 1
+        self.assert_exit_2(capsys, argv, f"{bad}:{line}: malformed {what}", "pair must be an array of two strings")
+
+    def test_pair_listed_twice_in_vectors(self, tmp_path, capsys):
+        records = [{"pair": ["a", "b"], "vector": [0.0]}, {"pair": ["c", "d"], "vector": [1.0]},
+                   {"vector": [2.0], "pair": ["a", "b"]}]
+        vectors = write_jsonl(tmp_path / "v.jsonl", records)
+        self.assert_exit_2(capsys, self.cluster_argv(vectors, tmp_path), f"{vectors}: pair ['a', 'b'] is listed twice")
+        assert not (tmp_path / "c.jsonl").exists()
+
+    def test_pair_listed_twice_in_clusters(self, tiny_setup, trained, tmp_path, capsys):
+        """label would pool the pair's paths twice, evaluate would score it twice."""
+        root, cfg = tiny_setup
+        paths, _ = trained
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": c, "pair": ["a", "b"]} for c in (0, 1)])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
+        for argv in (
+            ["label", "--config", str(cfg), "--clusters", str(clusters), "--paths-file", str(paths)],
+            ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels)],
+        ):
+            argv += ["--out", str(tmp_path / "out")]
+            self.assert_exit_2(capsys, argv, f"{clusters}: pair ['a', 'b'] is listed twice")
+
+    def test_pair_listed_twice_in_gold(self, tiny_setup, tmp_path, capsys):
+        """A second record for a pair would silently replace the first."""
+        root, cfg = tiny_setup
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
+        gold = write_jsonl(tmp_path / "g.jsonl", [{"pair": ["a", "b"], "relations": ["r"]},
+                                                  {"pair": ["a", "b"], "relations": ["s"]}])
+        self.assert_exit_2(
+            capsys,
+            ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+             "--gold", str(gold), "--out", str(tmp_path / "s.csv")],
+            f"{gold}: pair ['a', 'b'] is listed twice; one record lists all of a pair's relations",
+        )
+
+    def test_empty_vector_is_2(self, tmp_path, capsys):
+        vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": [name, "o"], "vector": []} for name in "ab"])
+        self.assert_exit_2(
+            capsys, self.cluster_argv(vectors, tmp_path), f"{vectors}:1: malformed relation vector", "vector is empty"
+        )
+
+    def test_integer_too_large_for_a_float_is_2(self, tmp_path, capsys):
+        vectors = tmp_path / "v.jsonl"
+        huge = "1" + "0" * 400  # a JSON integer, so no float parse turns it into inf
+        vectors.write_text(f'{{"pair": ["a", "b"], "vector": [0.0]}}\n{{"pair": ["c", "d"], "vector": [{huge}]}}\n',
+                           encoding="utf-8")
+        self.assert_exit_2(
+            capsys, self.cluster_argv(vectors, tmp_path), f"{vectors}:2: malformed relation vector (OverflowError("
+        )
+
     def encode_argv(self, trained, tmp_path, content: bytes) -> list[str]:
         """encode on a checkpoint file holding content."""
         paths, _ = trained
@@ -579,6 +669,113 @@ class TestTrainCheckpoint:
         assert "epoch 2" in capsys.readouterr().err
         assert ckpt.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_NOT_A_FLOAT = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, '"1.0"', "null", "[]"]
+_DEEP = "[" * 100_000
+
+
+def _varied(pair: str, vector: str) -> st.SearchStrategy[str]:
+    """A vectors line holding pair and vector (JSON texts), as encode writes
+    it or changed: keys reordered or repeated, other whitespace, a value that
+    is no finite number, trailing garbage or another character in place of
+    the closing brace, truncation, a missing or malformed pair, deep nesting."""
+    written = f'{{"pair": {pair}, "vector": {vector}}}'
+    return st.one_of(
+        st.just(written),
+        st.sampled_from([
+            f'{{"vector": {vector}, "pair": {pair}}}',
+            f'{{"vector": [9.5], "pair": {pair}, "vector": {vector}}}',
+            f'{{"pair": {pair}, "vector": {vector}, "vector": [9.5]}}',
+            f'{{"pair": {pair}, "x": {{"vector": [1]}}, "vector": {vector}}}',
+            f'{{"pair": {pair}, "vector": [1], "vector": {vector}}}',
+            f'{{"pair": {pair}, "vector": [{{"vector": 1}}], "vector": {vector}}}',
+        ]),
+        st.sampled_from([
+            f'{{ "pair" : {pair} ,  "vector":{vector} }}',
+            f'{{"pair":{pair},\t"vector": \t{vector}\t}}',
+            f'{{"pair": {pair}, "vector": {vector}}}\t ',
+            f' \t{written}',
+            f'{written}\x0c',
+            f'{written} ',
+            "\ufeff" + written,
+        ]),
+        st.sampled_from(_NOT_A_FLOAT).map(lambda x: f'{{"pair": {pair}, "vector": {vector[:-1]}, {x}]}}'),
+        st.sampled_from(_NOT_A_FLOAT).map(lambda x: f'{{"pair": {pair}, "vector": {x}}}'),
+        st.sampled_from(["x", "}", ",", "]", " 1", '"', "{}"]).map(lambda garbage: written + garbage),
+        st.sampled_from(["]", "x", " "]).map(lambda c: written[:-1] + c),
+        st.integers(0, len(written)).map(lambda n: written[:n]),
+        st.sampled_from([
+            f'{{"vector": {vector}}}',
+            f'{{"pair": {pair}}}',
+            f'{{"pairs": {pair}, "vector": {vector}}}',
+            f'{{"pair": "ab", "vector": {vector}}}',
+            f'{{"pair": ["a", 1], "vector": {vector}}}',
+            f'{{"pair": {pair[:-1]}, "c"], "vector": {vector}}}',
+            f'[{pair}, "vector", {vector}]',
+        ]),
+        st.sampled_from([
+            f'{{"pair": {_DEEP}, "vector": {vector}}}',
+            f'{{"pair": {pair}, "vector": {_DEEP}}}',
+            f'{{"pair": {pair}, "vector": {_DEEP}{"]" * 100_000}}}',
+            f'{{"pair": {pair}, "vector": {"[" * 40}0.5{"]" * 40}}}',
+        ]),
+    )
+
+
+@st.composite
+def _vectors_file(draw) -> str:
+    """Lines in the layout encode writes, the vectors drawn from a few
+    distinct ones (so that lines repeat them), each line possibly varied."""
+    distinct = draw(st.lists(st.lists(_FLOATS, min_size=1, max_size=3), min_size=1, max_size=3))
+    lines = []
+    for i in range(draw(st.integers(1, 6))):
+        pair = json.dumps([draw(st.sampled_from(["a", "s, \"vector\": [1]}", "é"]) | st.text(max_size=4)), f"o{i}"])
+        line = draw(_varied(pair, json.dumps(draw(st.sampled_from(distinct)))))
+        lines.append(line + draw(st.sampled_from(["\n", " \n", "\r\n", "\n\n"])))
+    return "".join(lines)
+
+
+class TestVectorsReader:
+    @staticmethod
+    def outcome(read) -> list | str:
+        """The records read, each vector as its shape and bytes, or the ValidationError's text."""
+        try:
+            return [(pair, vector.shape, vector.tobytes()) for pair, vector in read()]
+        except ValidationError as exc:
+            return str(exc)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(text=_vectors_file())
+    def test_split_form_reads_as_plain_json(self, tmp_path_factory, text):
+        """The reader gives the records, or the error text, that json.loads
+        of every line gives."""
+        path = tmp_path_factory.getbasetemp() / "fuzzed-vectors.jsonl"
+        path.write_text(text, encoding="utf-8")
+        plain = self.outcome(lambda: cli.read_jsonl(path, "relation vector", cli._vector_record))
+        assert self.outcome(lambda: cli._read_vectors(path)) == plain
+
+    def test_each_distinct_vector_text_is_parsed_and_checked_once(self, tmp_path, monkeypatch):
+        """Lines that repeat another line's vector text share its checked,
+        read-only vector: one json.loads and one _finite_vector call per
+        distinct text, one json.loads of each line's pair, no line parsed whole."""
+        distinct = [[0.0, 1.5], [2.0, -0.5], [1e-300, 3.0]]
+        records = [{"pair": [f"s{i}", "o"], "vector": distinct[i % 3]} for i in range(12)]
+        vectors = write_jsonl(tmp_path / "v.jsonl", records)
+        parsed, checked = [], []
+        loads, finite_vector = json.loads, cli._finite_vector
+        monkeypatch.setattr(cli.json, "loads", lambda text: parsed.append(text) or loads(text))
+        monkeypatch.setattr(cli, "_finite_vector", lambda values: checked.append(values) or finite_vector(values))
+        read = cli._read_vectors(vectors)
+        monkeypatch.undo()
+        texts = [json.dumps(v) for v in distinct]
+        assert sorted(text for text in parsed if text in texts) == sorted(texts)
+        assert len(parsed) == len(records) + len(distinct)
+        assert checked == distinct
+        assert [(pair, vector.tolist()) for pair, vector in read] == [(tuple(r["pair"]), r["vector"]) for r in records]
+        assert read[0][1] is read[3][1]
+        assert not read[0][1].flags.writeable
 
 
 class TestClusterStage:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cure.autodiff as ad
 import graph_oracle as g
@@ -14,10 +16,21 @@ from cure.model import (
     decode_path,
     encode_blocks,
     infer_relation_vector,
+    paths_to_ids,
     train,
 )
+from cure.paths import PAD, UNK, PairGroup, SspTriple
+from cure.vocab import UNK_ID, Vocab
 
-from helpers import encode_path, max_rel_error, scalar_gru_step, scalar_lstm_step, tensor_rel_error, training_loss
+from helpers import (
+    encode_path,
+    max_rel_error,
+    pad_or_truncate,
+    scalar_gru_step,
+    scalar_lstm_step,
+    tensor_rel_error,
+    training_loss,
+)
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -386,3 +399,42 @@ class TestInference:
         a = infer_relation_vector(params, paths)
         b = infer_relation_vector(params, paths[::-1])
         assert np.allclose(a, b)
+
+
+_SYMBOLS = st.sampled_from(["a", "b", "c", "unseen", PAD, UNK])
+
+
+@st.composite
+def _path(draw, max_len: int = 12) -> SspTriple:
+    k = draw(st.integers(1, max_len))
+    words, deps, poss = (tuple(draw(st.lists(_SYMBOLS, min_size=k, max_size=k))) for _ in range(3))
+    return SspTriple(words, deps, poss)
+
+
+class TestPathsToIds:
+    # Three vocabularies in different orders, so that a mixed-up lookup shows.
+    VOCABS = (Vocab((PAD, UNK, "a", "b")), Vocab((PAD, UNK, "c", "b", "a")), Vocab((PAD, UNK, "b")))
+
+    @staticmethod
+    def reference(path: SspTriple, n_l: int) -> PathIds:
+        """Pad or truncate the strings, then look each one up."""
+        padded = pad_or_truncate(path, n_l)
+
+        def ids(vocab: Vocab, symbols) -> tuple[int, ...]:
+            return tuple(vocab.symbols.index(s) if s in vocab.symbols else UNK_ID for s in symbols)
+
+        words, deps, poss = TestPathsToIds.VOCABS
+        return PathIds(ids(words, padded.words), ids(deps, padded.deps), ids(poss, padded.poss), padded.true_length)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(paths=st.lists(_path(), min_size=1, max_size=4), n_l=st.integers(2, 8))
+    @example(
+        paths=[SspTriple(("a", "unseen"), ("c", PAD), ("b", "x")), SspTriple(("b",) * 3, ("a",) * 3, (PAD,) * 3),
+               SspTriple(("a", "b", "c", "a", PAD, "b"), ("b",) * 6, ("b", "unseen") * 3)],
+        n_l=3,
+    )
+    def test_equals_padding_the_strings_then_looking_them_up(self, paths, n_l):
+        """Paths shorter than, as long as and longer than n_l, unknown
+        words and a literal <PAD>: the same ids, id for id."""
+        group = PairGroup(pair=("s", "o"), paths=tuple(paths))
+        assert paths_to_ids(group, self.VOCABS, n_l) == [self.reference(p, n_l) for p in paths]

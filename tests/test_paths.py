@@ -8,12 +8,11 @@ from cure.errors import ValidationError
 from cure.paths import (
     PAD,
     SspTriple,
-    pad_or_truncate,
     representative_token,
     shortest_path,
 )
 
-from helpers import bfs_tree_path, make_reagan_sentence, random_tree_sentence
+from helpers import bfs_tree_path, make_reagan_sentence, pad_or_truncate, random_tree_sentence
 
 
 class TestRepresentativeToken:

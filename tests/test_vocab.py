@@ -17,7 +17,7 @@ class TestBuildVocab:
         words, _, _ = build_vocab(paths, min_freq=2)
         assert "served" in words.index
         assert "xyzzy" not in words.index
-        assert words.lookup("xyzzy") == UNK_ID
+        assert words.ids(["xyzzy"]) == (UNK_ID,)
 
     def test_deterministic(self):
         paths = [path_of("b", "a", "c"), path_of("a", "c")]
@@ -51,17 +51,15 @@ class TestBuildVocab:
     def test_tag_vocabs_keep_everything(self):
         paths = [path_of("onlyonce")]
         words, deps, poss = build_vocab(paths, min_freq=2)
-        assert words.lookup("onlyonce") == UNK_ID
-        assert deps.lookup("dep") > UNK_ID
-        assert poss.lookup("pos") > UNK_ID
+        assert words.ids(["onlyonce"]) == (UNK_ID,)
+        assert deps.ids(["dep"])[0] > UNK_ID
+        assert poss.ids(["pos"])[0] > UNK_ID
 
 
 class TestVocab:
     def test_lookup_is_total(self):
         vocab = Vocab((PAD, UNK, "a"))
-        assert vocab.lookup("a") == 2
-        assert vocab.lookup("never-seen") == UNK_ID
-        assert vocab.lookup(PAD) == PAD_ID
+        assert vocab.ids(["a", "never-seen", PAD]) == (2, UNK_ID, PAD_ID)
 
     def test_ids_round_trip_positions(self):
         vocab = Vocab((PAD, UNK, "x", "y"))
