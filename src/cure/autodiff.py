@@ -11,26 +11,20 @@ matmul. Each backward pass reuses the activations its forward pass cached,
 and adds its weight gradients into caller-owned arrays, so a batch's
 gradients accumulate with +=.
 
-Also here: softmax cross entropy, global-norm gradient clipping, the SGD
-step, and the checkpoint file's framing (the meta keys are the CLI's, the
-order of the parameters in the buffer is the model's).
+Also here: softmax cross entropy, global-norm gradient clipping and the SGD
+step.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, reading
+from .errors import NumericError, ValidationError
 
 GRAD_CLIP_NORM = 5.0
-
-CHECKPOINT_HEADER = "CURE-MODEL v3"
 
 LSTM_GATES = ("o", "f", "i", "c")
 GRU_GATES = ("z", "r", "h")
@@ -227,54 +221,3 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, learning_rate: float) -> None:
     """param -= learning_rate * grad, then zero grad for the next batch."""
     param -= learning_rate * grad
     grad[...] = 0.0
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint format
-# ---------------------------------------------------------------------------
-
-
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace path with data in one step: write a temporary file beside it,
-    then rename it over path, so a failed write leaves the old file whole."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def write_checkpoint(path: str | Path, flat: np.ndarray, meta: dict) -> None:
-    """Checkpoint file: header line, meta (model config and vocabularies) as
-    one JSON line, then the flat parameter buffer as little-endian float64."""
-    head = f"{CHECKPOINT_HEADER}\n{json.dumps(meta)}\n".encode("utf-8")
-    write_atomic(path, head + np.asarray(flat, dtype="<f8").tobytes())
-
-
-def read_checkpoint(path: str | Path) -> tuple[dict, np.ndarray]:
-    """The meta dict and the flat parameter buffer of a checkpoint. Only the
-    layout is checked here; whether the buffer fits the meta is the caller's
-    to check. Anything malformed is a ValidationError naming the file."""
-    with reading(path, "checkpoint", "rb") as fh:
-        header = fh.readline().decode("utf-8").rstrip("\n")
-        if header != CHECKPOINT_HEADER:
-            raise ValidationError(f"{path}: bad checkpoint header {header!r}, expected {CHECKPOINT_HEADER!r}")
-        meta_line = fh.readline().decode("utf-8")
-        data = fh.read()
-    try:
-        meta = json.loads(meta_line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: checkpoint metadata: invalid JSON ({exc})") from exc
-    except RecursionError as exc:
-        raise ValidationError(f"{path}: checkpoint metadata: invalid JSON (nested too deeply)") from exc
-    if not isinstance(meta, dict):
-        raise ValidationError(f"{path}: checkpoint metadata: not a JSON object")
-    if len(data) % 8:
-        raise ValidationError(
-            f"{path}: checkpoint tensor data is {len(data)} bytes, not a whole number of float64 values"
-        )
-    return meta, np.frombuffer(data, dtype="<f8")

@@ -13,23 +13,21 @@ import argparse
 import difflib
 import hashlib
 import json
-import math
 import reprlib
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, cluster as clustering, metrics, model as modeling, synth
-from .autodiff import read_checkpoint, write_atomic, write_checkpoint
-from .corpus import RECORD_ERRORS, parse_corpus, parse_line, read_jsonl
-from .errors import CureError, NumericError, ValidationError, reading
+from .corpus import RECORD_ERRORS, parse_corpus, parse_line, read_jsonl, string_array
+from .errors import CureError, NumericError, ValidationError, reading, write_atomic
 from .labeling import candidate_set, cw_label, load_stopwords, match_to_gold, wvs_label, LabelCandidates
-from .model import ModelConfig, ModelParams, PathIds, paths_to_ids
+from .model import ModelConfig, PathIds, paths_to_ids, read_checkpoint, write_checkpoint
 from .paths import SspTriple, extract_instances, group_pairs
-from .vocab import Vocab, build_vocab, load_pretrained
+from .vocab import build_vocab, load_pretrained
 
 
 @dataclass
@@ -127,18 +125,18 @@ def _pair(rec: dict) -> tuple[str, str]:
     raise ValueError(f"pair must be an array of two strings, got {reprlib.repr(pair)}")
 
 
-def _refuse_repeated_pairs(path: str | Path, pairs, hint: str = "") -> None:
+def _refuse_repeats(path: str | Path, what: str, keys, hint: str = "") -> None:
+    """Refuse a file that lists one key (a pair, a cluster) twice."""
     seen = set()
-    for pair in pairs:
-        if pair in seen:
-            raise ValidationError(f"{path}: pair {list(pair)} is listed twice{hint}")
-        seen.add(pair)
+    for key in keys:
+        if key in seen:
+            shown = list(key) if isinstance(key, tuple) else key
+            raise ValidationError(f"{path}: {what} {shown} is listed twice{hint}")
+        seen.add(key)
 
 
 def _path_instance(rec: dict) -> tuple[tuple[str, str], SspTriple]:
-    return _pair(rec), SspTriple(
-        tuple(map(str, rec["words"])), tuple(map(str, rec["deps"])), tuple(map(str, rec["poss"]))
-    )
+    return _pair(rec), SspTriple(string_array(rec, "words"), string_array(rec, "deps"), string_array(rec, "poss"))
 
 
 def read_path_instances(path: str | Path) -> list[tuple[tuple[str, str], SspTriple]]:
@@ -147,12 +145,14 @@ def read_path_instances(path: str | Path) -> list[tuple[tuple[str, str], SspTrip
 
 def _read_assignments(path: str | Path) -> list[tuple[tuple[str, str], int]]:
     assignments = read_jsonl(path, "cluster assignment", lambda rec: (_pair(rec), int(rec["cluster"])))
-    _refuse_repeated_pairs(path, (pair for pair, _ in assignments))
+    _refuse_repeats(path, "pair", (pair for pair, _ in assignments))
     return assignments
 
 
 def _finite_vector(values) -> np.ndarray:
     vector = np.array(values, dtype=np.float64)
+    if vector.ndim != 1:
+        raise ValueError(f"vector must be an array of numbers, got shape {vector.shape}")
     if vector.size == 0:
         raise ValueError("vector is empty")
     if not np.isfinite(vector).all():
@@ -168,9 +168,29 @@ _JSON_SPACE = " \t\n\r"  # the whitespace JSON allows; str.strip() strips more
 _VECTOR_KEY = ', "vector": '
 
 
+def _split_vector_line(line: str, memo: dict[str, np.ndarray]) -> tuple[tuple[str, str], np.ndarray] | None:
+    """The record of a line in the split form (see _read_vectors), its vector
+    taken from memo or parsed, checked and added to it; None for any other
+    line, and for one whose pair or vector is malformed."""
+    head, key, tail = line.rstrip(_JSON_SPACE).rpartition(_VECTOR_KEY)
+    if not (key and tail.endswith("}")):
+        return None
+    text = tail[:-1]
+    try:
+        pair = _pair(json.loads(head + "}"))
+        vector = memo.get(text)
+        if vector is None:
+            vector = _finite_vector(json.loads(text))
+            vector.flags.writeable = False
+            memo[text] = vector
+        return pair, vector
+    except (*RECORD_ERRORS, RecursionError):
+        return None  # not the split form after all, or malformed: parse_line decides
+
+
 def _read_vectors(path: str | Path) -> list[tuple[tuple[str, str], np.ndarray]]:
     """The (pair, vector) records of a vectors file, each distinct vector
-    text parsed and checked once.
+    text parsed and checked once, all vectors of one length.
 
     A line that, after its trailing whitespace, is H + ', "vector": ' + V +
     '}', where H + '}' parses to an object holding "pair" and V parses on its
@@ -183,22 +203,16 @@ def _read_vectors(path: str | Path) -> list[tuple[tuple[str, str], np.ndarray]]:
     gives every error its text.
     """
     memo: dict[str, np.ndarray] = {}
+    size = None
 
     def read_line(line: str, where: str, what: str, parse) -> tuple[tuple[str, str], np.ndarray]:
-        head, key, tail = line.rstrip(_JSON_SPACE).rpartition(_VECTOR_KEY)
-        if key and tail.endswith("}"):
-            text = tail[:-1]
-            try:
-                pair = _pair(json.loads(head + "}"))
-                vector = memo.get(text)
-                if vector is None:
-                    vector = _finite_vector(json.loads(text))
-                    vector.flags.writeable = False
-                    memo[text] = vector
-                return pair, vector
-            except (*RECORD_ERRORS, RecursionError):
-                pass  # not the split form after all, or malformed: parse_line decides
-        return parse_line(line, where, what, parse)
+        nonlocal size
+        pair, vector = _split_vector_line(line, memo) or parse_line(line, where, what, parse)
+        if size is None:
+            size = vector.size
+        elif vector.size != size:
+            raise ValidationError(f"{where}: vector has {vector.size} values, the file's first has {size}")
+        return pair, vector
 
     return read_jsonl(path, "relation vector", _vector_record, read_line)
 
@@ -230,56 +244,20 @@ def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path:
     mcfg = cfg.model_config()
     prepared = [(g.pair, paths_to_ids(g, vocabs, mcfg.n_l)) for g in groups]
     result = modeling.train(prepared, mcfg, n_words=len(vocabs[0]), n_deps=len(vocabs[1]), n_pos=len(vocabs[2]))
-    meta = {
-        "config": asdict(mcfg),
-        "vocab": {
-            "words": list(vocabs[0].symbols),
-            "deps": list(vocabs[1].symbols),
-            "poss": list(vocabs[2].symbols),
-        },
-    }
     # Written once, after training: a run that fails or is interrupted leaves
     # the previous checkpoint as it was.
-    write_checkpoint(checkpoint_path, result.params.flat, meta)
+    write_checkpoint(checkpoint_path, result.params, vocabs)
     if log_path:
         rows = "".join(f"{epoch},{loss!r}\n" for epoch, loss in enumerate(result.epoch_losses, start=1))
         write_atomic(log_path, f"epoch,loss\n{rows}".encode("utf-8"))
     return result.epoch_losses
 
 
-def _load_model(checkpoint_path: str) -> tuple[ModelParams, tuple, ModelConfig]:
-    if not Path(checkpoint_path).exists():
-        raise ValidationError(f"checkpoint not found: {checkpoint_path}")
-    meta, flat = read_checkpoint(checkpoint_path)
-    try:
-        mcfg = ModelConfig(**meta["config"])
-        vocabs = tuple(Vocab(tuple(map(str, meta["vocab"][key]))) for key in ("words", "deps", "poss"))
-    except (KeyError, TypeError, ValidationError) as exc:
-        raise ValidationError(f"{checkpoint_path}: malformed checkpoint metadata ({exc!r})") from exc
-    sizes = [len(vocab) for vocab in vocabs]
-    # Compared before anything is allocated, so a config that claims huge
-    # tensors is refused instead of exhausting memory.
-    expected = sum(math.prod(shape) for shape in modeling.parameter_shapes(mcfg, *sizes).values())
-    if flat.size != expected:
-        raise ValidationError(
-            f"{checkpoint_path}: config and vocabularies need {expected} parameters, the file holds {flat.size}"
-        )
-    params = ModelParams(mcfg, *sizes, None)
-    params.flat[...] = flat
-    # Checked here rather than on the outputs: an infinite weight can saturate
-    # a gate to exactly 0 or 1 and still give finite vectors, and encoding
-    # never reads the decoder's weights.
-    if not np.isfinite(params.flat).all():
-        name = next(name for name, arr in params.arrays().items() if not np.isfinite(arr).all())
-        raise NumericError(f"{checkpoint_path}: parameter {name!r} holds a non-finite value")
-    return params, vocabs, mcfg
-
-
 def stage_encode(checkpoint_path: str, paths_file: str, out_path: str) -> int:
-    params, vocabs, mcfg = _load_model(checkpoint_path)
+    params, vocabs = read_checkpoint(checkpoint_path)
     instances = read_path_instances(paths_file)
     groups = group_pairs(instances, min_paths=1)
-    ids = [paths_to_ids(group, vocabs, mcfg.n_l) for group in groups]
+    ids = [paths_to_ids(group, vocabs, params.cfg.n_l) for group in groups]
     encodings = modeling.encode_distinct(params, [p for paths in ids for p in paths])
     # Pairs with the same path-id sequence have bit-identical vectors (the
     # sum runs in path order), so each sequence's vector is computed and
@@ -305,7 +283,7 @@ def stage_cluster(vectors_file: str, k: int, out_path: str, centroids_path: str)
     records = _read_vectors(vectors_file)
     pairs = [pair for pair, _ in records]
     vectors = [vector for _, vector in records]
-    _refuse_repeated_pairs(vectors_file, pairs)
+    _refuse_repeats(vectors_file, "pair", pairs)
     dendrogram = clustering.hac(vectors)
     clusters = clustering.cut(dendrogram, k)
     pair_cluster: dict[int, int] = {}
@@ -376,10 +354,11 @@ def stage_evaluate(
         ),
     )
     gold_records = read_jsonl(
-        gold_file, "gold relation", lambda rec: (_pair(rec), tuple(map(str, rec["relations"])))
+        gold_file, "gold relation", lambda rec: (_pair(rec), string_array(rec, "relations"))
     )
-    _refuse_repeated_pairs(
-        gold_file, (pair for pair, _ in gold_records), "; one record lists all of a pair's relations"
+    _refuse_repeats(labels_file, "cluster", (cluster_id for cluster_id, _ in label_records))
+    _refuse_repeats(
+        gold_file, "pair", (pair for pair, _ in gold_records), "; one record lists all of a pair's relations"
     )
     gold = dict(gold_records)
     vectors = load_pretrained(embeddings_file)

@@ -5,12 +5,14 @@ entity pairs appears once per pair. `head` is a 0-based token index; the
 single root token has head -1 and dependency tag "ROOT".
 
 Also here: the reader every JSON Lines input goes through (corpus, paths,
-vectors, cluster assignments, labels, gold).
+vectors, cluster assignments, labels, gold), and the check that a field is
+an array of strings.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, TypeVar
@@ -122,6 +124,15 @@ def sentence_to_record(sentence: ParsedSentence) -> dict:
 # What a parse of a record of the wrong shape raises: a missing key, a wrong
 # type, an integer too large for a float.
 RECORD_ERRORS = (KeyError, TypeError, IndexError, ValueError, OverflowError)
+
+
+def string_array(record: dict, key: str) -> tuple[str, ...]:
+    """record[key] as a tuple. It must be a JSON array of strings: anything
+    else, a string included (which would read as its characters), is a TypeError."""
+    value = record[key]
+    if isinstance(value, list) and set(map(type, value)) <= {str}:
+        return tuple(value)
+    raise TypeError(f"{key} must be an array of strings, got {reprlib.repr(value)}")
 
 
 def parse_line(line: str, where: str, what: str, parse: Callable[[Any], T]) -> T:

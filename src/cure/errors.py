@@ -1,7 +1,10 @@
-"""Error types, and the guard that turns an unreadable input file into one."""
+"""Error types, and the two file guards: `reading` turns an unreadable input
+file into a ValidationError, `write_atomic` replaces an output file whole or
+not at all."""
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
@@ -32,3 +35,17 @@ def reading(path: str | Path, what: str, mode: str = "r") -> Iterator[IO]:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{what} {path} is not UTF-8 text ({exc})") from exc
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace path with data in one step: write a temporary file beside it,
+    then rename it over path, so a failed write leaves the old file whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

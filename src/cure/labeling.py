@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError, reading
-from .vocab import PretrainedVectors
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -65,7 +64,7 @@ def candidate_set(word_paths: Sequence[Sequence[str]], stopwords: frozenset[str]
     return counts
 
 
-def wvs_label(candidates: Mapping[str, int], vectors: PretrainedVectors) -> LabelCandidates:
+def wvs_label(candidates: Mapping[str, int], vectors: Mapping[str, np.ndarray]) -> LabelCandidates:
     """Rank candidates by cosine against a weighted vector sum.
 
     Each distinct word's raw weight is its count times the summed cosine
@@ -90,7 +89,7 @@ def wvs_label(candidates: Mapping[str, int], vectors: PretrainedVectors) -> Labe
     else:
         weights = {w: (raw[w] - lo) / (hi - lo) for w in words}
 
-    summed = np.zeros(vectors.dim)
+    summed = np.zeros_like(vecs[words[0]])
     for w in words:
         summed = summed + weights[w] * vecs[w]
 
@@ -109,7 +108,7 @@ def cw_label(candidates: Mapping[str, int]) -> LabelCandidates:
 def match_to_gold(
     label: LabelCandidates,
     gold_relations: Sequence[tuple[str, np.ndarray]],
-    vectors: PretrainedVectors,
+    vectors: Mapping[str, np.ndarray],
 ) -> str:
     """The gold relation whose name vector is most cosine-similar to the
     chosen label word; candidates without a vector fall through to the next.

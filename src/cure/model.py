@@ -18,19 +18,25 @@ forward and backward passes are written out by hand (see autodiff): all
 input paths of an example run through the encoder as one batch, and the
 decoder runs only the target's unpadded steps, since later steps never
 reach the loss.
+
+Also here: the checkpoint file, which holds the config, the vocabularies
+and the parameters, and is written and read only by this module.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from statistics import fmean
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import NumericError, ValidationError
+from .corpus import string_array
+from .errors import NumericError, ValidationError, reading, write_atomic
 from .paths import PairGroup
 from .vocab import PAD_ID, Vocab
 
@@ -65,10 +71,6 @@ class ModelConfig:
     @property
     def block_dim(self) -> int:
         return self.n_h + self.n_h2
-
-    @property
-    def relation_dim(self) -> int:
-        return self.block_dim * self.n_l
 
 
 class PathIds(NamedTuple):
@@ -162,6 +164,69 @@ def _gate_views(prefix: str, cell: ad.CellWeights, gates: Sequence[str]) -> dict
         out[f"{prefix}.U_{gate}"] = cell.U[rows]
         out[f"{prefix}.b_{gate}"] = cell.b[rows]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint file
+# ---------------------------------------------------------------------------
+
+CHECKPOINT_HEADER = "CURE-MODEL v3"
+_VOCAB_KEYS = ("words", "deps", "poss")
+
+
+def write_checkpoint(path: str | Path, params: ModelParams, vocabs: tuple[Vocab, Vocab, Vocab]) -> None:
+    """Checkpoint file: header line, the model config and the word,
+    dependency and POS vocabularies as one JSON line, then params.flat as
+    little-endian float64. The file is replaced whole or not at all."""
+    meta = {"config": asdict(params.cfg), "vocab": {key: list(v.symbols) for key, v in zip(_VOCAB_KEYS, vocabs)}}
+    head = f"{CHECKPOINT_HEADER}\n{json.dumps(meta)}\n".encode("utf-8")
+    write_atomic(path, head + np.asarray(params.flat, dtype="<f8").tobytes())
+
+
+def read_checkpoint(path: str | Path) -> tuple[ModelParams, tuple[Vocab, Vocab, Vocab]]:
+    """The parameters and vocabularies of a checkpoint. Anything malformed is
+    a ValidationError naming the file; a non-finite parameter is a
+    NumericError naming the file and the tensor."""
+    with reading(path, "checkpoint", "rb") as fh:
+        header = fh.readline().decode("utf-8").rstrip("\n")
+        if header != CHECKPOINT_HEADER:
+            raise ValidationError(f"{path}: bad checkpoint header {header!r}, expected {CHECKPOINT_HEADER!r}")
+        meta_line = fh.readline().decode("utf-8")
+        data = fh.read()
+    try:
+        meta = json.loads(meta_line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: checkpoint metadata: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: checkpoint metadata: invalid JSON (nested too deeply)") from exc
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{path}: checkpoint metadata: not a JSON object")
+    if len(data) % 8:
+        raise ValidationError(
+            f"{path}: checkpoint tensor data is {len(data)} bytes, not a whole number of float64 values"
+        )
+    try:
+        cfg = ModelConfig(**meta["config"])
+        vocabs = tuple(Vocab(string_array(meta["vocab"], key)) for key in _VOCAB_KEYS)
+    except (KeyError, TypeError, ValidationError) as exc:
+        raise ValidationError(f"{path}: malformed checkpoint metadata ({exc!r})") from exc
+    sizes = [len(vocab) for vocab in vocabs]
+    # Compared before anything is allocated, so a config that claims huge
+    # tensors is refused instead of exhausting memory.
+    expected = sum(math.prod(shape) for shape in parameter_shapes(cfg, *sizes).values())
+    if len(data) // 8 != expected:
+        raise ValidationError(
+            f"{path}: config and vocabularies need {expected} parameters, the file holds {len(data) // 8}"
+        )
+    params = ModelParams(cfg, *sizes, None)
+    params.flat[...] = np.frombuffer(data, dtype="<f8")
+    # Checked here rather than on the outputs: an infinite weight can saturate
+    # a gate to exactly 0 or 1 and still give finite vectors, and encoding
+    # never reads the decoder's weights.
+    if not np.isfinite(params.flat).all():
+        name = next(name for name, arr in params.arrays().items() if not np.isfinite(arr).all())
+        raise NumericError(f"{path}: parameter {name!r} holds a non-finite value")
+    return params, vocabs
 
 
 def paths_to_ids(group: PairGroup, vocabs: tuple[Vocab, Vocab, Vocab], n_l: int) -> list[PathIds]:
@@ -271,13 +336,10 @@ def aggregate(encodings: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def infer_relation_vector(
-    params: ModelParams, paths: Sequence[PathIds], encodings: Mapping[PathIds, np.ndarray] | None = None
+    params: ModelParams, paths: Sequence[PathIds], encodings: Mapping[PathIds, np.ndarray]
 ) -> np.ndarray:
     """Relation vector over all of a pair's paths (nothing held out), summed in
-    path order. Path encodings come from `encodings` (see encode_distinct)
-    when given, else are computed here."""
-    if encodings is None:
-        encodings = encode_distinct(params, paths)
+    path order from their encodings (see encode_distinct)."""
     return aggregate([encodings[p] for p in paths])
 
 

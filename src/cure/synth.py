@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import EntitySpan, ParsedSentence, Token, sentence_to_record, validate_sentence
 from .errors import ValidationError
+from .vocab import write_embeddings
 
 EMBED_DIM = 16
 
@@ -229,13 +230,6 @@ def toy_embeddings(relations: tuple[RelationTemplate, ...]) -> dict[str, np.ndar
             vectors[word] = unit(axis)
             axis += 1
     return vectors
-
-
-def write_embeddings(path: str | Path, vectors: dict[str, np.ndarray]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(vectors)} {EMBED_DIM}\n")
-        for token in sorted(vectors):
-            fh.write(token + " " + " ".join(repr(float(v)) for v in vectors[token]) + "\n")
 
 
 @dataclass

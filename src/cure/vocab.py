@@ -1,4 +1,4 @@
-"""Vocabularies and pretrained word vectors."""
+"""Vocabularies, and the pretrained word vectors' text format (written and read here)."""
 
 from __future__ import annotations
 
@@ -64,28 +64,19 @@ def build_vocab(paths: Iterable[SspTriple], min_freq: int = 2) -> tuple[Vocab, V
     return _from_counts(words, min_freq), _from_counts(deps, 1), _from_counts(poss, 1)
 
 
-class PretrainedVectors:
-    """Fixed word vectors loaded from a text file, used for cluster labeling."""
-
-    def __init__(self, vectors: Mapping[str, np.ndarray], dim: int):
-        self._vectors = dict(vectors)
-        self.dim = dim
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._vectors
-
-    def __getitem__(self, token: str) -> np.ndarray:
-        return self._vectors[token]
-
-    def __len__(self) -> int:
-        return len(self._vectors)
-
-    def get(self, token: str) -> np.ndarray | None:
-        return self._vectors.get(token)
+def write_embeddings(path: str | Path, vectors: Mapping[str, np.ndarray]) -> None:
+    """Pretrained-vector text as load_pretrained reads it: a "count dim"
+    header, then "token v1 v2 ... vd" per token in sorted order."""
+    tokens = sorted(vectors)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(tokens)} {len(vectors[tokens[0]])}\n")
+        for token in tokens:
+            fh.write(token + " " + " ".join(repr(float(v)) for v in vectors[token]) + "\n")
 
 
-def load_pretrained(path: str | Path) -> PretrainedVectors:
-    """Parse "token v1 v2 ... vd" lines; an optional "count dim" header is skipped."""
+def load_pretrained(path: str | Path) -> dict[str, np.ndarray]:
+    """Token -> vector, from "token v1 v2 ... vd" lines; an optional "count
+    dim" header is skipped."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     with reading(path, "vector file") as fh:
@@ -113,7 +104,7 @@ def load_pretrained(path: str | Path) -> PretrainedVectors:
             vectors[token] = vec
     if dim is None:
         raise ValidationError(f"{path}: no vectors found")
-    return PretrainedVectors(vectors, dim)
+    return vectors
 
 
 def _is_int(s: str) -> bool:

@@ -22,7 +22,7 @@ from cure.labeling import LabelCandidates, cw_label, match_to_gold, wvs_label
 from cure.model import ModelConfig, ModelParams, PathIds
 from cure.paths import representative_token, shortest_path
 from cure.synth import generate
-from cure.vocab import PretrainedVectors, load_pretrained
+from cure.vocab import load_pretrained
 
 from helpers import (
     bfs_tree_path,
@@ -234,11 +234,10 @@ def test_wvs_matches_extended_precision_on_100_sets():
     for _ in range(100):
         n_words = int(rng.integers(2, 6))
         words = [f"w{i}" for i in range(n_words)]
-        raw = {w: rng.uniform(-1, 1, size=3) for w in words}
+        vectors = {w: rng.uniform(-1, 1, size=3) for w in words}
         counts = {w: int(rng.integers(1, 12)) for w in words}
-        vectors = PretrainedVectors({w: v for w, v in raw.items()}, 3)
         got = [w for w, _ in wvs_label(counts, vectors).candidates]
-        expected = decimal_wvs_ranking(counts, {w: list(map(float, v)) for w, v in raw.items()})
+        expected = decimal_wvs_ranking(counts, {w: list(map(float, v)) for w, v in vectors.items()})
         if got != expected:
             failures += 1
     _report("wvs-extended-precision", failures == 0, f"100 candidate sets, {failures} mismatches, {time.perf_counter() - started:.2f}s")
@@ -247,14 +246,11 @@ def test_wvs_matches_extended_precision_on_100_sets():
 def test_wvs_vs_cw_contrast():
     """A generic high-count word tops the common-words ranking while the
     distinctive trigger tops the vector-similarity ranking."""
-    vectors = PretrainedVectors(
-        {
-            "help": np.array([0.0, 0.0, 1.0, 0.0]),
-            "states": np.array([0.0, 0.3, 0.954, 0.0]),
-            "capital": np.array([1.0, 0.0, 0.0, 0.0]),
-        },
-        4,
-    )
+    vectors = {
+        "help": np.array([0.0, 0.0, 1.0, 0.0]),
+        "states": np.array([0.0, 0.3, 0.954, 0.0]),
+        "capital": np.array([1.0, 0.0, 0.0, 0.0]),
+    }
     counts = {"help": 5, "states": 4, "capital": 3}
     cw = cw_label(counts).chosen
     wvs = wvs_label(counts, vectors).chosen

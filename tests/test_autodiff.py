@@ -10,7 +10,7 @@ import cure.autodiff as ad
 import graph_oracle as g
 from cure.errors import NumericError, ValidationError
 
-from helpers import WriteFailed, fail_writes_halfway, max_rel_error, scalar_gru_step, scalar_lstm_step
+from helpers import max_rel_error, scalar_gru_step, scalar_lstm_step
 
 
 def rand_value(rng, *shape, name=""):
@@ -371,40 +371,3 @@ class TestOptimizerPieces:
         ad.sgd_step(param, grad, 0.1)
         assert np.allclose(param, [0.95, 1.05])
         assert np.array_equal(grad, np.zeros(2))
-
-
-class TestCheckpoint:
-    def test_round_trip_is_bitwise(self, tmp_path):
-        flat = np.concatenate([np.random.default_rng(13).uniform(-1, 1, 19), [1e-300, -0.0, 123456789.123456789]])
-        meta = {"config": {"n_h": 4}, "vocab": {"words": ["<pad>", "<unk>", "naïve\nword"]}}
-        path = tmp_path / "model.ckpt"
-        ad.write_checkpoint(path, flat, meta)
-        loaded_meta, loaded = ad.read_checkpoint(path)
-        assert loaded_meta == meta
-        assert loaded.tobytes() == flat.tobytes()  # bit for bit, the sign of -0.0 included
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        path.write_text("NOT-A-MODEL\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="header"):
-            ad.read_checkpoint(path)
-
-    def test_truncated_block_detected(self, tmp_path):
-        """Tensor bytes that stop inside a float64 are refused."""
-        path = tmp_path / "model.ckpt"
-        ad.write_checkpoint(path, np.ones(3), {})
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(ValidationError, match="23 bytes, not a whole number of float64 values"):
-            ad.read_checkpoint(path)
-
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        """A write that dies partway leaves the old file byte-identical and no temporary behind."""
-        path = tmp_path / "model.ckpt"
-        ad.write_checkpoint(path, np.ones(4), {})
-        before = path.read_bytes()
-        fail_writes_halfway(monkeypatch)
-        with pytest.raises(WriteFailed):
-            ad.write_checkpoint(path, np.zeros(4), {})
-        monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

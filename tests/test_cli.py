@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from cure import autodiff, cli
 from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
 from cure.errors import NumericError, ValidationError
-from cure.model import ModelParams, parameter_shapes, paths_to_ids
+from cure.model import parameter_shapes, paths_to_ids, read_checkpoint
 from cure.paths import group_pairs
 
 from helpers import WriteFailed, fail_writes_halfway
@@ -86,8 +86,7 @@ def with_meta(ckpt: Path, meta: bytes) -> bytes:
 
 def tensor_offset(ckpt: Path, name: str) -> int:
     """Byte offset in ckpt of the first value of the tensor arrays() calls name."""
-    _, vocabs, mcfg = cli._load_model(str(ckpt))
-    params = ModelParams(mcfg, *map(len, vocabs), None)
+    params, _ = read_checkpoint(ckpt)
     params.flat[...] = np.arange(params.flat.size)
     _, _, tensors = split_checkpoint(ckpt)
     assert len(tensors) == 8 * params.flat.size
@@ -147,7 +146,7 @@ class TestExitCodes:
             "--out", str(tmp_path / "v.jsonl"),
         )
         assert code == 2
-        assert "checkpoint not found" in capsys.readouterr().err
+        assert f"cannot read checkpoint {tmp_path / 'nope.ckpt'}" in capsys.readouterr().err
 
     def test_unknown_config_key_is_2(self, tmp_path):
         assert run("extract-paths", "--set", "bogus_key=1", "--corpus", "x", "--out", "y") == 2
@@ -277,6 +276,73 @@ class TestMalformedArtifacts:
              "--gold", str(gold), "--out", str(tmp_path / "s.csv")],
             f"{gold}: pair ['a', 'b'] is listed twice; one record lists all of a pair's relations",
         )
+
+    def test_cluster_listed_twice_in_labels(self, tiny_setup, tmp_path, capsys):
+        """A second label record for a cluster would silently replace the first."""
+        root, cfg = tiny_setup
+        gold = [json.loads(line) for line in (root / "gold.jsonl").read_text(encoding="utf-8").splitlines()]
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": rec["pair"]} for rec in gold])
+        names = sorted({r for rec in gold for r in rec["relations"]})
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [[name, 1.0]]} for name in names])
+        self.assert_exit_2(
+            capsys,
+            ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+             "--out", str(tmp_path / "s.csv")],
+            f"{labels}: cluster 0 is listed twice",
+        )
+
+    @pytest.mark.parametrize("case", ["words", "deps", "poss", "number in words", "relations", "checkpoint vocab"])
+    def test_strings_must_come_as_an_array_of_strings(self, tiny_setup, trained, tmp_path, capsys, case):
+        """A string where an array of strings belongs is refused, not read as
+        its characters, and so is a number in such an array."""
+        root, cfg = tiny_setup
+        paths, ckpt = trained
+        out = str(tmp_path / "out")
+        if case == "relations":
+            clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}])
+            labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
+            bad = write_jsonl(tmp_path / "g.jsonl", [{"pair": ["a", "b"], "relations": "ab"}])
+            argv = ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+                    "--gold", str(bad), "--out", out]
+            self.assert_exit_2(capsys, argv, f"{bad}:1: malformed gold relation", "relations must be an array of strings")
+        elif case == "checkpoint vocab":
+            meta = json.loads(split_checkpoint(ckpt)[1])
+            meta["vocab"]["deps"][-1] = 7
+            bad = tmp_path / "model.ckpt"
+            bad.write_bytes(with_meta(ckpt, json.dumps(meta).encode()))
+            argv = ["encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", out]
+            self.assert_exit_2(capsys, argv, f"{bad}: malformed checkpoint metadata", "deps must be an array of strings")
+        else:
+            records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
+            key = case.split()[-1]
+            n = len(records[1][key])
+            # As long as the path, so that it would read as a path of single characters.
+            value = [*records[1][key][:-1], 7] if case == "number in words" else "x" * n
+            bad = write_jsonl(tmp_path / "p.jsonl", [records[0], {**records[1], key: value}])
+            argv = ["train", "--config", str(cfg), "--paths-file", str(bad), "--out-checkpoint", out]
+            self.assert_exit_2(capsys, argv, f"{bad}:2: malformed path instance", f"{key} must be an array of strings")
+
+    @pytest.mark.parametrize("vector", [1.5, [[1.0], [2.0]]])
+    @pytest.mark.parametrize("layout", ["as encode writes it", "keys reordered"])
+    def test_vector_must_be_one_dimensional(self, tmp_path, capsys, vector, layout):
+        records = [{"pair": [name, "o"], "vector": vector} for name in "ab"]
+        if layout == "keys reordered":
+            records = [{"vector": r["vector"], "pair": r["pair"]} for r in records]
+        vectors = write_jsonl(tmp_path / "v.jsonl", records)
+        self.assert_exit_2(
+            capsys, self.cluster_argv(vectors, tmp_path),
+            f"{vectors}:1: malformed relation vector", "vector must be an array of numbers",
+        )
+
+    def test_vectors_of_different_lengths_name_the_first_line_that_differs(self, tmp_path, capsys):
+        vectors = tmp_path / "v.jsonl"
+        vectors.write_text('{"pair": ["a", "o"], "vector": [0.0, 1.0]}\n\n{"vector": [2.0, 3.0], "pair": ["b", "o"]}\n'
+                           '{"pair": ["c", "o"], "vector": [1.0]}\n{"pair": ["d", "o"], "vector": [1.0, 2.0, 3.0]}\n',
+                           encoding="utf-8")
+        self.assert_exit_2(
+            capsys, self.cluster_argv(vectors, tmp_path), f"{vectors}:4: vector has 1 values, the file's first has 2"
+        )
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_empty_vector_is_2(self, tmp_path, capsys):
         vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": [name, "o"], "vector": []} for name in "ab"])
@@ -592,17 +658,17 @@ class TestStages:
         calls = []
         infer = cli.modeling.infer_relation_vector
 
-        def counted(params, path_ids, encodings=None):
+        def counted(params, path_ids, encodings):
             calls.append(tuple(path_ids))
             return infer(params, path_ids, encodings)
 
         monkeypatch.setattr(cli.modeling, "infer_relation_vector", counted)
         out = tmp_path / "v.jsonl"
         assert run("encode", "--checkpoint", str(ckpt), "--paths-file", str(copies), "--out", str(out)) == 0
-        _, vocabs, mcfg = cli._load_model(str(ckpt))
+        params, vocabs = read_checkpoint(ckpt)
         groups = group_pairs(cli.read_path_instances(copies), min_paths=1)
         assert len(calls) == len(set(calls))
-        assert set(calls) == {tuple(paths_to_ids(g, vocabs, mcfg.n_l)) for g in groups}
+        assert set(calls) == {tuple(paths_to_ids(g, vocabs, params.cfg.n_l)) for g in groups}
         assert len(calls) < len(groups) == len(out.read_text(encoding="utf-8").splitlines())
 
     def test_vectors_lines_are_json_dumps_of_their_records(self, trained, tmp_path):
@@ -647,7 +713,7 @@ class TestTrainCheckpoint:
         monkeypatch.setattr(cli.modeling, "train", recorded)
         ckpt = tmp_path / "model.ckpt"
         assert self.train(tiny_setup, trained, ckpt) == 0
-        params, _, _ = cli._load_model(str(ckpt))
+        params, _ = read_checkpoint(ckpt)
         assert params.flat.tobytes() == results[0].params.flat.tobytes()
 
     def test_training_that_fails_keeps_previous_checkpoint(self, tiny_setup, trained, tmp_path, monkeypatch, capsys):
@@ -749,11 +815,13 @@ class TestVectorsReader:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(text=_vectors_file())
     def test_split_form_reads_as_plain_json(self, tmp_path_factory, text):
-        """The reader gives the records, or the error text, that json.loads
-        of every line gives."""
+        """The reader gives the records, or the error text, that it gives
+        with the split form off, when json.loads reads every line whole."""
         path = tmp_path_factory.getbasetemp() / "fuzzed-vectors.jsonl"
         path.write_text(text, encoding="utf-8")
-        plain = self.outcome(lambda: cli.read_jsonl(path, "relation vector", cli._vector_record))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_split_vector_line", lambda line, memo: None)
+            plain = self.outcome(lambda: cli._read_vectors(path))
         assert self.outcome(lambda: cli._read_vectors(path)) == plain
 
     def test_each_distinct_vector_text_is_parsed_and_checked_once(self, tmp_path, monkeypatch):

@@ -15,16 +15,13 @@ from cure.labeling import (
     match_to_gold,
     wvs_label,
 )
-from cure.vocab import PretrainedVectors
-
 from helpers import decimal_wvs_ranking
 
 STOPWORDS = load_stopwords()
 
 
-def toy_vectors(mapping: dict[str, list[float]]) -> PretrainedVectors:
-    dim = len(next(iter(mapping.values())))
-    return PretrainedVectors({w: np.array(v, dtype=np.float64) for w, v in mapping.items()}, dim)
+def toy_vectors(mapping: dict[str, list[float]]) -> dict[str, np.ndarray]:
+    return {w: np.array(v, dtype=np.float64) for w, v in mapping.items()}
 
 
 def unit(i: int, dim: int = 4) -> list[float]:

@@ -15,15 +15,20 @@ from cure.model import (
     aggregate,
     decode_path,
     encode_blocks,
+    encode_distinct,
     infer_relation_vector,
     paths_to_ids,
+    read_checkpoint,
     train,
+    write_checkpoint,
 )
 from cure.paths import PAD, UNK, PairGroup, SspTriple
 from cure.vocab import UNK_ID, Vocab
 
 from helpers import (
+    WriteFailed,
     encode_path,
+    fail_writes_halfway,
     max_rel_error,
     pad_or_truncate,
     scalar_gru_step,
@@ -131,7 +136,7 @@ class TestEncode:
         params = make_params(cfg)
         zero_out(params)
         out = encode_path(params, ids_path(cfg, [3, 4, 5]))
-        assert np.array_equal(out, np.zeros(cfg.relation_dim))
+        assert np.array_equal(out, np.zeros(cfg.n_l * cfg.block_dim))
 
     def test_dimension_arithmetic(self):
         cfg = tiny_config(n_l=3, n_h=2, n_h2=2)
@@ -205,7 +210,7 @@ class TestDecode:
         cfg = tiny_config()
         params = make_params(cfg, n_words=7, seed=33)
         rng = np.random.default_rng(34)
-        vector = rng.uniform(-1, 1, cfg.relation_dim)
+        vector = rng.uniform(-1, 1, cfg.n_l * cfg.block_dim)
         blocks = vector.reshape(cfg.n_l, cfg.block_dim)
         logits = decode_path(params, blocks).logits
         expected = scalar_decode_logits(params, [list(b) for b in blocks])
@@ -389,16 +394,62 @@ class TestInference:
         cfg = tiny_config()
         params = make_params(cfg, seed=61)
         path = ids_path(cfg, [1, 2, 3])
-        vec = infer_relation_vector(params, [path])
+        vec = infer_relation_vector(params, [path], encode_distinct(params, [path]))
         assert np.array_equal(vec, encode_path(params, path).data)
 
     def test_identical_path_multisets_give_identical_vectors(self):
         cfg = tiny_config()
         params = make_params(cfg, seed=62)
         paths = [ids_path(cfg, [1, 2, 3]), ids_path(cfg, [4, 5, 6])]
-        a = infer_relation_vector(params, paths)
-        b = infer_relation_vector(params, paths[::-1])
+        encodings = encode_distinct(params, paths)
+        a = infer_relation_vector(params, paths, encodings)
+        b = infer_relation_vector(params, paths[::-1], encodings)
         assert np.allclose(a, b)
+
+
+class TestCheckpoint:
+    VOCABS = (Vocab((PAD, UNK, "naïve\nword", "b")), Vocab((PAD, UNK, "nsubj")), Vocab((PAD, UNK)))
+
+    def params(self) -> ModelParams:
+        """Parameters that hold awkward values: a tiny one, -0.0 and one with many digits."""
+        params = ModelParams(tiny_config(), 4, 3, 2, np.random.default_rng(13))
+        params.flat[:3] = [1e-300, -0.0, 123456789.123456789]
+        return params
+
+    def test_round_trip_is_bitwise(self, tmp_path):
+        params, path = self.params(), tmp_path / "model.ckpt"
+        write_checkpoint(path, params, self.VOCABS)
+        loaded, vocabs = read_checkpoint(path)
+        assert loaded.cfg == params.cfg
+        assert vocabs == self.VOCABS
+        assert loaded.flat.tobytes() == params.flat.tobytes()  # bit for bit, the sign of -0.0 included
+
+    def test_header_checked(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_text("NOT-A-MODEL\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="header"):
+            read_checkpoint(path)
+
+    def test_truncated_block_detected(self, tmp_path):
+        """Tensor bytes that stop inside a float64 are refused."""
+        params, path = self.params(), tmp_path / "model.ckpt"
+        write_checkpoint(path, params, self.VOCABS)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValidationError, match=f"{8 * params.flat.size - 1} bytes, not a whole number of float64"):
+            read_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A write that dies partway leaves the old file byte-identical and no temporary behind."""
+        params, path = self.params(), tmp_path / "model.ckpt"
+        write_checkpoint(path, params, self.VOCABS)
+        before = path.read_bytes()
+        params.flat[...] = 0.0
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(WriteFailed):
+            write_checkpoint(path, params, self.VOCABS)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 _SYMBOLS = st.sampled_from(["a", "b", "c", "unseen", PAD, UNK])

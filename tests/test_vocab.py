@@ -79,7 +79,7 @@ class TestLoadPretrained:
     def test_three_tokens(self, tmp_path):
         vectors = load_pretrained(self.write(tmp_path, "a 1 2 3 4\nb 0 0 1 0\nc 0.5 0.5 0.5 0.5\n"))
         assert len(vectors) == 3
-        assert vectors.dim == 4
+        assert all(v.shape == (4,) for v in vectors.values())
         assert np.allclose(vectors["b"], [0, 0, 1, 0])
 
     def test_header_skipped(self, tmp_path):
