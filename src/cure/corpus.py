@@ -5,8 +5,8 @@ entity pairs appears once per pair. `head` is a 0-based token index; the
 single root token has head -1 and dependency tag "ROOT".
 
 Also here: the reader every JSON Lines input goes through (corpus, paths,
-vectors, cluster assignments, labels, gold), and the check that a field is
-an array of strings.
+vectors, cluster assignments, labels, gold), and the checks that a field
+is a JSON integer, a string, a number or an array of strings.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def validate_sentence(sentence: ParsedSentence) -> None:
 
 
 def _span_from(obj: dict) -> EntitySpan:
-    return EntitySpan(start=int(obj["start"]), end=int(obj["end"]), canonical=str(obj["canonical"]))
+    return EntitySpan(integer(obj["start"], "start"), integer(obj["end"], "end"), string(obj["canonical"], "canonical"))
 
 
 def sentence_from_record(record: dict) -> ParsedSentence:
@@ -100,9 +100,10 @@ def sentence_from_record(record: dict) -> ParsedSentence:
     KeyError, TypeError or ValueError; a sentence that breaks a tree or span
     invariant raises ValidationError."""
     sentence = ParsedSentence(
-        id=str(record["id"]),
+        id=string(record["id"], "id"),
         tokens=tuple(
-            Token(str(t["text"]), str(t["pos"]), str(t["dep"]), int(t["head"]))
+            Token(string(t["text"], "text"), string(t["pos"], "pos"), string(t["dep"], "dep"),
+                  integer(t["head"], "head"))
             for t in record["tokens"]
         ),
         subject=_span_from(record["subject"]),
@@ -124,6 +125,28 @@ def sentence_to_record(sentence: ParsedSentence) -> dict:
 # What a parse of a record of the wrong shape raises: a missing key, a wrong
 # type, an integer too large for a float.
 RECORD_ERRORS = (KeyError, TypeError, IndexError, ValueError, OverflowError)
+
+
+def integer(value: Any, name: str) -> int:
+    """value, which must be a JSON integer: a float (1.7 or 1.0) or a bool,
+    which Python counts as an int, is a TypeError."""
+    if type(value) is int:
+        return value
+    raise TypeError(f"{name} must be an integer, got {reprlib.repr(value)}")
+
+
+def string(value: Any, name: str) -> str:
+    """value, which must be a JSON string: anything else is a TypeError."""
+    if type(value) is str:
+        return value
+    raise TypeError(f"{name} must be a string, got {reprlib.repr(value)}")
+
+
+def number(value: Any, name: str) -> float:
+    """value as a float; it must be a JSON number (not a bool), else a TypeError."""
+    if type(value) in (int, float):
+        return float(value)
+    raise TypeError(f"{name} must be a number, got {reprlib.repr(value)}")
 
 
 def string_array(record: dict, key: str) -> tuple[str, ...]:

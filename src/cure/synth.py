@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_gold
 from .corpus import EntitySpan, ParsedSentence, Token, sentence_to_record, validate_sentence
-from .errors import ValidationError
+from .errors import ValidationError, write_atomic
 from .vocab import write_embeddings
 
 EMBED_DIM = 16
@@ -267,7 +268,6 @@ def generate(
     # rejection sampling of fresh pairs stays fast while occupancy is low
     if relations * pairs_per_relation > len(pool) * (len(pool) - 1) // 2:
         raise ValidationError(f"too many pairs requested for a {len(pool)}-name pool")
-    used_pairs: set[tuple[str, str]] = set()
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -275,34 +275,28 @@ def generate(
     gold_path = out / "gold.jsonl"
     embeddings_path = out / "embeddings.txt"
 
-    records = 0
-    gold_lines = []
-    with open(corpus_path, "w", encoding="utf-8") as fh:
-        for rel in chosen:
-            for p in range(pairs_per_relation):
-                while True:
-                    s_name = pool[int(rng.integers(len(pool)))]
-                    o_name = pool[int(rng.integers(len(pool)))]
-                    if s_name != o_name and (s_name, o_name) not in used_pairs:
-                        break
-                used_pairs.add((s_name, o_name))
-                gold_lines.append({"pair": [s_name, o_name], "relations": [rel.name]})
-                for k in range(sentences_per_pair):
-                    template = rel.sentences[int(rng.integers(len(rel.sentences)))]
-                    sentence = instantiate(template, f"{rel.name}-{p:03d}-{k}", s_name, o_name)
-                    fh.write(json.dumps(sentence_to_record(sentence)) + "\n")
-                    records += 1
+    lines = []
+    gold: dict[tuple[str, str], list[str]] = {}
+    for rel in chosen:
+        for p in range(pairs_per_relation):
+            while True:
+                s_name = pool[int(rng.integers(len(pool)))]
+                o_name = pool[int(rng.integers(len(pool)))]
+                if s_name != o_name and (s_name, o_name) not in gold:
+                    break
+            gold[(s_name, o_name)] = [rel.name]
+            for k in range(sentences_per_pair):
+                template = rel.sentences[int(rng.integers(len(rel.sentences)))]
+                sentence = instantiate(template, f"{rel.name}-{p:03d}-{k}", s_name, o_name)
+                lines.append(json.dumps(sentence_to_record(sentence)) + "\n")
 
-    with open(gold_path, "w", encoding="utf-8") as fh:
-        for line in gold_lines:
-            fh.write(json.dumps(line) + "\n")
-
+    write_atomic(corpus_path, "".join(lines).encode("utf-8"))
+    write_gold(gold_path, gold)
     write_embeddings(embeddings_path, toy_embeddings(chosen))
-
     return SynthResult(
         corpus_path=corpus_path,
         gold_path=gold_path,
         embeddings_path=embeddings_path,
-        record_count=records,
-        pair_count=len(gold_lines),
+        record_count=len(lines),
+        pair_count=len(gold),
     )

@@ -9,7 +9,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ValidationError, reading
+from .errors import ValidationError, reading, write_atomic
 from .paths import PAD, UNK, SspTriple
 
 PAD_ID = 0
@@ -68,10 +68,9 @@ def write_embeddings(path: str | Path, vectors: Mapping[str, np.ndarray]) -> Non
     """Pretrained-vector text as load_pretrained reads it: a "count dim"
     header, then "token v1 v2 ... vd" per token in sorted order."""
     tokens = sorted(vectors)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(tokens)} {len(vectors[tokens[0]])}\n")
-        for token in tokens:
-            fh.write(token + " " + " ".join(repr(float(v)) for v in vectors[token]) + "\n")
+    lines = [f"{len(tokens)} {len(vectors[tokens[0]])}\n"]
+    lines += [token + " " + " ".join(repr(float(v)) for v in vectors[token]) + "\n" for token in tokens]
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def load_pretrained(path: str | Path) -> dict[str, np.ndarray]:

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import struct
 import subprocess
 import sys
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cure import autodiff, cli
+from cure import artifacts, autodiff, cli
 from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
 from cure.errors import NumericError, ValidationError
 from cure.model import parameter_shapes, paths_to_ids, read_checkpoint
@@ -134,7 +137,7 @@ class TestLoadConfig:
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path, capsys):
-        code = run("extract-paths", "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o"))
+        code = run("extract-paths", "--set", f"corpus={tmp_path / 'missing.jsonl'}", "--out", str(tmp_path / "o"))
         assert code == 2
         assert "error" in capsys.readouterr().err
 
@@ -149,7 +152,12 @@ class TestExitCodes:
         assert f"cannot read checkpoint {tmp_path / 'nope.ckpt'}" in capsys.readouterr().err
 
     def test_unknown_config_key_is_2(self, tmp_path):
-        assert run("extract-paths", "--set", "bogus_key=1", "--corpus", "x", "--out", "y") == 2
+        assert run("extract-paths", "--set", "bogus_key=1", "--set", "corpus=x", "--out", "y") == 2
+        # encode reads no config key (the model config is in the checkpoint), so it takes no config flags.
+        with pytest.raises(SystemExit) as exited:
+            run("encode", "--config", "no_such.cfg", "--set", "bogus_key=1", "--checkpoint", str(tmp_path / "m.ckpt"),
+                "--paths-file", str(tmp_path / "p.jsonl"), "--out", str(tmp_path / "v.jsonl"))
+        assert exited.value.code == 2
 
     # inf in a bias or an input weight saturates gates and still gives finite
     # vectors; the checkpoint itself must be rejected.
@@ -166,6 +174,25 @@ class TestExitCodes:
         assert f"parameter {name!r} holds a non-finite value" in capsys.readouterr().err
 
 
+_WRONG_TYPES = {  # case: (what the file holds, a change to its first record, the reason given)
+    "id 7": ("corpus record", lambda r: r.update(id=7), "id must be a string, got 7"),
+    "head 1.7": ("corpus record", lambda r: r["tokens"][0].update(head=1.7), "head must be an integer, got 1.7"),
+    "head true": ("corpus record", lambda r: r["tokens"][0].update(head=True), "head must be an integer, got True"),
+    "start 0.0": ("corpus record", lambda r: r["subject"].update(start=0.0), "start must be an integer, got 0.0"),
+    "end false": ("corpus record", lambda r: r["object"].update(end=False), "end must be an integer, got False"),
+    "text 12": ("corpus record", lambda r: r["tokens"][0].update(text=12), "text must be a string, got 12"),
+    "pos null": ("corpus record", lambda r: r["tokens"][1].update(pos=None), "pos must be a string, got None"),
+    "dep array": ("corpus record", lambda r: r["tokens"][1].update(dep=["x"]), "dep must be a string, got ['x']"),
+    "canonical 5": ("corpus record", lambda r: r["object"].update(canonical=5), "canonical must be a string, got 5"),
+    "cluster 0.9": ("cluster assignment", lambda r: r.update(cluster=0.9), "cluster must be an integer, got 0.9"),
+    "cluster true": ("cluster assignment", lambda r: r.update(cluster=True), "cluster must be an integer, got True"),
+    "labels cluster 0.0": ("cluster label", lambda r: r.update(cluster=0.0), "cluster must be an integer, got 0.0"),
+    "label word 12": ("cluster label", lambda r: r.update(labels=[[12, 1.0]]), "label word must be a string, got 12"),
+    "label score text": ("cluster label", lambda r: r.update(labels=[["w", "1"]]), "label score must be a number"),
+    "label score true": ("cluster label", lambda r: r.update(labels=[["w", True]]), "label score must be a number"),
+}
+
+
 class TestMalformedArtifacts:
     """A malformed input file exits 2 with the file and record named, never a traceback."""
 
@@ -178,7 +205,7 @@ class TestMalformedArtifacts:
     def test_vectors_record_without_pair(self, tmp_path, capsys):
         vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": ["a", "b"], "vector": [0.0]}, {"vector": [1.0]}])
         self.assert_exit_2(
-            capsys, ["cluster", "--vectors", str(vectors), "--k", "1", "--out", str(tmp_path / "c.jsonl")],
+            capsys, ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl")],
             f"{vectors}:2: malformed relation vector",
         )
 
@@ -186,7 +213,7 @@ class TestMalformedArtifacts:
         vectors = tmp_path / "v.jsonl"
         vectors.write_text('{"pair": ["a", "b"], "vector": [0.0]}\n\n  \n{"vector": [1.0]}\n', encoding="utf-8")
         self.assert_exit_2(
-            capsys, ["cluster", "--vectors", str(vectors), "--k", "1", "--out", str(tmp_path / "c.jsonl")],
+            capsys, ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl")],
             f"{vectors}:4: malformed relation vector (KeyError('pair'))",
         )
 
@@ -197,13 +224,13 @@ class TestMalformedArtifacts:
         assert ("NaN" if value != value else "Infinity") in vectors.read_text()
         out = tmp_path / "c.jsonl"
         self.assert_exit_2(
-            capsys, ["cluster", "--vectors", str(vectors), "--k", "2", "--out", str(out)],
+            capsys, ["cluster", "--vectors", str(vectors), "--set", "k_clusters=2", "--out", str(out)],
             f"{vectors}:2: malformed relation vector", "non-finite",
         )
         assert not out.exists()
 
     def cluster_argv(self, vectors: Path, tmp_path) -> list[str]:
-        return ["cluster", "--vectors", str(vectors), "--k", "1", "--out", str(tmp_path / "c.jsonl")]
+        return ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl")]
 
     @pytest.mark.parametrize("pair", ["ab", ["a"], ["a", "b", "c"], ["a", 1], [["a"], "b"], None])
     @pytest.mark.parametrize("layout", ["as encode writes it", "keys reordered"])
@@ -240,7 +267,7 @@ class TestMalformedArtifacts:
         else:
             clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}])
             bad = write_jsonl(tmp_path / "g.jsonl", [{"pair": "ab", "relations": ["r"]}])
-            argv, what, line = evaluate(clusters) + ["--gold", str(bad)], "gold relation", 1
+            argv, what, line = evaluate(clusters) + ["--set", f"gold={bad}"], "gold relation", 1
         self.assert_exit_2(capsys, argv, f"{bad}:{line}: malformed {what}", "pair must be an array of two strings")
 
     def test_pair_listed_twice_in_vectors(self, tmp_path, capsys):
@@ -273,7 +300,7 @@ class TestMalformedArtifacts:
         self.assert_exit_2(
             capsys,
             ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
-             "--gold", str(gold), "--out", str(tmp_path / "s.csv")],
+             "--set", f"gold={gold}", "--out", str(tmp_path / "s.csv")],
             f"{gold}: pair ['a', 'b'] is listed twice; one record lists all of a pair's relations",
         )
 
@@ -303,7 +330,7 @@ class TestMalformedArtifacts:
             labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
             bad = write_jsonl(tmp_path / "g.jsonl", [{"pair": ["a", "b"], "relations": "ab"}])
             argv = ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
-                    "--gold", str(bad), "--out", out]
+                    "--set", f"gold={bad}", "--out", out]
             self.assert_exit_2(capsys, argv, f"{bad}:1: malformed gold relation", "relations must be an array of strings")
         elif case == "checkpoint vocab":
             meta = json.loads(split_checkpoint(ckpt)[1])
@@ -375,7 +402,7 @@ class TestMalformedArtifacts:
         deep = b"[" * 100_000
         vectors = tmp_path / "v.jsonl"
         vectors.write_bytes(deep + b"\n")
-        argv = ["cluster", "--vectors", str(vectors), "--k", "1", "--out", str(tmp_path / "c.jsonl")]
+        argv = ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl")]
         self.assert_exit_2(capsys, argv, f"{vectors}:1: invalid JSON (nested too deeply)")
         argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], deep))
         self.assert_exit_2(capsys, argv, f"{tmp_path / 'model.ckpt'}: checkpoint metadata: invalid JSON (nested too")
@@ -468,12 +495,12 @@ class TestMalformedArtifacts:
 
         content, argv, reason = {
             "missing stopwords": (None, label + ["--set", f"stopwords={bad}"], "cannot read stopwords"),
-            "corpus": (not_utf8, ["extract-paths", "--corpus", str(bad), "--out", out], "not UTF-8"),
+            "corpus": (not_utf8, ["extract-paths", "--set", f"corpus={bad}", "--out", out], "not UTF-8"),
             "paths": (paths.read_bytes() + not_utf8, ["train", "--config", str(cfg), "--paths-file", str(bad),
                                                       "--out-checkpoint", out], "not UTF-8"),
             "vectors": (b'{"pair": ["a", "b"], "vector": [0.0]}\n' + not_utf8,
-                        ["cluster", "--vectors", str(bad), "--k", "1", "--out", out], "not UTF-8"),
-            "embeddings": ((root / "embeddings.txt").read_bytes() + not_utf8, label + ["--embeddings", str(bad)],
+                        ["cluster", "--vectors", str(bad), "--set", "k_clusters=1", "--out", out], "not UTF-8"),
+            "embeddings": ((root / "embeddings.txt").read_bytes() + not_utf8, label + ["--set", f"embeddings={bad}"],
                            "not UTF-8"),
             "stopwords": (b"the\n" + not_utf8, label + ["--set", f"stopwords={bad}"], "not UTF-8"),
             "checkpoint": (with_meta(ckpt, not_utf8.rstrip() + split_checkpoint(ckpt)[1]), encode, "not UTF-8"),
@@ -522,7 +549,7 @@ class TestMalformedArtifacts:
         self.assert_exit_2(
             capsys,
             ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
-             "--gold", str(gold), "--out", str(tmp_path / "s.csv")],
+             "--set", f"gold={gold}", "--out", str(tmp_path / "s.csv")],
             f"{gold}:1: malformed gold relation",
         )
 
@@ -537,7 +564,7 @@ class TestMalformedArtifacts:
         if case == "corpus":
             bad = tmp_path / "bad.jsonl"
             bad.write_text('{"id": 1\n', encoding="utf-8")
-            argv, reason = ["extract-paths", "--corpus", str(bad), "--out", out], f"{bad}:1: invalid JSON"
+            argv, reason = ["extract-paths", "--set", f"corpus={bad}", "--out", out], f"{bad}:1: invalid JSON"
         else:
             bad = tmp_path / "bad.txt"
             good = (root / "embeddings.txt").read_text(encoding="utf-8")
@@ -545,16 +572,46 @@ class TestMalformedArtifacts:
             pairs = {tuple(json.loads(line)["pair"]) for line in paths.read_text(encoding="utf-8").splitlines()}
             clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": list(p)} for p in sorted(pairs)])
             argv = ["label", "--config", str(cfg), "--clusters", str(clusters), "--paths-file", str(paths),
-                    "--embeddings", str(bad), "--out", out]
+                    "--set", f"embeddings={bad}", "--out", out]
             reason = f"{bad}:{len(good.splitlines()) + 1}: unparseable vector value"
         self.assert_exit_2(capsys, argv, reason)
+
+
+    @pytest.mark.parametrize("case", list(_WRONG_TYPES))
+    def test_field_of_the_wrong_type_is_2(self, tiny_setup, trained, tmp_path, capsys, case):
+        """A float or a bool where a JSON integer belongs, and anything but a
+        string where a string belongs, is refused, not coerced."""
+        root, cfg = tiny_setup
+        paths, _ = trained
+        what, change, reason = _WRONG_TYPES[case]
+        out = str(tmp_path / "out")
+        record = {
+            "corpus record": json.loads((root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0]),
+            "cluster assignment": {"cluster": 0, "pair": ["a", "b"]},
+            "cluster label": {"cluster": 0, "labels": [["w", 1.0]]},
+        }[what]
+        change(record)
+        bad = write_jsonl(tmp_path / "bad.jsonl", [record])
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
+        evaluate = ["evaluate", "--config", str(cfg), "--out", out]
+        argvs = {
+            "corpus record": [["extract-paths", "--set", f"corpus={bad}", "--out", out]],
+            "cluster assignment": [
+                ["label", "--config", str(cfg), "--clusters", str(bad), "--paths-file", str(paths), "--out", out],
+                evaluate + ["--clusters", str(bad), "--labels", str(labels)],
+            ],
+            "cluster label": [evaluate + ["--clusters", str(clusters), "--labels", str(bad)]],
+        }[what]
+        for argv in argvs:
+            self.assert_exit_2(capsys, argv, f"{bad}:1: malformed {what}", reason)
 
 
 class TestStages:
     def test_extract_paths_format(self, tiny_setup, tmp_path):
         root, cfg = tiny_setup
         out = tmp_path / "paths.jsonl"
-        assert run("extract-paths", "--corpus", str(root / "corpus.jsonl"), "--out", str(out)) == 0
+        assert run("extract-paths", "--set", f"corpus={root / 'corpus.jsonl'}", "--out", str(out)) == 0
         records = [json.loads(line) for line in open(out, encoding="utf-8")]
         assert len(records) == 12  # 2 relations x 3 pairs x 2 sentences
         for rec in records:
@@ -584,7 +641,7 @@ class TestStages:
         dim = len(vec_records[0]["vector"])
         assert all(len(r["vector"]) == dim for r in vec_records)
 
-        assert run("cluster", "--vectors", str(vectors), "--k", "2", "--out", str(clusters)) == 0
+        assert run("cluster", "--vectors", str(vectors), "--set", "k_clusters=2", "--out", str(clusters)) == 0
         assert Path(str(clusters) + ".centroids.jsonl").exists()
         cluster_records = [json.loads(line) for line in open(clusters, encoding="utf-8")]
         assert sorted({r["cluster"] for r in cluster_records}) == [0, 1]
@@ -618,7 +675,8 @@ class TestStages:
         with open(clusters, "w", encoding="utf-8") as fh:
             for p in pairs:
                 fh.write(json.dumps({"cluster": 0, "pair": list(p)}) + "\n")
-        assert run("label", "--clusters", str(clusters), "--paths-file", str(paths), "--method", "cw", "--out", str(labels)) == 0
+        argv = ["label", "--clusters", str(clusters), "--paths-file", str(paths), "--out", str(labels)]
+        assert run(*argv, "--set", "method=cw") == 0
         (rec,) = [json.loads(line) for line in open(labels, encoding="utf-8")]
         assert rec["labels"][0][1] >= rec["labels"][-1][1]
 
@@ -808,7 +866,7 @@ class TestVectorsReader:
     def outcome(read) -> list | str:
         """The records read, each vector as its shape and bytes, or the ValidationError's text."""
         try:
-            return [(pair, vector.shape, vector.tobytes()) for pair, vector in read()]
+            return [(pair, vector.shape, vector.tobytes()) for pair, vector in read().items()]
         except ValidationError as exc:
             return str(exc)
 
@@ -820,9 +878,9 @@ class TestVectorsReader:
         path = tmp_path_factory.getbasetemp() / "fuzzed-vectors.jsonl"
         path.write_text(text, encoding="utf-8")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli, "_split_vector_line", lambda line, memo: None)
-            plain = self.outcome(lambda: cli._read_vectors(path))
-        assert self.outcome(lambda: cli._read_vectors(path)) == plain
+            patch.setattr(artifacts, "_split_vector_line", lambda line, memo: None)
+            plain = self.outcome(lambda: artifacts.read_vectors(path))
+        assert self.outcome(lambda: artifacts.read_vectors(path)) == plain
 
     def test_each_distinct_vector_text_is_parsed_and_checked_once(self, tmp_path, monkeypatch):
         """Lines that repeat another line's vector text share its checked,
@@ -832,10 +890,10 @@ class TestVectorsReader:
         records = [{"pair": [f"s{i}", "o"], "vector": distinct[i % 3]} for i in range(12)]
         vectors = write_jsonl(tmp_path / "v.jsonl", records)
         parsed, checked = [], []
-        loads, finite_vector = json.loads, cli._finite_vector
-        monkeypatch.setattr(cli.json, "loads", lambda text: parsed.append(text) or loads(text))
-        monkeypatch.setattr(cli, "_finite_vector", lambda values: checked.append(values) or finite_vector(values))
-        read = cli._read_vectors(vectors)
+        loads, finite_vector = json.loads, artifacts._finite_vector
+        monkeypatch.setattr(artifacts.json, "loads", lambda text: parsed.append(text) or loads(text))
+        monkeypatch.setattr(artifacts, "_finite_vector", lambda values: checked.append(values) or finite_vector(values))
+        read = list(artifacts.read_vectors(vectors).items())
         monkeypatch.undo()
         texts = [json.dumps(v) for v in distinct]
         assert sorted(text for text in parsed if text in texts) == sorted(texts)
@@ -844,6 +902,103 @@ class TestVectorsReader:
         assert [(pair, vector.tolist()) for pair, vector in read] == [(tuple(r["pair"]), r["vector"]) for r in records]
         assert read[0][1] is read[3][1]
         assert not read[0][1].flags.writeable
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(value, found: list) -> list:
+    """Every (container, key) inside a JSON value, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        found.append((value, key))
+        _slots(child, found)
+    return found
+
+
+@st.composite
+def _damaged(draw, good: bytes, jsonl: bool) -> bytes:
+    """good with one damage: random bytes in its place, a truncation, bytes
+    appended, or one line changed. A JSON Lines line gets a float or a bool
+    for one of its integers, another JSON value for one of its values or for
+    the whole record, or loses a key; a text line becomes random text."""
+    damage = draw(st.sampled_from(["bytes", "truncated", "appended", "line"]))
+    if damage == "bytes":
+        return draw(st.binary(max_size=64))
+    if damage == "truncated":
+        return good[: draw(st.integers(0, len(good) - 1))]
+    if damage == "appended":
+        return good + draw(st.binary(min_size=1, max_size=16))
+    lines = good.decode("utf-8").splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    if not jsonl:
+        lines[i] = draw(st.text(max_size=16)) + "\n"
+    else:
+        record = json.loads(lines[i])
+        slots = _slots(record, [])
+        integers = [(c, k) for c, k in slots if type(c[k]) is int]
+        change = draw(st.sampled_from(["integer", "value", "drop key", "record"]))
+        if change == "integer" and integers:
+            container, key = draw(st.sampled_from(integers))
+            container[key] = draw(st.sampled_from([container[key] + 0.5, float(container[key]), True, False]))
+        elif change in ("integer", "value") and slots:
+            container, key = draw(st.sampled_from(slots))
+            container[key] = draw(_JSON)
+        elif change == "drop key" and isinstance(record, dict) and record:
+            del record[draw(st.sampled_from(sorted(record)))]
+        else:
+            record = draw(_JSON)
+        lines[i] = json.dumps(record) + "\n"
+    return "".join(lines).encode("utf-8", "surrogatepass")
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tiny_setup, trained, tmp_path_factory):
+    """A good file for each reader the fuzzer damages, and the cure command
+    that reads it, given the damaged file's path."""
+    root, cfg = tiny_setup
+    paths, _ = trained
+    work = tmp_path_factory.mktemp("reader-inputs")
+    pairs = sorted({tuple(json.loads(line)["pair"]) for line in paths.read_text(encoding="utf-8").splitlines()})
+    clusters = write_jsonl(work / "clusters.jsonl", [{"cluster": i % 2, "pair": list(p)} for i, p in enumerate(pairs)])
+    labels, out = work / "labels.jsonl", str(work / "out")
+
+    def label(clusters=clusters, paths=paths, out=out):
+        return ["label", "--config", str(cfg), "--clusters", str(clusters), "--paths-file", str(paths), "--out", out]
+
+    def evaluate(clusters=clusters, labels=labels):
+        return ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels), "--out", out]
+
+    assert run(*label(out=str(labels))) == 0 and run(*evaluate()) == 0
+    stopwords = resources.files("cure").joinpath("data/stopwords.txt").read_bytes()
+    return {  # reader: (good bytes, JSON Lines?, argv given the damaged file)
+        "corpus": ((root / "corpus.jsonl").read_bytes(), True,
+                   lambda bad: ["extract-paths", "--set", f"corpus={bad}", "--out", out]),
+        "paths": (paths.read_bytes(), True, lambda bad: label(paths=bad)),
+        "cluster assignments": (clusters.read_bytes(), True, lambda bad: label(clusters=bad)),
+        "labels": (labels.read_bytes(), True, lambda bad: evaluate(labels=bad)),
+        "gold": ((root / "gold.jsonl").read_bytes(), True, lambda bad: evaluate() + ["--set", f"gold={bad}"]),
+        "embeddings": ((root / "embeddings.txt").read_bytes(), False,
+                       lambda bad: label() + ["--set", f"embeddings={bad}"]),
+        "stopwords": (stopwords, False, lambda bad: label() + ["--set", f"stopwords={bad}"]),
+    }
+
+
+class TestReaders:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_damaged_input_exits_0_or_2(self, reader_inputs, tmp_path_factory, data):
+        """Every reader not fuzzed elsewhere (the vectors and checkpoint
+        readers are), run by the cure command that reads it: a damaged file
+        exits 0 or 2, never 1 or a traceback."""
+        good, jsonl, argv = reader_inputs[data.draw(st.sampled_from(sorted(reader_inputs)))]
+        bad = tmp_path_factory.getbasetemp() / "damaged-input"
+        bad.write_bytes(data.draw(_damaged(good, jsonl)))
+        assert run(*argv(str(bad))) in (0, 2)
 
 
 class TestClusterStage:
@@ -905,13 +1060,37 @@ class TestPipeline:
     def test_invalid_model_key_exits_before_any_stage_writes(self, tiny_setup, tmp_path, capsys):
         root, cfg = tiny_setup
         out = tmp_path / "out"
-        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={out}", "--set", "epochs=-1") == 2
-        assert "config epochs must be non-negative" in capsys.readouterr().err
-        assert not (out / "paths.jsonl").exists()
+        for setting, message in [
+            ("epochs=-1", "config epochs must be non-negative"),
+            ("top_n=-1", "config top_n must be at least 1, got -1"),
+            ("top_n=0", "config top_n must be at least 1, got 0"),
+            ("k_clusters=0", "config k_clusters must be at least 1, got 0"),
+            ("min_paths=0", "config min_paths must be at least 1, got 0"),
+            ("min_freq=0", "config min_freq must be at least 1, got 0"),
+            ("method=wsv", "config method must be 'wvs' or 'cw', got 'wsv'"),
+        ]:
+            assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={out}", "--set", setting) == 2, setting
+            assert message in capsys.readouterr().err
+            assert not out.exists(), setting
 
     def test_missing_required_key(self, tmp_path):
         with pytest.raises(ValidationError, match="corpus"):
             run_pipeline(RunConfig(out_dir=str(tmp_path)))
+
+
+def test_every_readme_command_parses():
+    """Every `cure ...` line in README's shell blocks parses, so that a flag
+    the command line no longer has cannot stay in the docs."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    commands = [line for block in blocks for line in block.splitlines() if line.startswith("cure ")]
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
 
 
 def test_python_m_cure_runs_from_a_checkout():

@@ -1,12 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
+from cure.artifacts import write_gold
 from cure.corpus import parse_corpus
 from cure.errors import ValidationError
 from cure.labeling import cosine, load_stopwords
 from cure.paths import shortest_path
 from cure.synth import BUILTIN_RELATIONS, generate, instantiate, name_pool, toy_embeddings
+from cure.vocab import write_embeddings
+
+from helpers import WriteFailed, fail_writes_halfway
 
 
 class TestTemplates:
@@ -98,6 +103,22 @@ class TestGenerate:
         gold = [json.loads(line) for line in open(result.gold_path, encoding="utf-8")]
         pairs = [tuple(g["pair"]) for g in gold]
         assert len(pairs) == len(set(pairs))
+
+    def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch):
+        """A write that dies partway, of the corpus, the gold file or the
+        embeddings, leaves the earlier files byte-identical and no temporary behind."""
+        first = generate(2, 3, 2, seed=1, out_dir=tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        fail_writes_halfway(monkeypatch)
+        for write in (
+            lambda: generate(2, 3, 2, seed=2, out_dir=tmp_path),
+            lambda: write_gold(first.gold_path, {("a", "b"): ["r"]}),
+            lambda: write_embeddings(first.embeddings_path, {"w": np.ones(2)}),
+        ):
+            with pytest.raises(WriteFailed):
+                write()
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_argument_validation(self, tmp_path):
         with pytest.raises(ValidationError):
