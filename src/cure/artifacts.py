@@ -17,7 +17,6 @@ import numpy as np
 
 from .corpus import RECORD_ERRORS, integer, number, parse_line, read_jsonl, string, string_array
 from .errors import ValidationError, write_atomic
-from .labeling import LabelCandidates
 from .metrics import RelationScore
 from .paths import SspTriple
 
@@ -167,12 +166,12 @@ def write_labels(path: str | Path, labels: Mapping[int, Sequence[tuple[str, floa
     _write_jsonl(path, ({"cluster": c, "labels": [[w, float(s)] for w, s in top]} for c, top in labels.items()))
 
 
-def _label_record(rec: dict) -> tuple[int, LabelCandidates]:
+def _label_record(rec: dict) -> tuple[int, tuple[tuple[str, float], ...]]:
     candidates = tuple((string(w, "label word"), number(s, "label score")) for w, s in rec["labels"])
-    return integer(rec["cluster"], "cluster"), LabelCandidates(candidates=candidates)
+    return integer(rec["cluster"], "cluster"), candidates
 
 
-def read_labels(path: str | Path) -> dict[int, LabelCandidates]:
+def read_labels(path: str | Path) -> dict[int, tuple[tuple[str, float], ...]]:
     """Cluster id -> its ranked label candidates, in file order."""
     return _unique(path, "cluster", read_jsonl(path, "cluster label", _label_record))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError
 
 GRAD_CLIP_NORM = 5.0
 
@@ -60,21 +60,17 @@ class LstmCache:
     tanh_c: np.ndarray  # (T, B, h)
 
 
-def lstm_forward(p: CellWeights, xs: np.ndarray, keep: bool = False) -> tuple[np.ndarray, LstmCache | None]:
-    """Hidden states (T, B, h) of an LSTM run over xs (T, B, d) from zero state.
-
-    With keep, also the cache lstm_backward needs; without, nothing else is stored.
-    """
+def lstm_forward(p: CellWeights, xs: np.ndarray) -> tuple[np.ndarray, LstmCache]:
+    """Hidden states (T, B, h) of an LSTM run over xs (T, B, d) from zero
+    state, and the cache lstm_backward needs."""
     steps, batch, _ = xs.shape
     h = p.W.shape[1]
-    hs = np.zeros((steps + 1, batch, h))
-    c = np.zeros((batch, h))
-    cache = None
-    if keep:
-        cache = LstmCache(
-            xs=xs, hs=hs, cs=np.zeros((steps + 1, batch, h)),
-            gates=np.empty((steps, batch, 4 * h)), tanh_c=np.empty((steps, batch, h)),
-        )
+    cache = LstmCache(
+        xs=xs, hs=np.zeros((steps + 1, batch, h)), cs=np.zeros((steps + 1, batch, h)),
+        gates=np.empty((steps, batch, 4 * h)), tanh_c=np.empty((steps, batch, h)),
+    )
+    hs = cache.hs
+    c = cache.cs[0]
     # The input projection runs per step, not as one (T * B)-row matmul up
     # front: row counts that large make the BLAS start its worker threads,
     # which cost more than they save at these sizes and keep spinning into
@@ -87,11 +83,10 @@ def lstm_forward(p: CellWeights, xs: np.ndarray, keep: bool = False) -> tuple[np
         c = sig[:, h : 2 * h] * c + sig[:, 2 * h :] * cand
         tanh_c = np.tanh(c)
         hs[t + 1] = sig[:, :h] * tanh_c
-        if cache is not None:
-            cache.cs[t + 1] = c
-            cache.gates[t, :, : 3 * h] = sig
-            cache.gates[t, :, 3 * h :] = cand
-            cache.tanh_c[t] = tanh_c
+        cache.cs[t + 1] = c
+        cache.gates[t, :, : 3 * h] = sig
+        cache.gates[t, :, 3 * h :] = cand
+        cache.tanh_c[t] = tanh_c
     return hs[1:], cache
 
 
@@ -188,13 +183,7 @@ def gru_weight_grads(
 def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     """Per-row -log softmax(logits)[target] for logits (n, V), with max
     subtraction, and its gradient with respect to the logits (softmax minus one-hot)."""
-    if logits.ndim != 2:
-        raise ValidationError("softmax_cross_entropy: logits must be a matrix")
     targets = np.asarray(targets, dtype=np.intp)
-    if targets.shape != (logits.shape[0],):
-        raise ValidationError("softmax_cross_entropy: one target per row expected")
-    if np.any((targets < 0) | (targets >= logits.shape[1])):
-        raise ValidationError(f"softmax_cross_entropy: target out of range [0, {logits.shape[1]})")
     rows = np.arange(logits.shape[0])
     peak = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - peak)

@@ -149,7 +149,7 @@ def stage_encode(checkpoint_path: str, paths_file: str, out_path: str) -> int:
     for group, paths in zip(groups, ids):
         key = tuple(paths)
         if key not in vectors:
-            vector = modeling.infer_relation_vector(params, paths, encodings)
+            vector = modeling.infer_relation_vector(paths, encodings)
             if not np.all(np.isfinite(vector)):
                 raise NumericError(f"pair {group.pair}: non-finite relation vector")
             vectors[key] = vector
@@ -198,8 +198,8 @@ def stage_label(
     labels = {}
     for cluster_id, paths in word_paths.items():
         counts = candidate_set(paths, stopwords)
-        label = wvs_label(counts, vectors) if method == "wvs" else cw_label(counts)
-        labels[cluster_id] = label.top(top_n)
+        ranked = wvs_label(counts, vectors) if method == "wvs" else cw_label(counts)
+        labels[cluster_id] = ranked[:top_n]
     artifacts.write_labels(out_path, labels)
     return len(labels)
 

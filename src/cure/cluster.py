@@ -69,18 +69,6 @@ class Cluster:
     centroid: np.ndarray
 
 
-def _as_matrix(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    if len(vectors) < 2:
-        raise ValidationError("clustering needs at least 2 vectors")
-    dims = {np.asarray(v).shape for v in vectors}
-    if len(dims) != 1 or len(next(iter(dims))) != 1:
-        raise ValidationError(f"vectors must share one dimension, got shapes {sorted(dims)}")
-    points = np.array(vectors, dtype=np.float64)
-    if not np.isfinite(points).all():
-        raise ValidationError("vectors must be finite")
-    return points
-
-
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix, one row at a time: row i holds the
     distances to points i.. and is mirrored into column i."""
@@ -155,7 +143,9 @@ def hac(vectors: Sequence[np.ndarray]) -> Dendrogram:
     puts the union in the slot of its lower id, under an id larger than
     every live one, so that row starts empty and every other row only has
     to compare the union with its cached partner."""
-    points = _as_matrix(vectors)
+    if len(vectors) < 2:
+        raise ValidationError("clustering needs at least 2 vectors")
+    points = np.array(vectors, dtype=np.float64)
     n = points.shape[0]
     groups = _duplicate_groups(points)
     if len(groups) < n:

@@ -9,7 +9,6 @@ by cosine against it) and the common-words baseline (rank by count).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,26 +28,21 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(w.strip().lower() for w in text.splitlines() if w.strip() and not w.startswith("#"))
 
 
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that brings its largest magnitude into [0.5, 1)."""
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine similarity, scale-free: each vector is first scaled by a power
+    of two, which is exact, so the dot product and the norms cannot overflow
+    on large finite values."""
+    u, v = _scaled(u), _scaled(v)
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     return float(u @ v) / (nu * nv)
-
-
-@dataclass(frozen=True)
-class LabelCandidates:
-    """Ranked (word, score) candidates; the first entry is the chosen label."""
-
-    candidates: tuple[tuple[str, float], ...]
-
-    @property
-    def chosen(self) -> str:
-        return self.candidates[0][0]
-
-    def top(self, n: int) -> list[tuple[str, float]]:
-        return list(self.candidates[:n])
 
 
 def candidate_set(word_paths: Sequence[Sequence[str]], stopwords: frozenset[str]) -> Counter:
@@ -64,8 +58,9 @@ def candidate_set(word_paths: Sequence[Sequence[str]], stopwords: frozenset[str]
     return counts
 
 
-def wvs_label(candidates: Mapping[str, int], vectors: Mapping[str, np.ndarray]) -> LabelCandidates:
-    """Rank candidates by cosine against a weighted vector sum.
+def wvs_label(candidates: Mapping[str, int], vectors: Mapping[str, np.ndarray]) -> tuple[tuple[str, float], ...]:
+    """Candidates as ranked (word, score) pairs, by cosine against a weighted
+    vector sum; the first word is the label.
 
     Each distinct word's raw weight is its count times the summed cosine
     distance (1 - cos) to the other distinct words, so frequent words that
@@ -76,7 +71,7 @@ def wvs_label(candidates: Mapping[str, int], vectors: Mapping[str, np.ndarray]) 
     if not words:
         raise ValidationError("no candidate word has a pretrained vector")
     if len(words) == 1:
-        return LabelCandidates(candidates=((words[0], 1.0),))
+        return ((words[0], 1.0),)
 
     vecs = {w: vectors[w] for w in words}
     raw = {}
@@ -93,32 +88,29 @@ def wvs_label(candidates: Mapping[str, int], vectors: Mapping[str, np.ndarray]) 
     for w in words:
         summed = summed + weights[w] * vecs[w]
 
-    scored = sorted(((w, cosine(vecs[w], summed)) for w in words), key=lambda ws: (-ws[1], ws[0]))
-    return LabelCandidates(candidates=tuple(scored))
+    return tuple(sorted(((w, cosine(vecs[w], summed)) for w in words), key=lambda ws: (-ws[1], ws[0])))
 
 
-def cw_label(candidates: Mapping[str, int]) -> LabelCandidates:
-    """Common-words baseline: rank by count descending, ties lexicographic."""
-    if not candidates:
-        raise ValidationError("empty candidate set")
+def cw_label(candidates: Mapping[str, int]) -> tuple[tuple[str, float], ...]:
+    """Common-words baseline: (word, count) pairs by count descending, ties lexicographic."""
     ranked = sorted(candidates.items(), key=lambda wc: (-wc[1], wc[0]))
-    return LabelCandidates(candidates=tuple((w, float(c)) for w, c in ranked))
+    return tuple((w, float(c)) for w, c in ranked)
 
 
 def match_to_gold(
-    label: LabelCandidates,
+    label: Sequence[tuple[str, float]],
     gold_relations: Sequence[tuple[str, np.ndarray]],
     vectors: Mapping[str, np.ndarray],
 ) -> str:
     """The gold relation whose name vector is most cosine-similar to the
-    chosen label word; candidates without a vector fall through to the next.
+    label's first word; words without a vector fall through to the next.
 
     Ties break lexicographically on the relation name.
     """
     if not gold_relations:
         raise ValidationError("no gold relations given")
     ordered_gold = sorted(gold_relations, key=lambda nv: nv[0])
-    for word, _score in label.candidates:
+    for word, _score in label:
         word_vec = vectors.get(word)
         if word_vec is None:
             continue

@@ -63,8 +63,8 @@ class ModelConfig:
                 raise ValidationError(f"config {name} must be a positive integer")
         if self.n_l < 2:
             raise ValidationError("config n_l must be at least 2")
-        if self.learning_rate <= 0:
-            raise ValidationError("config learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(f"config learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValidationError("config epochs must be non-negative")
 
@@ -256,12 +256,8 @@ def _fit(ids: tuple[int, ...], n_l: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _position_ids(params: ModelParams, paths: Sequence[PathIds]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _position_ids(paths: Sequence[PathIds]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Word, dependency and POS ids, each (n_l, len(paths))."""
-    n_l = params.cfg.n_l
-    for p in paths:
-        if len(p.word_ids) != n_l:
-            raise ValidationError(f"path length {len(p.word_ids)} != configured n_l {n_l}")
     return tuple(
         np.array([getattr(p, key) for p in paths], dtype=np.intp).T for key in ("word_ids", "dep_ids", "pos_ids")
     )
@@ -281,20 +277,16 @@ class EncoderCache:
     backward: ad.LstmCache  # over the time-reversed inputs
 
 
-def encode_blocks(
-    params: ModelParams, paths: Sequence[PathIds], keep: bool = False
-) -> tuple[np.ndarray, EncoderCache | None]:
+def encode_blocks(params: ModelParams, paths: Sequence[PathIds]) -> tuple[np.ndarray, EncoderCache]:
     """Per-position concatenated forward/backward LSTM states of every path,
-    (len(paths), n_l, n_h + n_h2), all paths run as one batch.
-
-    With keep, also the cache encoder_backward needs; without, nothing else is stored.
-    """
-    ids = _position_ids(params, paths)
+    (len(paths), n_l, n_h + n_h2), all paths run as one batch, and the cache
+    encoder_backward needs."""
+    ids = _position_ids(paths)
     xs = _embed(params, ids)
-    forward, fwd_cache = ad.lstm_forward(params.enc_fwd, xs, keep)
-    backward, bwd_cache = ad.lstm_forward(params.enc_bwd, xs[::-1], keep)
+    forward, fwd_cache = ad.lstm_forward(params.enc_fwd, xs)
+    backward, bwd_cache = ad.lstm_forward(params.enc_bwd, xs[::-1])
     blocks = np.concatenate([forward, backward[::-1]], axis=2).transpose(1, 0, 2)
-    return blocks, (EncoderCache(ids, fwd_cache, bwd_cache) if keep else None)
+    return blocks, EncoderCache(ids, fwd_cache, bwd_cache)
 
 
 def encoder_backward(params: ModelParams, grads: ModelParams, cache: EncoderCache, d_blocks: np.ndarray) -> None:
@@ -323,24 +315,13 @@ def encode_distinct(params: ModelParams, paths: Sequence[PathIds]) -> dict[PathI
     return dict(zip(distinct, encode_blocks(params, distinct)[0].reshape(len(distinct), -1)))
 
 
-def aggregate(encodings: Sequence[np.ndarray]) -> np.ndarray:
-    """Relation vector of a pair: elementwise sum of its path encodings."""
-    if len(encodings) == 0:
-        raise ValidationError("aggregate: no encodings given")
-    out = np.array(encodings[0], dtype=np.float64)
-    for e in encodings[1:]:
-        if e.shape != out.shape:
-            raise ValidationError("aggregate: encodings differ in dimension")
-        out = out + e
+def infer_relation_vector(paths: Sequence[PathIds], encodings: Mapping[PathIds, np.ndarray]) -> np.ndarray:
+    """Relation vector of a pair: the elementwise sum of all its paths'
+    encodings (nothing held out), in path order (see encode_distinct)."""
+    out = encodings[paths[0]].copy()  # an encoding is a view that other pairs share
+    for p in paths[1:]:
+        out += encodings[p]
     return out
-
-
-def infer_relation_vector(
-    params: ModelParams, paths: Sequence[PathIds], encodings: Mapping[PathIds, np.ndarray]
-) -> np.ndarray:
-    """Relation vector over all of a pair's paths (nothing held out), summed in
-    path order from their encodings (see encode_distinct)."""
-    return aggregate([encodings[p] for p in paths])
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +343,10 @@ class DecoderPass:
     logits: np.ndarray  # (n, n_words)
 
 
-def decode_path(params: ModelParams, blocks, steps: int | None = None) -> DecoderPass:
-    """Word logits for the first `steps` steps (default n_l), attending over
-    the relation-vector blocks (n_l, n_h + n_h2)."""
+def decode_path(params: ModelParams, blocks: np.ndarray, n: int) -> DecoderPass:
+    """Word logits for the first n steps, attending over the relation-vector
+    blocks (n_l, n_h + n_h2)."""
     cfg = params.cfg
-    blocks = np.asarray(blocks, dtype=np.float64)
-    if blocks.shape != (cfg.n_l, cfg.block_dim):
-        raise ValidationError(f"expected {cfg.n_l} blocks of size {cfg.block_dim}, got shape {blocks.shape}")
-    n = cfg.n_l if steps is None else steps
     g, bd = cfg.n_g, cfg.block_dim
     weights = np.empty((n, cfg.n_l))
     joined = np.zeros((n, bd + g))
@@ -431,9 +408,9 @@ def _path_prediction_loss(
 ) -> float:
     """Mean cross entropy of the target's unpadded words, decoded from the sum
     of the inputs' encodings; with grads, also adds the loss gradient into grads."""
-    blocks, cache = encode_blocks(params, inputs, keep=grads is not None)
+    blocks, cache = encode_blocks(params, inputs)
     n = target.true_length
-    run = decode_path(params, blocks.sum(axis=0), steps=n)
+    run = decode_path(params, blocks.sum(axis=0), n)
     losses, d_logits = ad.softmax_cross_entropy(run.logits, target.word_ids[:n])
     loss = float(losses.sum()) / n
     if grads is not None:
@@ -469,8 +446,6 @@ def train(
     NumericError naming the epoch and pair. on_epoch, if given, is called
     after every epoch with its number (from 1), mean loss and the parameters.
     """
-    if not groups:
-        raise ValidationError("train: no groups")
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(cfg, n_words, n_deps, n_pos, rng)
     grads = params.zeros_like()

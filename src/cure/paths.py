@@ -101,8 +101,6 @@ def group_pairs(
     """Group path instances by ordered pair key, dropping pairs with fewer
     than min_paths instances. Output is deterministic: groups sorted by key,
     paths within a group sorted by content (duplicates kept)."""
-    if min_paths < 1:
-        raise ValidationError("min_paths must be at least 1")
     buckets: dict[tuple[str, str], list[SspTriple]] = {}
     for pair, path in instances:
         buckets.setdefault(pair, []).append(path)

@@ -52,8 +52,6 @@ def build_vocab(paths: Iterable[SspTriple], min_freq: int = 2) -> tuple[Vocab, V
     always keep everything. Symbol order is frequency-descending, then
     lexicographic, so identical corpora give identical vocabularies.
     """
-    if min_freq < 1:
-        raise ValidationError("min_freq must be at least 1")
     words: Counter = Counter()
     deps: Counter = Counter()
     poss: Counter = Counter()

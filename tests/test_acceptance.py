@@ -18,7 +18,7 @@ import graph_oracle
 from cure import metrics
 from cure.cli import RunConfig, run_pipeline
 from cure.cluster import hac
-from cure.labeling import LabelCandidates, cw_label, match_to_gold, wvs_label
+from cure.labeling import cw_label, match_to_gold, wvs_label
 from cure.model import ModelConfig, ModelParams, PathIds
 from cure.paths import representative_token, shortest_path
 from cure.synth import generate
@@ -191,13 +191,13 @@ def test_labeling_recovery(pipeline_runs):
     details = []
     for rec in _jsonl(out_a / "labels.jsonl"):
         cluster_id = rec["cluster"]
-        label = LabelCandidates(candidates=tuple((w, s) for w, s in rec["labels"]))
+        label = [(w, s) for w, s in rec["labels"]]
         mapped = match_to_gold(label, gold_vectors, vectors)
         tally: dict[str, int] = {}
         for pair in members[cluster_id]:
             tally[gold[pair]] = tally.get(gold[pair], 0) + 1
         majority = max(sorted(tally), key=lambda r: tally[r])
-        details.append(f"c{cluster_id}:{label.chosen}->{mapped}|{majority}")
+        details.append(f"c{cluster_id}:{label[0][0]}->{mapped}|{majority}")
         correct += mapped == majority
     _report("labeling-recovery", correct >= 3, f"{correct}/4 correct; " + " ".join(details))
 
@@ -236,7 +236,7 @@ def test_wvs_matches_extended_precision_on_100_sets():
         words = [f"w{i}" for i in range(n_words)]
         vectors = {w: rng.uniform(-1, 1, size=3) for w in words}
         counts = {w: int(rng.integers(1, 12)) for w in words}
-        got = [w for w, _ in wvs_label(counts, vectors).candidates]
+        got = [w for w, _ in wvs_label(counts, vectors)]
         expected = decimal_wvs_ranking(counts, {w: list(map(float, v)) for w, v in vectors.items()})
         if got != expected:
             failures += 1
@@ -252,8 +252,8 @@ def test_wvs_vs_cw_contrast():
         "capital": np.array([1.0, 0.0, 0.0, 0.0]),
     }
     counts = {"help": 5, "states": 4, "capital": 3}
-    cw = cw_label(counts).chosen
-    wvs = wvs_label(counts, vectors).chosen
+    cw = cw_label(counts)[0][0]
+    wvs = wvs_label(counts, vectors)[0][0]
     _report("wvs-vs-cw-contrast", cw == "help" and wvs == "capital", f"cw={cw} wvs={wvs}")
 
 

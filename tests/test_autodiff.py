@@ -163,12 +163,6 @@ class TestSoftmaxCrossEntropy:
         g.backward(g.softmax_cross_entropy(oracle, 3))
         assert np.allclose(grad[0], oracle.grad, rtol=1e-12)
 
-    def test_target_out_of_range(self):
-        with pytest.raises(ValidationError):
-            ad.softmax_cross_entropy(np.zeros((1, 3)), [3])
-        with pytest.raises(ValidationError):
-            g.softmax_cross_entropy(g.Value(np.zeros(3)), 3)
-
 
 class TestBackwardContract:
     """The graph oracle's backward pass."""
@@ -271,7 +265,7 @@ class TestLstmStep:
             return float(np.sum(hs * hs))
 
         grad = zero_cell_like(fused)
-        hs, cache = ad.lstm_forward(fused, xs, keep=True)
+        hs, cache = ad.lstm_forward(fused, xs)
         d_xs = ad.lstm_backward(fused, grad, cache, 2.0 * hs)
         arrays = {"W": fused.W, "U": fused.U, "b": fused.b, "xs": xs}
         fd = g.finite_difference(loss_fn, arrays)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cure import artifacts, autodiff, cli
@@ -21,8 +21,9 @@ from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
 from cure.errors import NumericError, ValidationError
 from cure.model import parameter_shapes, paths_to_ids, read_checkpoint
 from cure.paths import group_pairs
+from cure.vocab import load_pretrained, write_embeddings
 
-from helpers import WriteFailed, fail_writes_halfway
+from helpers import WriteFailed, brute_force_agglomeration, fail_writes_halfway
 
 
 def run(*argv) -> int:
@@ -420,6 +421,12 @@ class TestMalformedArtifacts:
         argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], json.dumps(meta).encode()))
         self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "n_h must be a positive integer")
 
+    def test_meta_config_with_nan_learning_rate(self, trained, tmp_path, capsys):
+        meta = json.loads(split_checkpoint(trained[1])[1])
+        meta["config"]["learning_rate"] = float("nan")
+        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], json.dumps(meta).encode()))
+        self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "learning_rate must be finite and positive")
+
     def test_oversized_meta_config_exits_before_allocating(self, trained, tmp_path, capsys):
         """A config claiming tensors far larger than the file's is refused by
         the float count, before any parameter buffer is allocated."""
@@ -607,6 +614,32 @@ class TestMalformedArtifacts:
             self.assert_exit_2(capsys, argv, f"{bad}:1: malformed {what}", reason)
 
 
+@pytest.fixture(scope="module")
+def label_and_evaluate(tiny_setup, trained, tmp_path_factory):
+    """A function of k: the labels.jsonl and scores.csv bytes that label and
+    evaluate write with the tiny setup's embeddings, perturbed so that no
+    cosine is trivial, times 2^k. Both clusters mix the two relations."""
+    root, cfg = tiny_setup
+    paths, _ = trained
+    out = tmp_path_factory.mktemp("scaled")
+    pairs = sorted(artifacts.read_gold(root / "gold.jsonl"))
+    clusters = write_jsonl(out / "clusters.jsonl", [{"cluster": i % 2, "pair": list(p)} for i, p in enumerate(pairs)])
+    rng = np.random.default_rng(61)
+    embeddings = {w: v + rng.uniform(-0.05, 0.05, v.shape) for w, v in load_pretrained(root / "embeddings.txt").items()}
+
+    def outputs(k: int) -> tuple[bytes, bytes]:
+        run_dir = out / str(k)
+        run_dir.mkdir(exist_ok=True)
+        embeddings_file, labels, scores = run_dir / "embeddings.txt", run_dir / "labels.jsonl", run_dir / "scores.csv"
+        write_embeddings(embeddings_file, {w: np.ldexp(v, k) for w, v in embeddings.items()})
+        config = ["--config", str(cfg), "--set", f"embeddings={embeddings_file}", "--set", "top_n=5"]
+        assert run("label", *config, "--clusters", str(clusters), "--paths-file", str(paths), "--out", str(labels)) == 0
+        assert run("evaluate", *config, "--clusters", str(clusters), "--labels", str(labels), "--out", str(scores)) == 0
+        return labels.read_bytes(), scores.read_bytes()
+
+    return outputs
+
+
 class TestStages:
     def test_extract_paths_format(self, tiny_setup, tmp_path):
         root, cfg = tiny_setup
@@ -680,6 +713,14 @@ class TestStages:
         (rec,) = [json.loads(line) for line in open(labels, encoding="utf-8")]
         assert rec["labels"][0][1] >= rec["labels"][-1][1]
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @example(k=600)
+    @example(k=-600)
+    @given(k=st.integers(-600, 600))
+    def test_labels_and_scores_do_not_depend_on_the_embeddings_scale(self, label_and_evaluate, k):
+        """Cosine is scale-free, and scaling by 2^k is exact: byte-identical
+        outputs, with no overflow at 2^600 and no underflow at 2^-600."""
+        assert label_and_evaluate(k) == label_and_evaluate(0)
 
     def test_identical_paths_encode_identically_in_pairs_of_any_size(self, trained, tmp_path):
         """One path shared by pairs of 1 to 8 paths: every pair's vector is the
@@ -716,9 +757,9 @@ class TestStages:
         calls = []
         infer = cli.modeling.infer_relation_vector
 
-        def counted(params, path_ids, encodings):
+        def counted(path_ids, encodings):
             calls.append(tuple(path_ids))
-            return infer(params, path_ids, encodings)
+            return infer(path_ids, encodings)
 
         monkeypatch.setattr(cli.modeling, "infer_relation_vector", counted)
         out = tmp_path / "v.jsonl"
@@ -751,6 +792,12 @@ class TestTrainCheckpoint:
         for item in overrides:
             argv += ["--set", item]
         return run(*argv)
+
+    def test_no_pair_with_enough_paths_is_2(self, tiny_setup, trained, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert self.train(tiny_setup, trained, ckpt, "min_paths=3") == 2
+        assert "no pair has at least 3 paths; nothing to train on" in capsys.readouterr().err
+        assert not ckpt.exists()
 
     def test_written_once(self, tiny_setup, trained, tmp_path, monkeypatch):
         ckpt = tmp_path / "model.ckpt"
@@ -1026,6 +1073,31 @@ class TestClusterStage:
         assert clusters.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "centroids.jsonl", "v.jsonl"]
 
+    def test_duplicate_heavy_vectors_cluster_as_the_brute_force_oracle_does(self, tmp_path):
+        """100 lines of 28 distinct vectors, as encode writes them when most
+        pairs' paths are equal; one vector is written both with 0.0 and with
+        -0.0, which are one value. The assignments give the partition of the
+        from-scratch agglomeration at k."""
+        rng = np.random.default_rng(67)
+        distinct = rng.normal(size=(28, 4))
+        distinct[0, 1] = 0.0
+        points = distinct[np.concatenate([np.arange(28), rng.integers(0, 28, 72)])][rng.permutation(100)]
+        signed = points.copy()
+        zeros = np.flatnonzero(points[:, 1] == 0.0)
+        assert len(zeros) >= 2
+        signed[zeros[::2], 1] = -0.0
+        vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": [f"s{i}", "o"], "vector": v.tolist()} for i, v in enumerate(signed)])
+        assert "-0.0" in vectors.read_text(encoding="utf-8")
+        clusters = tmp_path / "c.jsonl"
+        assert run("cluster", "--vectors", str(vectors), "--set", "k_clusters=4", "--out", str(clusters)) == 0
+        got: dict[int, set[int]] = {}
+        for pair, cluster_id in artifacts.read_clusters(clusters).items():
+            got.setdefault(cluster_id, set()).add(int(pair[0][1:]))
+        members = {i: {i} for i in range(100)}
+        for t, (a, b) in enumerate(brute_force_agglomeration(points.tolist())[: 100 - 4]):
+            members[100 + t] = members.pop(a) | members.pop(b)
+        assert sorted(map(sorted, got.values())) == sorted(map(sorted, members.values()))
+
 
 class TestPipeline:
     def test_end_to_end_artifacts(self, tiny_setup):
@@ -1062,6 +1134,9 @@ class TestPipeline:
         out = tmp_path / "out"
         for setting, message in [
             ("epochs=-1", "config epochs must be non-negative"),
+            ("learning_rate=nan", "config learning_rate must be finite and positive, got nan"),
+            ("learning_rate=inf", "config learning_rate must be finite and positive, got inf"),
+            ("learning_rate=1e999", "config learning_rate must be finite and positive, got inf"),
             ("top_n=-1", "config top_n must be at least 1, got -1"),
             ("top_n=0", "config top_n must be at least 1, got 0"),
             ("k_clusters=0", "config k_clusters must be at least 1, got 0"),

@@ -38,10 +38,6 @@ class TestHac:
             expected = brute_force_agglomeration(points.tolist())
             assert [(m.a, m.b) for m in dendrogram.merges] == expected, f"trial {trial}"
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            hac(vecs([0.0], [0.0, 1.0]))
-
     def test_needs_two_vectors(self):
         with pytest.raises(ValidationError):
             hac(vecs([0.0]))
@@ -181,10 +177,33 @@ class TestAgglomeration:
             diff = points[:, None, :] - points[None, :, :]
             assert np.array_equal(pairwise_distances(points), np.sqrt((diff * diff).sum(axis=-1)))
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_vectors_rejected(self, value):
-        with pytest.raises(ValidationError, match="finite"):
-            hac(vecs([0.0, 1.0], [value, 0.0], [1.0, 1.0]))
+
+class TestMetamorphic:
+    """Relations between the outputs of related inputs, checked exactly."""
+
+    @pytest.mark.parametrize("k", [-300, -20, 20, 300])
+    def test_scaling_by_a_power_of_two_scales_every_distance_exactly(self, k):
+        """60 vectors of 15 distinct values, some coordinates zero of either
+        sign: times 2^k, the same merges, every distance exactly times 2^k."""
+        rng = np.random.default_rng(53)
+        distinct = rng.normal(size=(15, 8))
+        distinct[rng.random(distinct.shape) < 0.2] = 0.0
+        points = distinct[rng.integers(0, 15, 60)]
+        points[(points == 0.0) & (rng.random(points.shape) < 0.5)] = -0.0
+        base = hac(list(points)).merges
+        scaled = hac(list(np.ldexp(points, k))).merges
+        assert [(m.a, m.b) for m in scaled] == [(m.a, m.b) for m in base]
+        assert [m.distance for m in scaled] == [np.ldexp(m.distance, k) for m in base]
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_permuting_distinct_vectors_keeps_the_partition_at_the_cut(self, seed):
+        points = list(np.random.default_rng(59).normal(size=(200, 8)))
+        order = np.random.default_rng(seed).permutation(200)
+        base, permuted = hac(points), hac([points[i] for i in order])
+        for k in (2, 4, 10, 50):
+            got = {frozenset(int(order[i]) for i in c.members) for c in cut(permuted, k)}
+            assert got == {frozenset(c.members) for c in cut(base, k)}, k
 
 
 class TestCut:

@@ -190,10 +190,6 @@ class TestGroupPairs:
         regrouped = group_pairs([(g.pair, p) for g in groups for p in g.paths], min_paths=2)
         assert regrouped == groups
 
-    def test_min_paths_validation(self):
-        with pytest.raises(ValidationError):
-            group_pairs([], min_paths=0)
-
 
 class TestCanonicalKey:
     def test_whitespace_collapsed_case_preserved(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cure.errors import ValidationError
 from cure.labeling import (
-    LabelCandidates,
     candidate_set,
     cosine,
     cw_label,
@@ -55,18 +54,18 @@ class TestWvsLabel:
         """'locate' x10 beats 'citizen' x1 when their vectors are unrelated."""
         vectors = toy_vectors({"locate": unit(0), "citizen": unit(1)})
         label = wvs_label({"locate": 10, "citizen": 1}, vectors)
-        assert label.chosen == "locate"
-        assert label.candidates[0][1] > label.candidates[1][1]
+        assert label[0][0] == "locate"
+        assert label[0][1] > label[1][1]
 
     def test_single_distinct_word_scores_one(self):
         vectors = toy_vectors({"born": unit(0)})
         label = wvs_label({"born": 7}, vectors)
-        assert label.candidates == (("born", 1.0),)
+        assert label == (("born", 1.0),)
 
     def test_words_without_vectors_skipped(self):
         vectors = toy_vectors({"born": unit(0)})
         label = wvs_label({"born": 2, "ghost": 50}, vectors)
-        assert label.chosen == "born"
+        assert label[0][0] == "born"
 
     def test_no_vectors_at_all_is_error(self):
         vectors = toy_vectors({"x": unit(0)})
@@ -82,7 +81,7 @@ class TestWvsLabel:
             raw = {w: rng.uniform(-1, 1, size=3) for w in words}
             counts = {w: int(rng.integers(1, 10)) for w in words}
             vectors = toy_vectors({w: list(v) for w, v in raw.items()})
-            got = [w for w, _ in wvs_label(counts, vectors).candidates]
+            got = [w for w, _ in wvs_label(counts, vectors)]
             expected = decimal_wvs_ranking(counts, {w: list(map(float, v)) for w, v in raw.items()})
             assert got == expected, f"trial {trial}"
 
@@ -93,8 +92,8 @@ class TestWvsLabel:
         counts = {w: int(c) for w, c in zip(raw, [5, 3, 2, 8])}
         plain = wvs_label(counts, toy_vectors({w: list(v) for w, v in raw.items()}))
         scaled = wvs_label(counts, toy_vectors({w: list(7.5 * v) for w, v in raw.items()}))
-        assert [w for w, _ in plain.candidates] == [w for w, _ in scaled.candidates]
-        for (_, a), (_, b) in zip(plain.candidates, scaled.candidates):
+        assert [w for w, _ in plain] == [w for w, _ in scaled]
+        for (_, a), (_, b) in zip(plain, scaled):
             assert abs(a - b) < 1e-12
 
     def test_insertion_order_invariance(self):
@@ -108,28 +107,24 @@ class TestWvsLabel:
         so the max-count word wins."""
         vectors = toy_vectors({w: unit(i) for i, w in enumerate(["p", "q", "r", "s"])})
         label = wvs_label({"p": 2, "q": 9, "r": 4, "s": 1}, vectors)
-        assert label.chosen == "q"
+        assert label[0][0] == "q"
 
 
 class TestCwLabel:
     def test_majority_wins(self):
         label = cw_label({"born": 3, "rise": 1})
-        assert label.chosen == "born"
-        assert label.candidates == (("born", 3.0), ("rise", 1.0))
+        assert label[0][0] == "born"
+        assert label == (("born", 3.0), ("rise", 1.0))
 
     def test_ties_break_lexicographically(self):
         label = cw_label({"zeta": 2, "alpha": 2, "mid": 2})
-        assert [w for w, _ in label.candidates] == ["alpha", "mid", "zeta"]
-
-    def test_empty_is_error(self):
-        with pytest.raises(ValidationError):
-            cw_label({})
+        assert [w for w, _ in label] == ["alpha", "mid", "zeta"]
 
     def test_chosen_word_always_has_maximal_count(self):
         rng = np.random.default_rng(29)
         for _ in range(30):
             counts = {f"w{i}": int(rng.integers(1, 9)) for i in range(int(rng.integers(1, 7)))}
-            assert counts[cw_label(counts).chosen] == max(counts.values())
+            assert counts[cw_label(counts)[0][0]] == max(counts.values())
 
 
 class TestWvsVsCwContrast:
@@ -144,8 +139,8 @@ class TestWvsVsCwContrast:
             }
         )
         counts = {"help": 5, "states": 4, "capital": 3}
-        assert cw_label(counts).chosen == "help"
-        assert wvs_label(counts, vectors).chosen == "capital"
+        assert cw_label(counts)[0][0] == "help"
+        assert wvs_label(counts, vectors)[0][0] == "capital"
 
 
 class TestMatchToGold:
@@ -157,29 +152,29 @@ class TestMatchToGold:
 
     def test_similar_vector_wins(self):
         vectors = toy_vectors({"born": [0.98, 0.2, 0.0]})
-        label = LabelCandidates(candidates=(("born", 1.0),))
+        label = (("born", 1.0),)
         assert match_to_gold(label, self.gold(), vectors) == "placeBirth"
 
     def test_label_equal_to_relation_name(self):
         vectors = toy_vectors({"capital": [0.0, 1.0, 0.0]})
-        label = LabelCandidates(candidates=(("capital", 1.0),))
+        label = (("capital", 1.0),)
         assert match_to_gold(label, self.gold(), vectors) == "capital"
 
     def test_fallback_to_next_candidate(self):
         vectors = toy_vectors({"born": [1.0, 0.0, 0.0]})
-        label = LabelCandidates(candidates=(("unvectored", 0.9), ("born", 0.5)))
+        label = (("unvectored", 0.9), ("born", 0.5))
         assert match_to_gold(label, self.gold(), vectors) == "placeBirth"
 
     def test_exhausted_candidates_error(self):
         vectors = toy_vectors({"x": [1.0, 0.0, 0.0]})
-        label = LabelCandidates(candidates=(("ghost", 1.0),))
+        label = (("ghost", 1.0),)
         with pytest.raises(ValidationError):
             match_to_gold(label, self.gold(), vectors)
 
     def test_tie_breaks_lexicographically(self):
         gold = [("bbb", np.array([1.0, 0.0])), ("aaa", np.array([1.0, 0.0]))]
         vectors = toy_vectors({"w": [1.0, 0.0]})
-        label = LabelCandidates(candidates=(("w", 1.0),))
+        label = (("w", 1.0),)
         assert match_to_gold(label, gold, vectors) == "aaa"
 
     def test_matches_linear_scan_oracle(self):
@@ -188,7 +183,7 @@ class TestMatchToGold:
             gold = [(f"r{i}", rng.normal(size=4)) for i in range(5)]
             word_vec = rng.normal(size=4)
             vectors = toy_vectors({"w": list(word_vec)})
-            label = LabelCandidates(candidates=(("w", 1.0),))
+            label = (("w", 1.0),)
             expected = max(sorted(gold), key=lambda nv: cosine(word_vec, nv[1]))
             assert match_to_gold(label, gold, vectors) == expected[0]
 

@@ -42,10 +42,6 @@ class TestRandIndex:
         p = {i: int(rng.integers(6)) for i in range(20)}
         assert rand_index(p, dict(p)) == 1.0
 
-    def test_universe_mismatch(self):
-        with pytest.raises(ValidationError):
-            rand_index({1: 0, 2: 0}, {1: 0, 3: 0})
-
     def test_needs_two_items(self):
         with pytest.raises(ValidationError):
             rand_index({1: 0}, {1: 0})

@@ -12,7 +12,6 @@ from cure.model import (
     ModelConfig,
     ModelParams,
     PathIds,
-    aggregate,
     decode_path,
     encode_blocks,
     encode_distinct,
@@ -142,9 +141,8 @@ class TestEncode:
         cfg = tiny_config(n_l=3, n_h=2, n_h2=2)
         params = make_params(cfg)
         assert encode_path(params, ids_path(cfg, [1, 2, 3])).shape == (12,)
-        blocks, cache = encode_blocks(params, [ids_path(cfg, [1, 2, 3])] * 5)
+        blocks, _ = encode_blocks(params, [ids_path(cfg, [1, 2, 3])] * 5)
         assert blocks.shape == (5, 3, 4)
-        assert cache is None
 
     def test_matches_scalar_oracle(self):
         cfg = tiny_config()
@@ -158,49 +156,46 @@ class TestEncode:
         flat = encode_path(params, path)
         assert np.allclose(flat, [v for blk in scalar_encode_blocks(params, path) for v in blk], rtol=1e-12)
 
-    def test_wrong_length_path_rejected(self):
-        cfg = tiny_config()
-        params = make_params(cfg)
-        with pytest.raises(ValidationError):
-            encode_blocks(params, [PathIds((1, 2), (1, 2), (1, 2), 2)])
-
 
 class TestAggregate:
+    """A pair's relation vector sums its path encodings (infer_relation_vector)."""
+
+    @staticmethod
+    def aggregate(vs: list[np.ndarray]) -> np.ndarray:
+        encodings = {i: v for i, v in enumerate(vs)}
+        summed = infer_relation_vector(list(encodings), encodings)
+        assert all(np.array_equal(encodings[i], v) for i, v in enumerate(vs))  # the encodings stay as they were
+        return summed
+
     def test_single_input_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(aggregate([v]), v)
+        summed = self.aggregate([v])
+        assert np.array_equal(summed, v)
+        assert summed is not v
 
     def test_additive_inverse(self):
         v = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(aggregate([v, -v]), np.zeros(3))
+        assert np.array_equal(self.aggregate([v, -v]), np.zeros(3))
 
     def test_commutative(self):
         rng = np.random.default_rng(31)
         vs = [rng.normal(size=6) for _ in range(4)]
-        assert np.allclose(aggregate(vs), aggregate(vs[::-1]))
-
-    def test_empty_is_error(self):
-        with pytest.raises(ValidationError):
-            aggregate([])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            aggregate([np.zeros(3), np.zeros(4)])
+        assert np.allclose(self.aggregate(vs), self.aggregate(vs[::-1]))
 
 
 class TestDecode:
     def test_shape_contract(self):
         cfg = tiny_config(n_l=4)
         params = make_params(cfg, n_words=9)
-        logits = decode_path(params, np.zeros((cfg.n_l, cfg.block_dim))).logits
+        logits = decode_path(params, np.zeros((cfg.n_l, cfg.block_dim)), cfg.n_l).logits
         assert logits.shape == (4, 9)
-        assert decode_path(params, np.zeros((cfg.n_l, cfg.block_dim)), steps=2).logits.shape == (2, 9)
+        assert decode_path(params, np.zeros((cfg.n_l, cfg.block_dim)), 2).logits.shape == (2, 9)
 
     def test_zero_everything_gives_uniform_prediction(self):
         cfg = tiny_config()
         params = make_params(cfg, n_words=10)
         zero_out(params)
-        logits = decode_path(params, np.zeros((cfg.n_l, cfg.block_dim))).logits
+        logits = decode_path(params, np.zeros((cfg.n_l, cfg.block_dim)), cfg.n_l).logits
         assert np.array_equal(logits, np.zeros((cfg.n_l, 10)))
         losses, _ = ad.softmax_cross_entropy(logits, [0] * cfg.n_l)
         for loss in losses:
@@ -212,16 +207,10 @@ class TestDecode:
         rng = np.random.default_rng(34)
         vector = rng.uniform(-1, 1, cfg.n_l * cfg.block_dim)
         blocks = vector.reshape(cfg.n_l, cfg.block_dim)
-        logits = decode_path(params, blocks).logits
+        logits = decode_path(params, blocks, cfg.n_l).logits
         expected = scalar_decode_logits(params, [list(b) for b in blocks])
         for got, want in zip(logits, expected):
             assert np.allclose(got, want, rtol=1e-10)
-
-    def test_block_count_checked(self):
-        cfg = tiny_config()
-        params = make_params(cfg)
-        with pytest.raises(ValidationError):
-            decode_path(params, np.zeros((cfg.n_l + 1, cfg.block_dim)))
 
 
 class TestTrainingLoss:
@@ -240,7 +229,7 @@ class TestTrainingLoss:
         group = [ids_path(cfg, [1, 2, 3]), ids_path(cfg, [4, 0, 0], true_length=1)]
         loss = training_loss(params, group, held_out=1)
         blocks = encode_blocks(params, [group[0]])[0][0]
-        step0 = decode_path(params, blocks).logits[:1]
+        step0 = decode_path(params, blocks, 1).logits
         direct, _ = ad.softmax_cross_entropy(step0, [4])
         assert math.isclose(loss, float(direct[0]), rel_tol=1e-12)
 
@@ -367,11 +356,6 @@ class TestTrain:
         result = train(self.groups(cfg), cfg, 10, 5, 5)
         assert result.epoch_losses[-1] < 0.6 * result.epoch_losses[0]
 
-    def test_empty_groups_rejected(self):
-        cfg = tiny_config()
-        with pytest.raises(ValidationError):
-            train([], cfg, 10, 5, 5)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_names_epoch_and_pair(self):
         """A step this large overflows the parameters; the next example's loss is not finite."""
@@ -394,7 +378,7 @@ class TestInference:
         cfg = tiny_config()
         params = make_params(cfg, seed=61)
         path = ids_path(cfg, [1, 2, 3])
-        vec = infer_relation_vector(params, [path], encode_distinct(params, [path]))
+        vec = infer_relation_vector([path], encode_distinct(params, [path]))
         assert np.array_equal(vec, encode_path(params, path).data)
 
     def test_identical_path_multisets_give_identical_vectors(self):
@@ -402,8 +386,8 @@ class TestInference:
         params = make_params(cfg, seed=62)
         paths = [ids_path(cfg, [1, 2, 3]), ids_path(cfg, [4, 5, 6])]
         encodings = encode_distinct(params, paths)
-        a = infer_relation_vector(params, paths, encodings)
-        b = infer_relation_vector(params, paths[::-1], encodings)
+        a = infer_relation_vector(paths, encodings)
+        b = infer_relation_vector(paths[::-1], encodings)
         assert np.allclose(a, b)
 
 
