@@ -1,9 +1,10 @@
 """The files the pipeline stages hand each other, each writer next to its reader.
 
-paths.jsonl, vectors.jsonl, cluster assignments, centroids, labels, gold,
-scores.csv and loss_log.csv (README "File formats"). Every JSON Lines file
-is read through corpus.read_jsonl, so an error names `<file>:<line>`, and a
-reader refuses a file that lists one pair, or one cluster, twice.
+corpus.jsonl (read by corpus.parse_corpus), paths.jsonl, vectors.jsonl,
+cluster assignments, centroids, labels, gold, scores.csv and loss_log.csv
+(README "File formats"). Every JSON Lines file is read through
+corpus.read_jsonl, so an error names `<file>:<line>`, and a reader refuses
+a file that lists one pair, or one cluster, twice.
 """
 
 from __future__ import annotations
@@ -15,16 +16,26 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import RECORD_ERRORS, integer, number, parse_line, read_jsonl, string, string_array
-from .errors import ValidationError, write_atomic
+from .corpus import (
+    RECORD_ERRORS, ParsedSentence, integer, number, parse_line, read_jsonl, sentence_to_record, string, string_array,
+)
+from .errors import NumericError, ValidationError, write_atomic
 from .metrics import RelationScore
 from .paths import SspTriple
 
 Pair = tuple[str, str]
+# json.dumps with allow_nan=False, without building an encoder per call: JSON has no NaN or Infinity.
+_to_json = json.JSONEncoder(allow_nan=False).encode
 
 
 def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    write_atomic(path, "".join(json.dumps(record) + "\n" for record in records).encode("utf-8"))
+    """One JSON line per record. A NaN or infinity, which JSON cannot hold,
+    is a NumericError naming the file, and the file is left as it was."""
+    try:
+        text = "".join(_to_json(record) + "\n" for record in records)
+    except ValueError as exc:
+        raise NumericError(f"{path}: cannot write a non-finite value ({exc})") from exc
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _pair(rec: dict) -> Pair:
@@ -46,6 +57,11 @@ def _unique(path: str | Path, what: str, records: Iterable[tuple], hint: str = "
             raise ValidationError(f"{path}: {what} {shown} is listed twice{hint}")
         found[key] = value
     return found
+
+
+# -- corpus.jsonl: one record per (sentence, entity pair) ---------------------------
+def write_corpus(path: str | Path, sentences: Iterable[ParsedSentence]) -> None:
+    _write_jsonl(path, map(sentence_to_record, sentences))
 
 
 # -- paths.jsonl: one record per (pair, shortest path) instance ----------------------
@@ -77,7 +93,7 @@ def write_vectors(path: str | Path, records: Sequence[tuple[Pair, np.ndarray]]) 
     for pair, vector in records:
         text = texts.get(id(vector))
         if text is None:
-            text = texts[id(vector)] = json.dumps(vector.tolist())
+            text = texts[id(vector)] = _to_json(vector.tolist())
         lines.append(f'{{"pair": {json.dumps(list(pair))}{VECTOR_KEY}{text}}}\n')
     write_atomic(path, "".join(lines).encode("utf-8"))
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
-
 GRAD_CLIP_NORM = 5.0
 
 LSTM_GATES = ("o", "f", "i", "c")
@@ -195,13 +193,12 @@ def softmax_cross_entropy(logits: np.ndarray, targets) -> tuple[np.ndarray, np.n
 
 
 def clip_gradients(grad: np.ndarray, max_norm: float = GRAD_CLIP_NORM) -> float:
-    """Scale a flat gradient buffer down to a global norm cap, in place; returns the pre-clip norm."""
+    """Scale a flat gradient buffer down to a global norm cap, in place, and
+    return the pre-clip norm; a non-finite one is left for the caller to refuse."""
     # einsum rather than a BLAS dot: on a long vector the BLAS may wake its
     # worker threads, which costs more here than the sum itself.
     norm = math.sqrt(float(np.einsum("i,i", grad, grad)))
-    if not math.isfinite(norm):
-        raise NumericError("non-finite gradient norm")
-    if norm > max_norm:
+    if max_norm < norm < math.inf:
         grad *= max_norm / norm
     return norm
 

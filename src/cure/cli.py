@@ -65,39 +65,32 @@ class RunConfig(ModelConfig):
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
-def _set_key(values: dict, key: str, value: str) -> None:
-    """values[key] = value as the type of key's default (int, float or str)."""
-    if key not in _DEFAULTS:
-        hint = difflib.get_close_matches(key, _DEFAULTS, n=1)
-        suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
-        raise ValidationError(f"unknown config key {key!r}{suffix}")
-    kind = type(_DEFAULTS[key])
-    try:
-        values[key] = kind(value)
-    except ValueError as exc:
-        expected = "integer" if kind is int else "number"
-        raise ValidationError(f"config key {key!r}: expected {expected}, got {value!r}") from exc
-
-
 def load_config(path: str | None, overrides: list[str] | None = None) -> RunConfig:
-    """Defaults, then file values, then key=value overrides."""
-    values: dict = {}
+    """Defaults, then file values, then key=value overrides, each read as the
+    type of its key's default (int, float or str); an error names its source."""
+    items = []  # (where the item comes from, its text, what a malformed one is told)
     if path:
         with reading(path, "config") as fh:
             text = fh.read()
         for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"config line {lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            _set_key(values, key.strip(), value.strip())
-    for item in overrides or []:
-        if "=" not in item:
-            raise ValidationError(f"override {item!r}: expected KEY=VALUE")
-        key, _, value = item.partition("=")
-        _set_key(values, key.strip(), value.strip())
+            if line := line.split("#", 1)[0].strip():
+                items.append((f"config line {lineno}", line, f"expected 'key = value', got {line!r}"))
+    items += [(f"override {item!r}", item, "expected KEY=VALUE") for item in overrides or []]
+    values: dict = {}
+    for where, item, malformed in items:
+        key, equals, value = (part.strip() for part in item.partition("="))
+        if not equals:
+            raise ValidationError(f"{where}: {malformed}")
+        if key not in _DEFAULTS:
+            hint = difflib.get_close_matches(key, _DEFAULTS, n=1)
+            suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
+            raise ValidationError(f"{where}: unknown config key {key!r}{suffix}")
+        kind = type(_DEFAULTS[key])
+        try:
+            values[key] = kind(value)
+        except ValueError as exc:
+            expected = "integer" if kind is int else "number"
+            raise ValidationError(f"{where}: config key {key!r}: expected {expected}, got {value!r}") from exc
     return RunConfig(**values)
 
 
@@ -126,13 +119,14 @@ def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path:
     vocabs = build_vocab((t for _, t in instances), min_freq=cfg.min_freq)
     mcfg = cfg.model_config()
     prepared = [(g.pair, paths_to_ids(g, vocabs, mcfg.n_l)) for g in groups]
-    result = modeling.train(prepared, mcfg, n_words=len(vocabs[0]), n_deps=len(vocabs[1]), n_pos=len(vocabs[2]))
+    losses: list[float] = []
+    params = modeling.train(prepared, mcfg, *map(len, vocabs), on_epoch=lambda _, loss, __: losses.append(loss))
     # Written once, after training: a run that fails or is interrupted leaves
     # the previous checkpoint as it was.
-    write_checkpoint(checkpoint_path, result.params, vocabs)
+    write_checkpoint(checkpoint_path, params, vocabs)
     if log_path:
-        artifacts.write_loss_log(log_path, result.epoch_losses)
-    return result.epoch_losses
+        artifacts.write_loss_log(log_path, losses)
+    return losses
 
 
 def stage_encode(checkpoint_path: str, paths_file: str, out_path: str) -> int:
@@ -280,7 +274,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         if name == "cluster":
             entry["cut"] = result
         manifest["stages"].append(entry)
-    write_atomic(out / "manifest.json", (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    write_atomic(out / "manifest.json", (json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode("utf-8"))
     return out
 
 
@@ -439,9 +433,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    except CureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -5,13 +5,15 @@ entity pairs appears once per pair. `head` is a 0-based token index; the
 single root token has head -1 and dependency tag "ROOT".
 
 Also here: the reader every JSON Lines input goes through (corpus, paths,
-vectors, cluster assignments, labels, gold), and the checks that a field
-is a JSON integer, a string, a number or an array of strings.
+vectors, cluster assignments, labels, gold, a checkpoint's meta line), and
+the checks that a field is a JSON integer, a string, a finite number or an
+array of strings.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,9 +47,6 @@ class ParsedSentence:
     tokens: tuple[Token, ...]
     subject: EntitySpan
     object: EntitySpan
-
-    def __len__(self) -> int:
-        return len(self.tokens)
 
 
 def validate_sentence(sentence: ParsedSentence) -> None:
@@ -143,10 +142,13 @@ def string(value: Any, name: str) -> str:
 
 
 def number(value: Any, name: str) -> float:
-    """value as a float; it must be a JSON number (not a bool), else a TypeError."""
-    if type(value) in (int, float):
-        return float(value)
-    raise TypeError(f"{name} must be a number, got {reprlib.repr(value)}")
+    """value as a float; it must be a JSON number (not a bool), else a
+    TypeError, and finite (not NaN or Infinity), else a ValueError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {reprlib.repr(value)}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 def string_array(record: dict, key: str) -> tuple[str, ...]:
@@ -162,8 +164,9 @@ def parse_line(line: str, where: str, what: str, parse: Callable[[Any], T]) -> T
     """parse() applied to the JSON value of one line. A line that is not
     JSON, or whose value parse() cannot read, is a ValidationError naming
     `where` (`<file>:<line>`): `<where>: invalid JSON (...)`, `<where>:
-    malformed <what> (...)` for a missing key, a wrong type or a number too
-    large for a float, or `<where>: ` before a ValidationError's text."""
+    malformed <what> (...)` for a missing key, a wrong type, a number too
+    large for a float or a non-finite one, or `<where>: ` before a
+    ValidationError's text."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:

@@ -73,7 +73,9 @@ def wvs_label(candidates: Mapping[str, int], vectors: Mapping[str, np.ndarray]) 
     if len(words) == 1:
         return ((words[0], 1.0),)
 
-    vecs = {w: vectors[w] for w in words}
+    # All scaled by one power of two, which is exact and which no cosine sees,
+    # so that the weighted sum cannot overflow.
+    vecs = dict(zip(words, _scaled(np.array([vectors[w] for w in words]))))
     raw = {}
     for w in words:
         distinct = sum(1.0 - cosine(vecs[w], vecs[other]) for other in words if other != w)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -35,7 +35,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import string_array
+from .corpus import parse_line, string_array
 from .errors import NumericError, ValidationError, reading, write_atomic
 from .paths import PairGroup
 from .vocab import PAD_ID, Vocab
@@ -179,37 +179,29 @@ def write_checkpoint(path: str | Path, params: ModelParams, vocabs: tuple[Vocab,
     dependency and POS vocabularies as one JSON line, then params.flat as
     little-endian float64. The file is replaced whole or not at all."""
     meta = {"config": asdict(params.cfg), "vocab": {key: list(v.symbols) for key, v in zip(_VOCAB_KEYS, vocabs)}}
-    head = f"{CHECKPOINT_HEADER}\n{json.dumps(meta)}\n".encode("utf-8")
+    head = f"{CHECKPOINT_HEADER}\n{json.dumps(meta, allow_nan=False)}\n".encode("utf-8")
     write_atomic(path, head + np.asarray(params.flat, dtype="<f8").tobytes())
 
 
 def read_checkpoint(path: str | Path) -> tuple[ModelParams, tuple[Vocab, Vocab, Vocab]]:
     """The parameters and vocabularies of a checkpoint. Anything malformed is
-    a ValidationError naming the file; a non-finite parameter is a
-    NumericError naming the file and the tensor."""
+    a ValidationError naming the file (`<file>:2` for the metadata line); a
+    non-finite parameter is a NumericError naming the file and the tensor."""
     with reading(path, "checkpoint", "rb") as fh:
         header = fh.readline().decode("utf-8").rstrip("\n")
         if header != CHECKPOINT_HEADER:
             raise ValidationError(f"{path}: bad checkpoint header {header!r}, expected {CHECKPOINT_HEADER!r}")
         meta_line = fh.readline().decode("utf-8")
         data = fh.read()
-    try:
-        meta = json.loads(meta_line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: checkpoint metadata: invalid JSON ({exc})") from exc
-    except RecursionError as exc:
-        raise ValidationError(f"{path}: checkpoint metadata: invalid JSON (nested too deeply)") from exc
-    if not isinstance(meta, dict):
-        raise ValidationError(f"{path}: checkpoint metadata: not a JSON object")
+
+    def parse(meta: dict) -> tuple[ModelConfig, tuple[Vocab, Vocab, Vocab]]:
+        return ModelConfig(**meta["config"]), tuple(Vocab(string_array(meta["vocab"], key)) for key in _VOCAB_KEYS)
+
+    cfg, vocabs = parse_line(meta_line, f"{path}:2", "checkpoint metadata", parse)
     if len(data) % 8:
         raise ValidationError(
             f"{path}: checkpoint tensor data is {len(data)} bytes, not a whole number of float64 values"
         )
-    try:
-        cfg = ModelConfig(**meta["config"])
-        vocabs = tuple(Vocab(string_array(meta["vocab"], key)) for key in _VOCAB_KEYS)
-    except (KeyError, TypeError, ValidationError) as exc:
-        raise ValidationError(f"{path}: malformed checkpoint metadata ({exc!r})") from exc
     sizes = [len(vocab) for vocab in vocabs]
     # Compared before anything is allocated, so a config that claims huge
     # tensors is refused instead of exhausting memory.
@@ -419,12 +411,6 @@ def _path_prediction_loss(
     return loss
 
 
-@dataclass
-class TrainResult:
-    params: ModelParams
-    epoch_losses: list[float] = field(default_factory=list)
-
-
 EpochCallback = Callable[[int, float, ModelParams], None]
 
 
@@ -435,7 +421,7 @@ def train(
     n_deps: int,
     n_pos: int,
     on_epoch: EpochCallback | None = None,
-) -> TrainResult:
+) -> ModelParams:
     """SGD over the held-out-path objective.
 
     Per epoch: shuffle groups, pick the held-out index uniformly per group,
@@ -449,7 +435,6 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(cfg, n_words, n_deps, n_pos, rng)
     grads = params.zeros_like()
-    result = TrainResult(params=params)
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(groups))
@@ -473,16 +458,12 @@ def train(
                 pending = 0
         if pending:
             _apply_batch(params, grads, cfg.learning_rate, where)
-        mean_loss = fmean(example_losses)
-        result.epoch_losses.append(mean_loss)
         if on_epoch is not None:
-            on_epoch(epoch + 1, mean_loss, params)
-    return result
+            on_epoch(epoch + 1, fmean(example_losses), params)
+    return params
 
 
 def _apply_batch(params: ModelParams, grads: ModelParams, learning_rate: float, where: str) -> None:
-    try:
-        ad.clip_gradients(grads.flat)
-    except NumericError as exc:
-        raise NumericError(f"{where}: {exc}") from exc
+    if not math.isfinite(ad.clip_gradients(grads.flat)):
+        raise NumericError(f"{where}: non-finite gradient norm")
     ad.sgd_step(params.flat, grads.flat, learning_rate)

@@ -83,12 +83,9 @@ def shortest_path(sentence: ParsedSentence) -> SspTriple:
     up_src = _chain_to_root(sentence, src)
     up_dst = _chain_to_root(sentence, dst)
     on_src_side = {idx: depth for depth, idx in enumerate(up_src)}
-    for depth, idx in enumerate(up_dst):
-        if idx in on_src_side:
-            indices = up_src[: on_src_side[idx]] + [idx] + up_dst[:depth][::-1]
-            break
-    else:  # both chains end at the root, so unreachable
-        raise ValidationError(f"sentence {sentence.id!r}: entities are not connected")
+    # Both chains end at the one root, so they meet.
+    depth, meet = next((depth, idx) for depth, idx in enumerate(up_dst) if idx in on_src_side)
+    indices = up_src[: on_src_side[meet]] + [meet] + up_dst[:depth][::-1]
 
     words, poss, deps, _ = zip(*(sentence.tokens[i] for i in indices))  # a Token is (text, pos, dep, head)
     return SspTriple(words=words, deps=deps, poss=poss)

@@ -9,15 +9,14 @@ relations are orthogonal and each relation name sits near its trigger.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_gold
-from .corpus import EntitySpan, ParsedSentence, Token, sentence_to_record, validate_sentence
-from .errors import ValidationError, write_atomic
+from .artifacts import write_corpus, write_gold
+from .corpus import EntitySpan, ParsedSentence, Token, validate_sentence
+from .errors import ValidationError
 from .vocab import write_embeddings
 
 EMBED_DIM = 16
@@ -275,7 +274,7 @@ def generate(
     gold_path = out / "gold.jsonl"
     embeddings_path = out / "embeddings.txt"
 
-    lines = []
+    sentences = []
     gold: dict[tuple[str, str], list[str]] = {}
     for rel in chosen:
         for p in range(pairs_per_relation):
@@ -287,16 +286,15 @@ def generate(
             gold[(s_name, o_name)] = [rel.name]
             for k in range(sentences_per_pair):
                 template = rel.sentences[int(rng.integers(len(rel.sentences)))]
-                sentence = instantiate(template, f"{rel.name}-{p:03d}-{k}", s_name, o_name)
-                lines.append(json.dumps(sentence_to_record(sentence)) + "\n")
+                sentences.append(instantiate(template, f"{rel.name}-{p:03d}-{k}", s_name, o_name))
 
-    write_atomic(corpus_path, "".join(lines).encode("utf-8"))
+    write_corpus(corpus_path, sentences)
     write_gold(gold_path, gold)
     write_embeddings(embeddings_path, toy_embeddings(chosen))
     return SynthResult(
         corpus_path=corpus_path,
         gold_path=gold_path,
         embeddings_path=embeddings_path,
-        record_count=len(lines),
+        record_count=len(sentences),
         pair_count=len(gold),
     )

@@ -4,24 +4,22 @@ Every oracle here is written against the definition being tested, not
 against the implementation: BFS for tree paths, scalar loops for the
 recurrent cells, Decimal arithmetic for label scoring, from-scratch
 agglomeration for clustering, and a pair double-loop for the rand index.
-The entry points that only tests call (writing a corpus, encoding one
-path, the loss of one held-out path) live here too, and so does the
+The entry points that only tests call (encoding one path, the loss of
+one held-out path) live here too, and so does the
 string-level padding that `model.paths_to_ids` is checked against.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from cure.corpus import EntitySpan, ParsedSentence, Token, sentence_to_record
+from cure.corpus import EntitySpan, ParsedSentence, Token
 from cure.errors import ValidationError
 from cure.model import ModelParams, PathIds, _path_prediction_loss, encode_blocks
 from cure.paths import PAD, SspTriple
@@ -48,12 +46,6 @@ def make_reagan_sentence() -> ParsedSentence:
         subject=EntitySpan(0, 2, "Ronald Reagan"),
         object=EntitySpan(8, 11, "the United States"),
     )
-
-
-def write_corpus(path: str | Path, sentences: Iterable[ParsedSentence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sentence in sentences:
-            fh.write(json.dumps(sentence_to_record(sentence)) + "\n")
 
 
 def random_tree_sentence(rng: np.random.Generator, n_tokens: int, sent_id: str = "t") -> ParsedSentence:

@@ -355,8 +355,11 @@ class TestOptimizerPieces:
         assert np.array_equal(grad, [0.3, 0.4])
 
     def test_clip_rejects_nonfinite_norm(self):
-        with pytest.raises(NumericError, match="gradient norm"):
-            ad.clip_gradients(np.array([1.0, np.inf]))
+        """A non-finite norm is returned, for train to refuse, and the buffer is left as it is."""
+        for bad in (np.inf, np.nan):
+            grad = np.array([1.0, bad])
+            assert not math.isfinite(ad.clip_gradients(grad, max_norm=1.0))
+            assert np.array_equal(grad, [1.0, bad], equal_nan=True)
 
     def test_sgd_and_zero_grad(self):
         """The step consumes the gradient: it is zero afterwards."""

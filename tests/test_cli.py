@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cure import artifacts, autodiff, cli
 from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
 from cure.errors import NumericError, ValidationError
-from cure.model import parameter_shapes, paths_to_ids, read_checkpoint
+from cure.model import parameter_shapes, paths_to_ids, read_checkpoint, write_checkpoint
 from cure.paths import group_pairs
 from cure.vocab import load_pretrained, write_embeddings
 
@@ -135,6 +135,20 @@ class TestLoadConfig:
         with pytest.raises(ValidationError):
             load_config("/nonexistent/config.cfg")
 
+    @pytest.mark.parametrize(
+        "text, overrides, message",
+        [("seed = 1\nepochs 3\n", [], "config line 2: expected 'key = value', got 'epochs 3'"),
+         ("", ["seed=1", "foo"], "override 'foo': expected KEY=VALUE"),
+         ("n_hh = 4\n", [], "config line 1: unknown config key 'n_hh'"),
+         ("", ["epochs=lots"], "override 'epochs=lots': config key 'epochs': expected integer, got 'lots'")],
+    )
+    def test_error_names_the_line_or_override(self, tmp_path, text, overrides, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as raised:
+            load_config(str(path), overrides)
+        assert str(raised.value).startswith(message), raised.value
+
 
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path, capsys):
@@ -175,6 +189,39 @@ class TestExitCodes:
         assert f"parameter {name!r} holds a non-finite value" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_relation_vector_is_3(self, trained, tmp_path, capsys):
+        """Finite parameters whose LSTM pre-activation is inf - inf: with
+        all-ones embeddings, input weights of 1e308 and recurrent weights of
+        -1e308, the forward LSTM's input term is +inf at every step and, once
+        its state is positive, its recurrent term -inf. Every vector is NaN."""
+        paths, ckpt = trained
+        params, vocabs = read_checkpoint(ckpt)
+        for table in (params.word_emb, params.dep_emb, params.pos_emb):
+            table[...] = 1.0
+        params.enc_fwd.U[...] = 1e308
+        params.enc_fwd.W[...] = -1e308
+        bad = tmp_path / "model.ckpt"
+        write_checkpoint(bad, params, vocabs)
+        out = tmp_path / "v.jsonl"
+        assert run("encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", str(out)) == 3
+        assert re.search(r"numeric error: pair \('\w+', '\w+'\): non-finite relation vector", capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the distance and the centroid sum overflow
+    def test_nonfinite_centroid_is_3_and_names_the_file(self, tmp_path, capsys):
+        """Two finite vectors whose mean overflows: the centroid would be
+        Infinity, which is no JSON, so nothing is written."""
+        vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": ["a", "o"], "vector": [1e308]},
+                                                     {"pair": ["b", "o"], "vector": [1.5e308]}])
+        centroids = tmp_path / "centroids.jsonl"
+        argv = ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl"),
+                "--centroids", str(centroids)]
+        assert run(*argv) == 3
+        assert f"numeric error: {centroids}: cannot write a non-finite value" in capsys.readouterr().err
+        assert not centroids.exists()
+
+
 _WRONG_TYPES = {  # case: (what the file holds, a change to its first record, the reason given)
     "id 7": ("corpus record", lambda r: r.update(id=7), "id must be a string, got 7"),
     "head 1.7": ("corpus record", lambda r: r["tokens"][0].update(head=1.7), "head must be an integer, got 1.7"),
@@ -191,6 +238,9 @@ _WRONG_TYPES = {  # case: (what the file holds, a change to its first record, th
     "label word 12": ("cluster label", lambda r: r.update(labels=[[12, 1.0]]), "label word must be a string, got 12"),
     "label score text": ("cluster label", lambda r: r.update(labels=[["w", "1"]]), "label score must be a number"),
     "label score true": ("cluster label", lambda r: r.update(labels=[["w", True]]), "label score must be a number"),
+    "label score NaN": ("cluster label", lambda r: r.update(labels=[["w", math.nan]]), "label score must be finite"),
+    "label score -Infinity": ("cluster label", lambda r: r.update(labels=[["w", -math.inf]]),
+                              "label score must be finite"),
 }
 
 
@@ -339,7 +389,7 @@ class TestMalformedArtifacts:
             bad = tmp_path / "model.ckpt"
             bad.write_bytes(with_meta(ckpt, json.dumps(meta).encode()))
             argv = ["encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", out]
-            self.assert_exit_2(capsys, argv, f"{bad}: malformed checkpoint metadata", "deps must be an array of strings")
+            self.assert_exit_2(capsys, argv, f"{bad}:2: malformed checkpoint metadata", "deps must be an array of strings")
         else:
             records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
             key = case.split()[-1]
@@ -406,7 +456,7 @@ class TestMalformedArtifacts:
         argv = ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl")]
         self.assert_exit_2(capsys, argv, f"{vectors}:1: invalid JSON (nested too deeply)")
         argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], deep))
-        self.assert_exit_2(capsys, argv, f"{tmp_path / 'model.ckpt'}: checkpoint metadata: invalid JSON (nested too")
+        self.assert_exit_2(capsys, argv, f"{tmp_path / 'model.ckpt'}:2: invalid JSON (nested too")
 
     def test_meta_config_with_unknown_key(self, trained, tmp_path, capsys):
         meta = json.loads(split_checkpoint(trained[1])[1])
@@ -426,6 +476,19 @@ class TestMalformedArtifacts:
         meta["config"]["learning_rate"] = float("nan")
         argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], json.dumps(meta).encode()))
         self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "learning_rate must be finite and positive")
+
+    def test_meta_config_with_integer_learning_rate_too_large_for_a_float(self, trained, tmp_path, capsys):
+        _, meta_line, _ = split_checkpoint(trained[1])
+        huge = "1" + "0" * 400
+        meta = re.sub(rb'"learning_rate": [^,}]+', b'"learning_rate": ' + huge.encode(), meta_line)
+        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], meta))
+        self.assert_exit_2(capsys, argv, f"{tmp_path / 'model.ckpt'}:2: malformed checkpoint metadata (OverflowError(")
+
+    def test_meta_vocab_listing_a_word_twice(self, trained, tmp_path, capsys):
+        meta = json.loads(split_checkpoint(trained[1])[1])
+        meta["vocab"]["words"][-1] = meta["vocab"]["words"][-2]
+        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], json.dumps(meta).encode()))
+        self.assert_exit_2(capsys, argv, f"{tmp_path / 'model.ckpt'}:2: vocab contains duplicate symbols")
 
     def test_oversized_meta_config_exits_before_allocating(self, trained, tmp_path, capsys):
         """A config claiming tensors far larger than the file's is refused by
@@ -548,6 +611,18 @@ class TestMalformedArtifacts:
             f"{labels}:2: malformed cluster label",
         )
 
+    def test_gold_relation_without_embedding_vector(self, tiny_setup, tmp_path, capsys):
+        root, cfg = tiny_setup
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
+        gold = write_jsonl(tmp_path / "g.jsonl", [{"pair": ["a", "b"], "relations": ["capital", "unembedded"]}])
+        self.assert_exit_2(
+            capsys,
+            ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+             "--set", f"gold={gold}", "--out", str(tmp_path / "s.csv")],
+            "gold relation names without embedding vectors: ['unembedded']",
+        )
+
     def test_gold_record_without_relations(self, tiny_setup, tmp_path, capsys):
         root, cfg = tiny_setup
         clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}])
@@ -561,27 +636,49 @@ class TestMalformedArtifacts:
         )
 
 
-    @pytest.mark.parametrize("case", ["corpus", "embeddings"])
+    @pytest.mark.parametrize("case", ["corpus", "corpus without tokens", "embeddings", "embeddings nan"])
     def test_malformed_line_names_file_and_line(self, tiny_setup, trained, tmp_path, capsys, case):
-        """A corpus or embeddings line that does not parse exits 2 with
-        <file>:<line> in front of the reason."""
+        """A corpus or embeddings line that does not parse, or breaks a tree
+        or vector check, exits 2 with <file>:<line> in front of the reason."""
         root, cfg = tiny_setup
         paths, _ = trained
         out = str(tmp_path / "out")
-        if case == "corpus":
+        if case.startswith("corpus"):
             bad = tmp_path / "bad.jsonl"
-            bad.write_text('{"id": 1\n', encoding="utf-8")
-            argv, reason = ["extract-paths", "--set", f"corpus={bad}", "--out", out], f"{bad}:1: invalid JSON"
+            if case == "corpus":
+                bad.write_text('{"id": 1\n', encoding="utf-8")
+                reason = f"{bad}:1: invalid JSON"
+            else:
+                first = json.loads((root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+                write_jsonl(bad, [first, {**first, "id": "empty", "tokens": []}])
+                reason = f"{bad}:2: sentence 'empty': no tokens"
+            argv = ["extract-paths", "--set", f"corpus={bad}", "--out", out]
         else:
             bad = tmp_path / "bad.txt"
             good = (root / "embeddings.txt").read_text(encoding="utf-8")
-            bad.write_text(good + "extra 1 two\n", encoding="utf-8")
+            bad.write_text(good + ("extra 1 two\n" if case == "embeddings" else "extra 1 nan\n"), encoding="utf-8")
             pairs = {tuple(json.loads(line)["pair"]) for line in paths.read_text(encoding="utf-8").splitlines()}
             clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": list(p)} for p in sorted(pairs)])
             argv = ["label", "--config", str(cfg), "--clusters", str(clusters), "--paths-file", str(paths),
                     "--set", f"embeddings={bad}", "--out", out]
-            reason = f"{bad}:{len(good.splitlines()) + 1}: unparseable vector value"
+            problem = "unparseable vector value" if case == "embeddings" else "non-finite vector value"
+            reason = f"{bad}:{len(good.splitlines()) + 1}: {problem}"
         self.assert_exit_2(capsys, argv, reason)
+
+    @pytest.mark.parametrize(
+        "change, reason",
+        [(lambda r: r.update(deps=r["deps"][:-1]), "path sequences must have equal length"),
+         (lambda r: r.update(words=[], deps=[], poss=[]), "path must contain at least one token")],
+        ids=["lengths differ", "empty"],
+    )
+    def test_path_instance_sequences_must_match(self, tiny_setup, trained, tmp_path, capsys, change, reason):
+        root, cfg = tiny_setup
+        paths, _ = trained
+        records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
+        change(records[1])
+        bad = write_jsonl(tmp_path / "p.jsonl", records)
+        argv = ["train", "--config", str(cfg), "--paths-file", str(bad), "--out-checkpoint", str(tmp_path / "m.ckpt")]
+        self.assert_exit_2(capsys, argv, f"{bad}:2: {reason}")
 
 
     @pytest.mark.parametrize("case", list(_WRONG_TYPES))
@@ -770,6 +867,13 @@ class TestStages:
         assert set(calls) == {tuple(paths_to_ids(g, vocabs, params.cfg.n_l)) for g in groups}
         assert len(calls) < len(groups) == len(out.read_text(encoding="utf-8").splitlines())
 
+    def test_encode_of_an_empty_paths_file_writes_an_empty_file(self, trained, tmp_path):
+        _, ckpt = trained
+        paths, out = tmp_path / "paths.jsonl", tmp_path / "v.jsonl"
+        paths.write_text("", encoding="utf-8")
+        assert run("encode", "--checkpoint", str(ckpt), "--paths-file", str(paths), "--out", str(out)) == 0
+        assert out.read_bytes() == b""
+
     def test_vectors_lines_are_json_dumps_of_their_records(self, trained, tmp_path):
         paths, ckpt = trained
         records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
@@ -799,6 +903,12 @@ class TestTrainCheckpoint:
         assert "no pair has at least 3 paths; nothing to train on" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_zero_epochs_writes_initialized_parameters(self, tiny_setup, trained, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        assert self.train(tiny_setup, trained, ckpt, "epochs=0") == 0
+        assert "trained 0 epochs; wrote initialized parameters" in capsys.readouterr().out
+        assert ckpt.exists()
+
     def test_written_once(self, tiny_setup, trained, tmp_path, monkeypatch):
         ckpt = tmp_path / "model.ckpt"
         written = []
@@ -819,7 +929,7 @@ class TestTrainCheckpoint:
         ckpt = tmp_path / "model.ckpt"
         assert self.train(tiny_setup, trained, ckpt) == 0
         params, _ = read_checkpoint(ckpt)
-        assert params.flat.tobytes() == results[0].params.flat.tobytes()
+        assert params.flat.tobytes() == results[0].flat.tobytes()
 
     def test_training_that_fails_keeps_previous_checkpoint(self, tiny_setup, trained, tmp_path, monkeypatch, capsys):
         """A retrain with other weights that fails in epoch 2 leaves the previous file byte-identical."""
@@ -830,9 +940,7 @@ class TestTrainCheckpoint:
 
         def clip_failing_in_epoch_2(grad, *args):
             calls.append(grad)
-            if len(calls) == 2:
-                raise NumericError("non-finite gradient norm")
-            return clip(grad, *args)
+            return math.nan if len(calls) == 2 else clip(grad, *args)
 
         monkeypatch.setattr(autodiff, "clip_gradients", clip_failing_in_epoch_2)
         # One batch per epoch, so the second clip is epoch 2's.
@@ -1134,6 +1242,7 @@ class TestPipeline:
         out = tmp_path / "out"
         for setting, message in [
             ("epochs=-1", "config epochs must be non-negative"),
+            ("n_l=1", "config n_l must be at least 2"),
             ("learning_rate=nan", "config learning_rate must be finite and positive, got nan"),
             ("learning_rate=inf", "config learning_rate must be finite and positive, got inf"),
             ("learning_rate=1e999", "config learning_rate must be finite and positive, got inf"),
@@ -1151,6 +1260,19 @@ class TestPipeline:
     def test_missing_required_key(self, tmp_path):
         with pytest.raises(ValidationError, match="corpus"):
             run_pipeline(RunConfig(out_dir=str(tmp_path)))
+
+    def test_missing_input_file_exits_before_any_stage_writes(self, tiny_setup, tmp_path, capsys):
+        root, cfg = tiny_setup
+        out, gold = tmp_path / "out", tmp_path / "no-gold.jsonl"
+        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={out}", "--set", f"gold={gold}") == 2
+        assert f"pipeline: config 'gold' points to missing file {str(gold)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failing_stage_is_named(self, tiny_setup, tmp_path, capsys):
+        root, cfg = tiny_setup
+        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={tmp_path}", "--set", "min_paths=99") == 2
+        assert "error: stage 'train' failed: no pair has at least 99 paths" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
 
 def test_every_readme_command_parses():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cure.artifacts import write_corpus
 from cure.corpus import (
     ParsedSentence,
     canonical_key,
@@ -17,7 +18,7 @@ from cure.corpus import (
 from cure.errors import ValidationError
 from cure.paths import SspTriple, group_pairs
 
-from helpers import make_reagan_sentence, random_tree_sentence, write_corpus
+from helpers import make_reagan_sentence, random_tree_sentence
 
 
 def write_lines(tmp_path, lines, name="corpus.jsonl"):

@@ -96,6 +96,18 @@ class TestWvsLabel:
         for (_, a), (_, b) in zip(plain, scaled):
             assert abs(a - b) < 1e-12
 
+    def test_weighted_sum_near_the_float_maximum_ranks_as_at_unit_scale(self):
+        """Four near-parallel vectors times 2^1022: the three weighted near 1
+        sum past the float maximum unless the vectors are scaled first. The
+        scaling is by a power of two, so the ranking and every score are
+        exactly those at scale 1."""
+        raw = {"a": [1.9, 0.05], "b": [1.9, 0.0], "c": [1.9, 0.001], "d": [1.9, -0.001]}
+        counts = {"a": 1, "b": 10, "c": 10, "d": 10}
+        plain = wvs_label(counts, toy_vectors(raw))
+        huge = wvs_label(counts, {w: np.ldexp(v, 1022) for w, v in toy_vectors(raw).items()})
+        assert huge == plain
+        assert all(np.isfinite(score) for _, score in plain)
+
     def test_insertion_order_invariance(self):
         vectors = toy_vectors({"a": unit(0), "b": unit(1), "c": unit(2)})
         counts1 = dict([("a", 2), ("b", 5), ("c", 1)])

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cure.autodiff as ad
+import cure.model as mdl
 import graph_oracle as g
 from cure.errors import NumericError, ValidationError
 from cure.model import (
@@ -334,27 +335,33 @@ class TestTrain:
         g2 = [ids_path(cfg, [6, 7, 8]), ids_path(cfg, [6, 7, 9])]
         return [(("A", "B"), g1), (("C", "D"), g2)]
 
+    def train(self, cfg) -> tuple[ModelParams, list[float]]:
+        """The trained parameters and the per-epoch losses train reported."""
+        losses = []
+        params = train(self.groups(cfg), cfg, 10, 5, 5, on_epoch=lambda epoch, loss, _: losses.append((epoch, loss)))
+        assert [epoch for epoch, _ in losses] == list(range(1, cfg.epochs + 1))
+        return params, [loss for _, loss in losses]
+
     def test_zero_epochs_returns_initialized_params(self):
         cfg = tiny_config(epochs=0)
-        result = train(self.groups(cfg), cfg, n_words=10, n_deps=5, n_pos=5)
-        fresh = make_params(cfg, seed=cfg.seed)
+        params, losses = self.train(cfg)
         fresh_arrays = ModelParams(cfg, 10, 5, 5, np.random.default_rng(cfg.seed)).arrays()
-        for name, arr in result.params.arrays().items():
+        for name, arr in params.arrays().items():
             assert np.array_equal(arr, fresh_arrays[name]), name
-        assert result.epoch_losses == []
+        assert losses == []
 
     def test_same_seed_is_bitwise_identical(self):
         cfg = tiny_config(epochs=3)
-        a = train(self.groups(cfg), cfg, 10, 5, 5)
-        b = train(self.groups(cfg), cfg, 10, 5, 5)
-        assert a.epoch_losses == b.epoch_losses
-        for name, arr in a.params.arrays().items():
-            assert np.array_equal(arr, b.params.arrays()[name]), name
+        a, a_losses = self.train(cfg)
+        b, b_losses = self.train(cfg)
+        assert a_losses == b_losses
+        for name, arr in a.arrays().items():
+            assert np.array_equal(arr, b.arrays()[name]), name
 
     def test_loss_decreases_over_epochs(self):
         cfg = tiny_config(epochs=40, learning_rate=0.5, batch_size=1)
-        result = train(self.groups(cfg), cfg, 10, 5, 5)
-        assert result.epoch_losses[-1] < 0.6 * result.epoch_losses[0]
+        _, losses = self.train(cfg)
+        assert losses[-1] < 0.6 * losses[0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_names_epoch_and_pair(self):
@@ -363,9 +370,33 @@ class TestTrain:
         with pytest.raises(NumericError, match=r"epoch \d+, pair \('[A-D]', '[A-D]'\): non-finite example loss"):
             train(self.groups(cfg), cfg, 10, 5, 5)
 
+    def test_inputs_past_max_input_paths_are_a_seeded_ordered_subsample(self, monkeypatch):
+        """One pair of 12 distinct paths, at most 3 inputs: every example's
+        inputs are 3 of the 11 paths it does not predict, in the group's
+        order, and the same seed draws the same ones."""
+        cfg = tiny_config(max_input_paths=3, epochs=6)
+        paths = [ids_path(cfg, [i, 2, 3]) for i in range(1, 13)]
+        real, examples = mdl._path_prediction_loss, []
+
+        def recorded(params, inputs, target, grads=None):
+            examples.append((tuple(paths.index(p) for p in inputs), paths.index(target)))
+            return real(params, inputs, target, grads)
+
+        monkeypatch.setattr(mdl, "_path_prediction_loss", recorded)
+        runs = []
+        for _ in range(2):
+            examples = []
+            train([(("A", "B"), paths)], cfg, 13, 5, 5)
+            runs.append(examples)
+        assert len(runs[0]) == cfg.epochs
+        for inputs, target in runs[0]:
+            assert len(inputs) == 3 and list(inputs) == sorted(inputs) and target not in inputs
+        assert runs[0] == runs[1]
+        assert len({inputs for inputs, _ in runs[0]}) > 1
+
     def test_nonfinite_gradient_norm_names_epoch_and_pair(self, monkeypatch):
         def clip(grad, max_norm=ad.GRAD_CLIP_NORM):
-            raise NumericError("non-finite gradient norm")
+            return math.inf
 
         monkeypatch.setattr(ad, "clip_gradients", clip)
         cfg = tiny_config()

@@ -127,3 +127,6 @@ class TestGenerate:
             generate(1, 0, 2, 0, tmp_path)
         with pytest.raises(ValidationError):
             generate(1, 1, 1, 0, tmp_path)
+        # 24 names cap the pairs at 24 * 23 / 2 = 276: 4 x 69 fit, 4 x 70 do not.
+        with pytest.raises(ValidationError, match="too many pairs requested for a 24-name pool"):
+            generate(4, 70, 2, 0, tmp_path)
