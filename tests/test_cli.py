@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cure import artifacts, autodiff, cli
 from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
-from cure.errors import NumericError, ValidationError
+from cure.errors import ValidationError
 from cure.model import parameter_shapes, paths_to_ids, read_checkpoint, write_checkpoint
 from cure.paths import group_pairs
 from cure.vocab import load_pretrained, write_embeddings
@@ -187,7 +187,6 @@ class TestExitCodes:
         code = run("encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", str(tmp_path / "v.jsonl"))
         assert code == 3
         assert f"parameter {name!r} holds a non-finite value" in capsys.readouterr().err
-
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_relation_vector_is_3(self, trained, tmp_path, capsys):
@@ -478,10 +477,9 @@ class TestMalformedArtifacts:
         self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "learning_rate must be finite and positive")
 
     def test_meta_config_with_integer_learning_rate_too_large_for_a_float(self, trained, tmp_path, capsys):
-        _, meta_line, _ = split_checkpoint(trained[1])
-        huge = "1" + "0" * 400
-        meta = re.sub(rb'"learning_rate": [^,}]+', b'"learning_rate": ' + huge.encode(), meta_line)
-        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], meta))
+        meta = json.loads(split_checkpoint(trained[1])[1])
+        meta["config"]["learning_rate"] = 10**400  # a JSON integer, so no float parse turns it into inf
+        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], json.dumps(meta).encode()))
         self.assert_exit_2(capsys, argv, f"{tmp_path / 'model.ckpt'}:2: malformed checkpoint metadata (OverflowError(")
 
     def test_meta_vocab_listing_a_word_twice(self, trained, tmp_path, capsys):
