@@ -69,6 +69,13 @@ class Cluster:
     centroid: np.ndarray
 
 
+def scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x 2^-e, e) for the e that brings x's largest magnitude into [0.5, 1):
+    a power of two scales exactly, and a sum of scaled values cannot overflow."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, -e), e
+
+
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
     """Euclidean distance matrix, one row at a time: row i holds the
     distances to points i.. and is mirrored into column i."""
@@ -195,7 +202,8 @@ def hac(vectors: Sequence[np.ndarray]) -> Dendrogram:
 def cut(dendrogram: Dendrogram, k: int) -> list[Cluster]:
     """Stop the agglomeration at exactly k clusters (undo the last k-1
     merges). Output clusters are sorted by size descending, then by the
-    cluster id they held in the dendrogram, and relabeled 0..k-1."""
+    cluster id they held in the dendrogram, and relabeled 0..k-1. Centroids
+    average their members scaled by one power of two: the sum cannot overflow."""
     n = dendrogram.n
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
@@ -203,7 +211,8 @@ def cut(dendrogram: Dendrogram, k: int) -> list[Cluster]:
     for step, merge in enumerate(dendrogram.merges[: n - k]):
         members[n + step] = sorted(members.pop(merge.a) + members.pop(merge.b))
     ordered = sorted(members.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    return [
-        Cluster(id=pos, members=tuple(mem), centroid=dendrogram.points[mem].mean(axis=0))
-        for pos, (_, mem) in enumerate(ordered)
-    ]
+    clusters = []
+    for pos, (_, mem) in enumerate(ordered):
+        points, e = scaled(dendrogram.points[mem])
+        clusters.append(Cluster(id=pos, members=tuple(mem), centroid=np.ldexp(points.mean(axis=0), e)))
+    return clusters

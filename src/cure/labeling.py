@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .cluster import scaled
 from .errors import ValidationError, reading
 
 
@@ -28,16 +29,11 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(w.strip().lower() for w in text.splitlines() if w.strip() and not w.startswith("#"))
 
 
-def _scaled(x: np.ndarray) -> np.ndarray:
-    """x times the power of two that brings its largest magnitude into [0.5, 1)."""
-    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
-
-
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity, scale-free: each vector is first scaled by a power
     of two, which is exact, so the dot product and the norms cannot overflow
     on large finite values."""
-    u, v = _scaled(u), _scaled(v)
+    u, v = scaled(u)[0], scaled(v)[0]
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
@@ -75,7 +71,7 @@ def wvs_label(candidates: Mapping[str, int], vectors: Mapping[str, np.ndarray]) 
 
     # All scaled by one power of two, which is exact and which no cosine sees,
     # so that the weighted sum cannot overflow.
-    vecs = dict(zip(words, _scaled(np.array([vectors[w] for w in words]))))
+    vecs = dict(zip(words, scaled(np.array([vectors[w] for w in words]))[0]))
     raw = {}
     for w in words:
         distinct = sum(1.0 - cosine(vecs[w], vecs[other]) for other in words if other != w)

@@ -15,9 +15,10 @@ GRU state. No ground-truth word is fed back in.
 Training predicts one held-out path of a pair from the pair's remaining
 paths, with cross entropy averaged over the target's unpadded length. The
 forward and backward passes are written out by hand (see autodiff): all
-input paths of an example run through the encoder as one batch, and the
-decoder runs only the target's unpadded steps, since later steps never
-reach the loss.
+input paths of an example run through the encoder as one batch, with both
+LSTM directions stepped together, and the decoder runs only the target's
+unpadded steps, since later steps never reach the loss, writing each step
+into preallocated rows.
 
 Also here: the checkpoint file, which holds the config, the vocabularies
 and the parameters, and is written and read only by this module.
@@ -265,20 +266,18 @@ class EncoderCache:
     """What encoder_backward needs from an encode_blocks run."""
 
     ids: tuple[np.ndarray, np.ndarray, np.ndarray]  # word, dependency, POS ids, each (n_l, len(paths))
-    forward: ad.LstmCache
-    backward: ad.LstmCache  # over the time-reversed inputs
+    lstm: ad.BiLstmCache
 
 
 def encode_blocks(params: ModelParams, paths: Sequence[PathIds]) -> tuple[np.ndarray, EncoderCache]:
     """Per-position concatenated forward/backward LSTM states of every path,
-    (len(paths), n_l, n_h + n_h2), all paths run as one batch, and the cache
-    encoder_backward needs."""
+    (len(paths), n_l, n_h + n_h2), all paths run as one batch through both
+    directions at once, and the cache encoder_backward needs."""
     ids = _position_ids(paths)
-    xs = _embed(params, ids)
-    forward, fwd_cache = ad.lstm_forward(params.enc_fwd, xs)
-    backward, bwd_cache = ad.lstm_forward(params.enc_bwd, xs[::-1])
+    lstm = ad.bilstm_forward((params.enc_fwd, params.enc_bwd), _embed(params, ids))
+    forward, backward = lstm.by_direction(lstm.hs[1:])
     blocks = np.concatenate([forward, backward[::-1]], axis=2).transpose(1, 0, 2)
-    return blocks, EncoderCache(ids, fwd_cache, bwd_cache)
+    return blocks, EncoderCache(ids, lstm)
 
 
 def encoder_backward(params: ModelParams, grads: ModelParams, cache: EncoderCache, d_blocks: np.ndarray) -> None:
@@ -286,8 +285,10 @@ def encoder_backward(params: ModelParams, grads: ModelParams, cache: EncoderCach
     encode_blocks run, adding the LSTM and embedding gradients into grads."""
     cfg = params.cfg
     d_states = d_blocks.transpose(1, 0, 2)
-    d_xs = ad.lstm_backward(params.enc_fwd, grads.enc_fwd, cache.forward, d_states[..., : cfg.n_h])
-    d_xs += ad.lstm_backward(params.enc_bwd, grads.enc_bwd, cache.backward, d_states[::-1, :, cfg.n_h :])[::-1]
+    d_hs = np.empty(cache.lstm.tanh_c.shape)  # laid out as the LSTM states
+    for rows, own in zip(cache.lstm.by_direction(d_hs), (d_states[..., : cfg.n_h], d_states[::-1, :, cfg.n_h :])):
+        rows[...] = own
+    d_xs = ad.bilstm_backward((params.enc_fwd, params.enc_bwd), (grads.enc_fwd, grads.enc_bwd), cache.lstm, d_hs)
     words, deps, poss = cache.ids
     np.add.at(grads.word_emb, words, d_xs[..., : cfg.d_w])
     np.add.at(grads.dep_emb, deps, d_xs[..., cfg.d_w : cfg.d_w + cfg.d_d])
@@ -346,15 +347,17 @@ def decode_path(params: ModelParams, blocks: np.ndarray, n: int) -> DecoderPass:
     hs = np.zeros((n + 1, g))
     zrs = np.empty((n, 2 * g))
     cands = np.empty((n, g))
+    scores = np.empty(cfg.n_l)
     for t in range(n):
-        scores = params.attn_w @ hs[t] + params.attn_b
-        e = np.exp(scores - scores.max())
-        weights[t] = e / e.sum()
-        joined[t, :bd] = weights[t] @ blocks
+        np.add(params.attn_w.dot(hs[t]), params.attn_b, out=scores)
+        scores -= scores.max()
+        e = np.exp(scores, out=weights[t])
+        e /= e.sum()
+        e.dot(blocks, out=joined[t, :bd])
         if t:
             joined[t, bd:] = contexts[t - 1]
-        contexts[t] = params.ctx_w @ joined[t]
-        hs[t + 1], zrs[t], cands[t] = ad.gru_step(params.dec, contexts[t], hs[t])
+        params.ctx_w.dot(joined[t], out=contexts[t])
+        ad.gru_step(params.dec, contexts[t], hs[t], hs[t + 1], zrs[t], cands[t])
     logits = hs[1:] @ params.out_w.T + params.out_b
     return DecoderPass(blocks, weights, joined, contexts, hs, zrs, cands, logits)
 
@@ -369,20 +372,20 @@ def decoder_backward(params: ModelParams, grads: ModelParams, run: DecoderPass, 
     d_h_out = d_logits @ params.out_w
     d_gru = np.empty((n, 3 * g))
     d_ctx = np.empty((n, g))
-    d_focus = np.empty((n, bd))
+    d_joined = np.empty((n, bd + g))
+    d_focus = d_joined[:, :bd]
     d_scores = np.empty((n, params.cfg.n_l))
     dh = np.zeros(g)
     d_ctx_next = np.zeros(g)  # reaches context t through step t + 1's joined input
     for t in range(n - 1, -1, -1):
-        d_gru[t], d_x, dh = ad.gru_step_backward(params.dec, run.hs[t], run.zrs[t], run.cands[t], dh + d_h_out[t])
-        d_ctx[t] = d_x + d_ctx_next
-        d_joined = d_ctx[t] @ params.ctx_w
-        d_focus[t] = d_joined[:bd]
-        d_ctx_next = d_joined[bd:]
+        dh += d_h_out[t]
+        d_x, dh = ad.gru_step_backward(params.dec, run.hs[t], run.zrs[t], run.cands[t], dh, d_gru[t])
+        np.add(d_x, d_ctx_next, out=d_ctx[t]).dot(params.ctx_w, out=d_joined[t])
+        d_ctx_next = d_joined[t, bd:]
         a = run.weights[t]
-        d_a = run.blocks @ d_focus[t]
-        d_scores[t] = a * (d_a - a @ d_a)
-        dh = dh + d_scores[t] @ params.attn_w
+        d_a = run.blocks.dot(d_focus[t])
+        d_a -= a.dot(d_a)
+        dh += np.multiply(a, d_a, out=d_scores[t]).dot(params.attn_w)
     ad.gru_weight_grads(grads.dec, d_gru, run.contexts, run.hs[:-1], run.zrs)
     grads.ctx_w += d_ctx.T @ run.joined
     grads.attn_w += d_scores.T @ run.hs[:-1]

@@ -4,9 +4,11 @@ Every oracle here is written against the definition being tested, not
 against the implementation: BFS for tree paths, scalar loops for the
 recurrent cells, Decimal arithmetic for label scoring, from-scratch
 agglomeration for clustering, and a pair double-loop for the rand index.
-The entry points that only tests call (encoding one path, the loss of
-one held-out path) live here too, and so does the
-string-level padding that `model.paths_to_ids` is checked against.
+The single-direction LSTM passes that the fused bidirectional ones
+replaced are kept here as their reference, one run per direction. The
+entry points that only tests call (encoding one path, the loss of one
+held-out path) live here too, and so does the string-level padding that
+`model.paths_to_ids` is checked against.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
+from cure.autodiff import CellWeights, sigmoid
 from cure.corpus import EntitySpan, ParsedSentence, Token
 from cure.errors import ValidationError
-from cure.model import ModelParams, PathIds, _path_prediction_loss, encode_blocks
+from cure.model import ModelParams, PathIds, _embed, _path_prediction_loss, _position_ids, encode_blocks
 from cure.paths import PAD, SspTriple
 
 
@@ -146,6 +149,104 @@ def scalar_gru_step(x, h, p: dict) -> list[float]:
     reset_h = [r[k] * h[k] for k in range(len(h))]
     candidate = gate(p["W_h"], p["U_h"], p["b_h"], reset_h, math.tanh)
     return [z[k] * h[k] + (1.0 - z[k]) * candidate[k] for k in range(len(h))]
+
+
+# ---------------------------------------------------------------------------
+# Single-direction LSTM passes: the reference for the fused bidirectional ones
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class LstmCache:
+    """Activations of one forward pass, as its backward pass needs them."""
+
+    xs: np.ndarray  # (T, B, d) inputs
+    hs: np.ndarray  # (T + 1, B, h) hidden states, hs[0] = 0
+    cs: np.ndarray  # (T + 1, B, h) cell states, cs[0] = 0
+    gates: np.ndarray  # (T, B, 4h) o, f, i after the sigmoid, candidate after tanh
+    tanh_c: np.ndarray  # (T, B, h)
+
+
+def lstm_forward(p: CellWeights, xs: np.ndarray) -> tuple[np.ndarray, LstmCache]:
+    """Hidden states (T, B, h) of an LSTM run over xs (T, B, d) from zero
+    state, and the cache lstm_backward needs."""
+    steps, batch, _ = xs.shape
+    h = p.W.shape[1]
+    cache = LstmCache(
+        xs=xs, hs=np.zeros((steps + 1, batch, h)), cs=np.zeros((steps + 1, batch, h)),
+        gates=np.empty((steps, batch, 4 * h)), tanh_c=np.empty((steps, batch, h)),
+    )
+    hs = cache.hs
+    c = cache.cs[0]
+    u_t, w_t = p.U.T, p.W.T
+    for t in range(steps):
+        z = xs[t] @ u_t + hs[t] @ w_t + p.b
+        sig = sigmoid(z[:, : 3 * h])
+        cand = np.tanh(z[:, 3 * h :])
+        c = sig[:, h : 2 * h] * c + sig[:, 2 * h :] * cand
+        tanh_c = np.tanh(c)
+        hs[t + 1] = sig[:, :h] * tanh_c
+        cache.cs[t + 1] = c
+        cache.gates[t, :, : 3 * h] = sig
+        cache.gates[t, :, 3 * h :] = cand
+        cache.tanh_c[t] = tanh_c
+    return hs[1:], cache
+
+
+def lstm_backward(p: CellWeights, grad: CellWeights, cache: LstmCache, d_hs: np.ndarray) -> np.ndarray:
+    """Backpropagate d_hs (T, B, h), the loss gradient on every output state.
+
+    Adds the weight gradients into grad and returns the input gradient (T, B, d).
+    """
+    steps, batch, h = d_hs.shape
+    g = cache.gates
+    o, f, i, cand = g[..., :h], g[..., h : 2 * h], g[..., 2 * h : 3 * h], g[..., 3 * h :]
+    tanh_c = cache.tanh_c
+    d_c_from_h = o * (1.0 - tanh_c * tanh_c)
+    d_o_from_h = tanh_c * o * (1.0 - o)
+    d_fic_from_c = np.stack(
+        [cache.cs[:-1] * f * (1.0 - f), cand * i * (1.0 - i), i * (1.0 - cand * cand)], axis=2
+    )  # (T, B, 3, h)
+
+    d_pre = np.empty((steps, batch, 4 * h))
+    by_gate = d_pre.reshape(steps, batch, 4, h)
+    dh = np.zeros((batch, h))
+    dc = np.zeros((batch, h))
+    for t in range(steps - 1, -1, -1):
+        dh = dh + d_hs[t]
+        dc = dc + dh * d_c_from_h[t]
+        by_gate[t, :, 0] = dh * d_o_from_h[t]
+        by_gate[t, :, 1:] = dc[:, None, :] * d_fic_from_c[t]
+        dc = dc * f[t]
+        dh = d_pre[t] @ p.W
+
+    flat = d_pre.reshape(steps * batch, 4 * h)
+    d = cache.xs.shape[2]
+    grad.W += flat.T @ cache.hs[:-1].reshape(steps * batch, h)
+    grad.U += flat.T @ cache.xs.reshape(steps * batch, d)
+    grad.b += flat.sum(axis=0)
+    return (flat @ p.U).reshape(steps, batch, d)
+
+
+def reference_encoder(
+    params: ModelParams, paths: Sequence[PathIds], d_blocks: np.ndarray, grads: ModelParams
+) -> np.ndarray:
+    """What encode_blocks gives and encoder_backward adds into grads, by one
+    single-direction LSTM run per direction (the backward one over the
+    time-reversed inputs); returns the blocks (len(paths), n_l, n_h + n_h2)."""
+    cfg = params.cfg
+    ids = _position_ids(paths)
+    xs = _embed(params, ids)
+    forward, fwd_cache = lstm_forward(params.enc_fwd, xs)
+    backward, bwd_cache = lstm_forward(params.enc_bwd, xs[::-1])
+    d_states = d_blocks.transpose(1, 0, 2)
+    d_xs = lstm_backward(params.enc_fwd, grads.enc_fwd, fwd_cache, d_states[..., : cfg.n_h])
+    d_xs += lstm_backward(params.enc_bwd, grads.enc_bwd, bwd_cache, d_states[::-1, :, cfg.n_h :])[::-1]
+    for table, tag_ids, cols in zip(
+        (grads.word_emb, grads.dep_emb, grads.pos_emb), ids, np.split(d_xs, [cfg.d_w, cfg.d_w + cfg.d_d], axis=2)
+    ):
+        np.add.at(table, tag_ids, cols)
+    return np.concatenate([forward, backward[::-1]], axis=2).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import cure.autodiff as ad
 import graph_oracle as g
 from cure.errors import NumericError, ValidationError
 
-from helpers import max_rel_error, scalar_gru_step, scalar_lstm_step
+from helpers import lstm_backward, lstm_forward, max_rel_error, scalar_gru_step, scalar_lstm_step
 
 
 def rand_value(rng, *shape, name=""):
@@ -41,6 +41,14 @@ def gate_dict(cell: ad.CellWeights, gates) -> dict:
 
 def zero_cell_like(cell: ad.CellWeights) -> ad.CellWeights:
     return ad.CellWeights(np.zeros_like(cell.W), np.zeros_like(cell.U), np.zeros_like(cell.b))
+
+
+def gru_step(cell: ad.CellWeights, x: np.ndarray, h_prev: np.ndarray):
+    """The fused GRU step's outputs (h, z|r, candidate) in fresh arrays."""
+    g = h_prev.shape[0]
+    h, zr, cand = np.empty(g), np.empty(2 * g), np.empty(g)
+    ad.gru_step(cell, x, h_prev, h, zr, cand)
+    return h, zr, cand
 
 
 class TestElementaryOps:
@@ -218,9 +226,10 @@ class TestLstmStep:
         state = g.lstm_step(g.Value(np.array([0.7, -0.3])), g.LstmState.zeros(3), p)
         assert np.array_equal(state.h.data, np.zeros(3))
         assert np.array_equal(state.c.data, np.zeros(3))
-        fused = ad.CellWeights(np.zeros((12, 3)), np.zeros((12, 2)), np.zeros(12))
-        hs, _ = ad.lstm_forward(fused, rng.uniform(-1, 1, (4, 2, 2)))
-        assert np.array_equal(hs, np.zeros((4, 2, 3)))
+        cells = [ad.CellWeights(np.zeros((4 * h, h)), np.zeros((4 * h, 2)), np.zeros(4 * h)) for h in (3, 5)]
+        cache = ad.bilstm_forward(cells, rng.uniform(-1, 1, (4, 2, 2)))
+        assert np.array_equal(cache.hs, np.zeros((5, 16)))
+        assert np.array_equal(cache.cs, np.zeros((5, 16)))
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(8)
@@ -233,14 +242,17 @@ class TestLstmStep:
         assert np.allclose(state.h.data, h_expected, rtol=1e-12)
         assert np.allclose(state.c.data, c_expected, rtol=1e-12)
 
-        fused = rand_cell(rng, 3, 4, 4, lstm=True)
+        cells = [rand_cell(rng, h, 4, 4, lstm=True) for h in (3, 2)]
         xs = rng.uniform(-1, 1, (5, 2, 4))
-        hs, _ = ad.lstm_forward(fused, xs)
-        for b in range(2):
-            h, c = [0.0] * 3, [0.0] * 3
-            for t in range(5):
-                h, c = scalar_lstm_step(list(xs[t, b]), h, c, gate_dict(fused, ad.LSTM_GATES))
-                assert np.allclose(hs[t, b], h, rtol=1e-12)
+        cache = ad.bilstm_forward(cells, xs)
+        for cell, inputs, fused in zip(cells, (xs, xs[::-1]), cache.by_direction(cache.hs[1:])):
+            reference, _ = lstm_forward(cell, inputs)
+            for b in range(2):
+                h, c = [0.0] * cell.W.shape[1], [0.0] * cell.W.shape[1]
+                for t in range(5):
+                    h, c = scalar_lstm_step(list(inputs[t, b]), h, c, gate_dict(cell, ad.LSTM_GATES))
+                    assert np.allclose(reference[t, b], h, rtol=1e-12)
+                    assert np.allclose(fused[t, b], h, rtol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -257,21 +269,25 @@ class TestLstmStep:
         for name, v in tensors.items():
             assert max_rel_error(v.grad, fd[name]) < 1e-3, name
 
-        fused = rand_cell(rng, 4, 3, 4, lstm=True)
         xs = rng.uniform(-1, 1, (4, 3, 3))
+        cells = [rand_cell(rng, h, 3, 4, lstm=True) for h in (4, 2)]
 
-        def loss_fn():
-            hs, _ = ad.lstm_forward(fused, xs)
-            return float(np.sum(hs * hs))
+        def reference():
+            hs, cache = lstm_forward(cells[0], xs)
+            return [hs], lambda grads: lstm_backward(cells[0], grads[0], cache, 2.0 * hs)
 
-        grad = zero_cell_like(fused)
-        hs, cache = ad.lstm_forward(fused, xs)
-        d_xs = ad.lstm_backward(fused, grad, cache, 2.0 * hs)
-        arrays = {"W": fused.W, "U": fused.U, "b": fused.b, "xs": xs}
-        fd = g.finite_difference(loss_fn, arrays)
-        analytic = {"W": grad.W, "U": grad.U, "b": grad.b, "xs": d_xs}
-        for name in arrays:
-            assert max_rel_error(analytic[name], fd[name]) < 1e-3, name
+        def bidirectional():
+            cache = ad.bilstm_forward(cells, xs)
+            return [cache.hs[1:]], lambda grads: ad.bilstm_backward(cells, grads, cache, 2.0 * cache.hs[1:])
+
+        for run, used in ((reference, cells[:1]), (bidirectional, cells)):
+            grads = [zero_cell_like(cell) for cell in used]
+            d_xs = run()[1](grads)
+            arrays = {"xs": xs} | {f"{k}{n}": getattr(cell, k) for n, cell in enumerate(used) for k in "WUb"}
+            fd = g.finite_difference(lambda: float(sum(np.sum(h * h) for h in run()[0])), arrays)
+            analytic = {"xs": d_xs} | {f"{k}{n}": getattr(grad, k) for n, grad in enumerate(grads) for k in "WUb"}
+            for name in arrays:
+                assert max_rel_error(analytic[name], fd[name]) < 1e-3, (run.__name__, name)
 
 
 class TestGruStep:
@@ -292,7 +308,7 @@ class TestGruStep:
         fused.W[:3] = 0.0
         fused.U[:3] = 0.0
         fused.b[:3] = 50.0
-        h, _, _ = ad.gru_step(fused, x, h0)
+        h, _, _ = gru_step(fused, x, h0)
         assert np.allclose(h, h0, atol=1e-15)
 
     def test_matches_scalar_oracle(self):
@@ -304,7 +320,7 @@ class TestGruStep:
         expected = scalar_gru_step(list(x), list(h0), gru_param_dict(p))
         assert np.allclose(state.h.data, expected, rtol=1e-12)
         fused = rand_cell(rng, 3, 5, 3, lstm=False)
-        h, _, _ = ad.gru_step(fused, x, h0)
+        h, _, _ = gru_step(fused, x, h0)
         assert np.allclose(h, scalar_gru_step(list(x), list(h0), gate_dict(fused, ad.GRU_GATES)), rtol=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -328,11 +344,12 @@ class TestGruStep:
         h0 = rng.uniform(-1, 1, 4)
 
         def loss_fn():
-            h, _, _ = ad.gru_step(fused, x, h0)
+            h, _, _ = gru_step(fused, x, h0)
             return float(h @ h)
 
-        h, zr, cand = ad.gru_step(fused, x, h0)
-        d_pre, d_x, d_h0 = ad.gru_step_backward(fused, h0, zr, cand, 2.0 * h)
+        h, zr, cand = gru_step(fused, x, h0)
+        d_pre = np.empty(12)
+        d_x, d_h0 = ad.gru_step_backward(fused, h0, zr, cand, 2.0 * h, d_pre)
         grad = zero_cell_like(fused)
         ad.gru_weight_grads(grad, d_pre[None], x[None], h0[None], zr[None])
         arrays = {"W": fused.W, "U": fused.U, "b": fused.b, "x": x, "h0": h0}

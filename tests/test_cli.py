@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cure import artifacts, autodiff, cli
 from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
-from cure.errors import ValidationError
+from cure.errors import NumericError, ValidationError
 from cure.model import parameter_shapes, paths_to_ids, read_checkpoint, write_checkpoint
 from cure.paths import group_pairs
 from cure.vocab import load_pretrained, write_embeddings
@@ -207,18 +207,26 @@ class TestExitCodes:
         assert re.search(r"numeric error: pair \('\w+', '\w+'\): non-finite relation vector", capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the distance and the centroid sum overflow
-    def test_nonfinite_centroid_is_3_and_names_the_file(self, tmp_path, capsys):
-        """Two finite vectors whose mean overflows: the centroid would be
-        Infinity, which is no JSON, so nothing is written."""
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the distance overflows
+    def test_centroid_of_vectors_near_the_float_maximum_is_their_mean(self, tmp_path):
+        """The members are summed scaled by a power of two, so a mean that is
+        finite is written even when the plain sum would overflow."""
         vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": ["a", "o"], "vector": [1e308]},
                                                      {"pair": ["b", "o"], "vector": [1.5e308]}])
         centroids = tmp_path / "centroids.jsonl"
         argv = ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl"),
                 "--centroids", str(centroids)]
-        assert run(*argv) == 3
-        assert f"numeric error: {centroids}: cannot write a non-finite value" in capsys.readouterr().err
-        assert not centroids.exists()
+        assert run(*argv) == 0
+        assert json.loads(centroids.read_text(encoding="utf-8")) == {"cluster": 0, "centroid": [1.25e308]}
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_value_is_a_numeric_error_naming_the_file(self, tmp_path, bad):
+        """JSON holds no NaN or infinity: the writer refuses one and leaves the file as it was."""
+        path = tmp_path / "out.jsonl"
+        path.write_text("before\n", encoding="utf-8")
+        with pytest.raises(NumericError, match=f"{re.escape(str(path))}: cannot write a non-finite value"):
+            artifacts._write_jsonl(path, [{"x": [1.0]}, {"x": [bad]}])
+        assert path.read_text(encoding="utf-8") == "before\n"
 
 
 _WRONG_TYPES = {  # case: (what the file holds, a change to its first record, the reason given)

@@ -195,6 +195,16 @@ class TestMetamorphic:
         assert [(m.a, m.b) for m in scaled] == [(m.a, m.b) for m in base]
         assert [m.distance for m in scaled] == [np.ldexp(m.distance, k) for m in base]
 
+    @pytest.mark.parametrize("k", [-300, -20, 20, 300])
+    def test_scaling_by_a_power_of_two_scales_every_centroid_exactly(self, k):
+        rng = np.random.default_rng(61)
+        points = rng.normal(size=(40, 8))
+        base, scaled = hac(list(points)), hac(list(np.ldexp(points, k)))
+        for n_clusters in (1, 3, 10, 40):
+            for got, expected in zip(cut(scaled, n_clusters), cut(base, n_clusters)):
+                assert got.members == expected.members
+                assert np.array_equal(got.centroid, np.ldexp(expected.centroid, k))
+
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_permuting_distinct_vectors_keeps_the_partition_at_the_cut(self, seed):

@@ -15,6 +15,7 @@ from cure.model import (
     PathIds,
     decode_path,
     encode_blocks,
+    encoder_backward,
     encode_distinct,
     infer_relation_vector,
     paths_to_ids,
@@ -31,6 +32,7 @@ from helpers import (
     fail_writes_halfway,
     max_rel_error,
     pad_or_truncate,
+    reference_encoder,
     scalar_gru_step,
     scalar_lstm_step,
     tensor_rel_error,
@@ -156,6 +158,37 @@ class TestEncode:
             assert np.allclose(got, expected, rtol=1e-12)
         flat = encode_path(params, path)
         assert np.allclose(flat, [v for blk in scalar_encode_blocks(params, path) for v in blk], rtol=1e-12)
+
+
+class TestBidirectionalEncoder:
+    """encode_blocks and encoder_backward, which step both LSTM directions
+    together, against one single-direction reference run per direction."""
+
+    def run_both(self, cfg, batch: int, seed: int):
+        rng = np.random.default_rng(seed)
+        sizes = dict(n_words=30, n_deps=8, n_pos=8)
+        params = make_params(cfg, **sizes, seed=seed)
+        params.flat[...] = rng.uniform(-0.5, 0.5, params.flat.size)  # biases too, which start at zero
+        paths = [
+            PathIds(*(tuple(int(v) for v in rng.integers(n, size=cfg.n_l)) for n in sizes.values()), cfg.n_l)
+            for _ in range(batch)
+        ]
+        d_blocks = rng.uniform(-1, 1, (batch, cfg.n_l, cfg.block_dim))
+        fused, reference = params.zeros_like(), params.zeros_like()
+        blocks, cache = encode_blocks(params, paths)
+        encoder_backward(params, fused, cache, d_blocks)
+        expected = reference_encoder(params, paths, d_blocks, reference)
+        return blocks, expected, fused.arrays(), reference.arrays()
+
+    @pytest.mark.parametrize("n_h, n_h2, batch", [(16, 16, 1), (16, 16, 2), (16, 16, 184), (3, 5, 3)])
+    def test_bit_for_bit(self, n_h, n_h2, batch):
+        """Each direction's products keep their single-direction shapes and
+        layouts, so nothing rounds differently, whatever the two sizes."""
+        cfg = tiny_config(n_h=n_h, n_h2=n_h2, n_g=8, n_l=6, d_w=24, d_d=8, d_p=8)
+        blocks, expected, fused, reference = self.run_both(cfg, batch, seed=batch)
+        assert np.array_equal(blocks, expected)
+        for name, grad in fused.items():
+            assert np.array_equal(grad, reference[name]), name
 
 
 class TestAggregate:

@@ -86,6 +86,12 @@ class TestLoadPretrained:
         vectors = load_pretrained(self.write(tmp_path, "3 4\na 1 2 3 4\nb 0 0 1 0\nc 1 1 1 1\n"))
         assert len(vectors) == 3
 
+    def test_one_dimensional_first_line_is_a_vector_not_a_header(self, tmp_path):
+        """Two fields on line 1 are a header only if both are integers."""
+        vectors = load_pretrained(self.write(tmp_path, "cat 0.5\ndog 2\n"))
+        assert vectors.keys() == {"cat", "dog"}
+        assert np.array_equal(vectors["cat"], [0.5])
+
     def test_dimension_error_names_line(self, tmp_path):
         with pytest.raises(ValidationError, match=r"vecs\.txt:2: dimension"):
             load_pretrained(self.write(tmp_path, "a 1 2 3 4\nb 0 0 1\n"))
