@@ -71,7 +71,13 @@ def write_paths(path: str | Path, instances: Sequence[tuple[Pair, SspTriple]]) -
 
 
 def _path_instance(rec: dict) -> tuple[Pair, SspTriple]:
-    return _pair(rec), SspTriple(string_array(rec, "words"), string_array(rec, "deps"), string_array(rec, "poss"))
+    pair = _pair(rec)
+    path = SspTriple(string_array(rec, "words"), string_array(rec, "deps"), string_array(rec, "poss"))
+    if not len(path.words) == len(path.deps) == len(path.poss):
+        raise ValidationError("path sequences must have equal length")
+    if not path.words:
+        raise ValidationError("path must contain at least one token")
+    return pair, path
 
 
 def read_path_instances(path: str | Path) -> list[tuple[Pair, SspTriple]]:

@@ -27,7 +27,7 @@ from .artifacts import read_path_instances
 from .corpus import parse_corpus
 from .errors import CureError, NumericError, ValidationError, reading, write_atomic
 from .labeling import candidate_set, cw_label, load_stopwords, match_to_gold, wvs_label
-from .model import ModelConfig, PathIds, paths_to_ids, read_checkpoint, write_checkpoint
+from .model import ModelConfig, PathIds, integer_key, paths_to_ids, read_checkpoint, write_checkpoint
 from .paths import extract_instances, group_pairs
 from .vocab import build_vocab, load_pretrained
 
@@ -36,8 +36,8 @@ from .vocab import build_vocab, load_pretrained
 class RunConfig(ModelConfig):
     """Every config key: the model and training keys of ModelConfig, then the
     inputs, outputs and the clustering, labeling and vocabulary settings.
-    Every value is checked here, so that a bad one exits before any stage
-    writes a file."""
+    Every value is checked when the config is built, so that a bad one
+    exits before any stage writes a file."""
 
     corpus: str = ""
     embeddings: str = ""
@@ -45,16 +45,13 @@ class RunConfig(ModelConfig):
     out_dir: str = ""
     stopwords: str = ""  # empty = packaged list
     method: str = "wvs"
-    top_n: int = 3
-    k_clusters: int = 4
-    min_paths: int = 2
-    min_freq: int = 2
+    top_n: int = integer_key(3)
+    k_clusters: int = integer_key(4)
+    min_paths: int = integer_key(2, least=2)  # a training example holds one of a pair's paths out
+    min_freq: int = integer_key(2)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        for name in ("top_n", "k_clusters", "min_paths", "min_freq"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"config {name} must be at least 1, got {getattr(self, name)}")
         if self.method not in ("wvs", "cw"):
             raise ValidationError(f"config method must be 'wvs' or 'cw', got {self.method!r}")
 

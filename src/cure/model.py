@@ -20,15 +20,17 @@ LSTM directions stepped together, and the decoder runs only the target's
 unpadded steps, since later steps never reach the loss, writing each step
 into preallocated rows.
 
-Also here: the checkpoint file, which holds the config, the vocabularies
-and the parameters, and is written and read only by this module.
+Also here: the config, each integer key bounded below beside its default,
+and the checkpoint file, which holds the config, the vocabularies and the
+parameters, and is written and read only by this module.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import reprlib
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -42,32 +44,36 @@ from .paths import PairGroup
 from .vocab import PAD_ID, Vocab
 
 
+def integer_key(default: int, least: int = 1):
+    """An integer config key: its default and the least value it may take."""
+    return field(default=default, metadata={"least": least})
+
+
 @dataclass
 class ModelConfig:
-    n_h: int = 32  # forward LSTM hidden size
-    n_h2: int = 32  # backward LSTM hidden size
-    n_g: int = 64  # decoder GRU hidden (and input) size
-    n_l: int = 10  # fixed path length
-    d_w: int = 50  # word embedding dim
-    d_d: int = 16  # dependency-tag embedding dim
-    d_p: int = 16  # POS-tag embedding dim
-    max_input_paths: int = 8
+    n_h: int = integer_key(32)  # forward LSTM hidden size
+    n_h2: int = integer_key(32)  # backward LSTM hidden size
+    n_g: int = integer_key(64)  # decoder GRU hidden (and input) size
+    n_l: int = integer_key(10, least=2)  # fixed path length; a truncated path keeps both endpoints
+    d_w: int = integer_key(50)  # word embedding dim
+    d_d: int = integer_key(16)  # dependency-tag embedding dim
+    d_p: int = integer_key(16)  # POS-tag embedding dim
+    max_input_paths: int = integer_key(8)
     learning_rate: float = 0.05
-    epochs: int = 10
-    batch_size: int = 8
-    seed: int = 13
+    epochs: int = integer_key(10, least=0)
+    batch_size: int = integer_key(8)
+    seed: int = integer_key(13, least=0)
 
     def __post_init__(self) -> None:
-        for name in ("n_h", "n_h2", "n_g", "n_l", "d_w", "d_d", "d_p", "max_input_paths", "batch_size"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ValidationError(f"config {name} must be a positive integer")
-        if self.n_l < 2:
-            raise ValidationError("config n_l must be at least 2")
+        for key in fields(self):
+            if "least" in key.metadata:
+                value, least = getattr(self, key.name), key.metadata["least"]
+                if type(value) is not int:
+                    raise ValidationError(f"config {key.name} must be an integer, got {reprlib.repr(value)}")
+                if value < least:
+                    raise ValidationError(f"config {key.name} must be at least {least}, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(f"config learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValidationError("config epochs must be non-negative")
 
     @property
     def block_dim(self) -> int:

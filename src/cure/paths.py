@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus import EntitySpan, ParsedSentence
-from .errors import ValidationError
+from .corpus import EntitySpan, ParsedSentence, pair_key
 
 PAD = "<PAD>"
 UNK = "<UNK>"
@@ -26,17 +25,11 @@ MODIFIER_DEPS = frozenset({"amod", "nmod", "appos", "poss"})
 
 @dataclass(frozen=True)
 class SspTriple:
-    """Parallel word / dependency-tag / POS-tag sequences of one path."""
+    """Parallel, equally long word / dependency-tag / POS-tag sequences of one path."""
 
     words: tuple[str, ...]
     deps: tuple[str, ...]
     poss: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not (len(self.words) == len(self.deps) == len(self.poss)):
-            raise ValidationError("path sequences must have equal length")
-        if len(self.words) < 1:
-            raise ValidationError("path must contain at least one token")
 
     def __len__(self) -> int:
         return len(self.words)
@@ -74,12 +67,10 @@ def _chain_to_root(sentence: ParsedSentence, start: int) -> list[int]:
 
 
 def shortest_path(sentence: ParsedSentence) -> SspTriple:
-    """The unique tree path from the subject representative to the object's."""
+    """The unique tree path from the subject representative to the object's: two
+    or more tokens, as each lies in its own span and the corpus reader keeps spans apart."""
     src = representative_token(sentence, sentence.subject)
     dst = representative_token(sentence, sentence.object)
-    if src == dst:
-        raise ValidationError(f"sentence {sentence.id!r}: degenerate path (entities share a representative token)")
-
     up_src = _chain_to_root(sentence, src)
     up_dst = _chain_to_root(sentence, dst)
     on_src_side = {idx: depth for depth, idx in enumerate(up_src)}
@@ -112,6 +103,4 @@ def group_pairs(
 
 def extract_instances(sentences: Sequence[ParsedSentence]) -> list[tuple[tuple[str, str], SspTriple]]:
     """Shortest-path extraction over a corpus, in corpus order."""
-    from .corpus import pair_key
-
     return [(pair_key(s), shortest_path(s)) for s in sentences]

@@ -156,6 +156,11 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_synth_with_a_negative_seed_is_2(self, tmp_path, capsys):
+        assert run("synth", "--seed", "-1", "--out-dir", str(tmp_path / "synth")) == 2
+        assert "error: seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "synth").exists()
+
     def test_missing_checkpoint_is_2(self, tmp_path, capsys):
         code = run(
             "encode",
@@ -476,7 +481,20 @@ class TestMalformedArtifacts:
         meta = json.loads(split_checkpoint(trained[1])[1])
         meta["config"]["n_h"] = float(meta["config"]["n_h"])
         argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], json.dumps(meta).encode()))
-        self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "n_h must be a positive integer")
+        self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "config n_h must be an integer, got 4.0")
+
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [("seed", -1, "config seed must be at least 0, got -1"),
+         ("epochs", 2.5, "config epochs must be an integer, got 2.5"),
+         ("n_h", True, "config n_h must be an integer, got True")],
+        ids=["seed -1", "epochs 2.5", "n_h true"],
+    )
+    def test_meta_config_integer_key_checks(self, trained, tmp_path, capsys, key, value, reason):
+        meta = json.loads(split_checkpoint(trained[1])[1])
+        meta["config"][key] = value
+        argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], json.dumps(meta).encode()))
+        self.assert_exit_2(capsys, argv, f"{tmp_path / 'model.ckpt'}:2: {reason}")
 
     def test_meta_config_with_nan_learning_rate(self, trained, tmp_path, capsys):
         meta = json.loads(split_checkpoint(trained[1])[1])
@@ -909,6 +927,23 @@ class TestTrainCheckpoint:
         assert "no pair has at least 3 paths; nothing to train on" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("min_paths=1", "config min_paths must be at least 2, got 1"),
+         ("seed=-1", "config seed must be at least 0, got -1")],
+    )
+    def test_setting_training_cannot_use_is_2(self, tiny_setup, trained, tmp_path, capsys, setting, message):
+        """On a paths file holding a pair with one path, which a training example cannot hold out."""
+        root, cfg = tiny_setup
+        paths, _ = trained
+        records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
+        single = write_jsonl(tmp_path / "paths.jsonl", records + [{**records[0], "pair": ["Alone", "Single"]}])
+        ckpt = tmp_path / "model.ckpt"
+        argv = ["train", "--config", str(cfg), "--paths-file", str(single), "--out-checkpoint", str(ckpt)]
+        assert run(*argv, "--set", setting) == 2
+        assert message in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_zero_epochs_writes_initialized_parameters(self, tiny_setup, trained, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
         assert self.train(tiny_setup, trained, ckpt, "epochs=0") == 0
@@ -1247,15 +1282,17 @@ class TestPipeline:
         root, cfg = tiny_setup
         out = tmp_path / "out"
         for setting, message in [
-            ("epochs=-1", "config epochs must be non-negative"),
-            ("n_l=1", "config n_l must be at least 2"),
+            ("epochs=-1", "config epochs must be at least 0, got -1"),
+            ("seed=-1", "config seed must be at least 0, got -1"),
+            ("n_l=1", "config n_l must be at least 2, got 1"),
             ("learning_rate=nan", "config learning_rate must be finite and positive, got nan"),
             ("learning_rate=inf", "config learning_rate must be finite and positive, got inf"),
             ("learning_rate=1e999", "config learning_rate must be finite and positive, got inf"),
             ("top_n=-1", "config top_n must be at least 1, got -1"),
             ("top_n=0", "config top_n must be at least 1, got 0"),
             ("k_clusters=0", "config k_clusters must be at least 1, got 0"),
-            ("min_paths=0", "config min_paths must be at least 1, got 0"),
+            ("min_paths=0", "config min_paths must be at least 2, got 0"),
+            ("min_paths=1", "config min_paths must be at least 2, got 1"),
             ("min_freq=0", "config min_freq must be at least 1, got 0"),
             ("method=wsv", "config method must be 'wvs' or 'cw', got 'wsv'"),
         ]:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cure.corpus import EntitySpan, ParsedSentence, Token
+from cure.corpus import EntitySpan, ParsedSentence, Token, validate_sentence
 from cure.errors import ValidationError
 from cure.paths import (
     PAD,
@@ -85,15 +85,26 @@ class TestShortestPath:
         path = shortest_path(sentence)
         assert path.words == ("likes", "Ann")
 
-    def test_degenerate_path_is_an_error(self):
-        tokens = (
-            Token("x", "VERB", "ROOT", -1),
-            Token("y", "NOUN", "nsubj", 0),
-        )
-        # both spans resolve to token 1
-        sentence = ParsedSentence("s", tokens, EntitySpan(1, 2, "y"), EntitySpan(1, 2, "y2"))
-        with pytest.raises(ValidationError, match="degenerate"):
-            shortest_path(sentence)
+    def test_representatives_lie_inside_their_disjoint_spans(self):
+        """What keeps every path two tokens long or more: on random valid trees
+        with disjoint multi-token spans, each span's representative token lies
+        inside it, so the two representatives differ."""
+        rng = np.random.default_rng(29)
+        tags = ("nsubj", "dobj", "amod", "compound", "det", "prep")
+        for trial in range(200):
+            n = int(rng.integers(3, 12))
+            tokens = tuple(
+                t if t.head == -1 else t._replace(dep=tags[int(rng.integers(len(tags)))])
+                for t in random_tree_sentence(rng, n).tokens
+            )
+            a, b, c, d = sorted(int(i) for i in rng.choice(n + 1, size=4, replace=False))
+            spans = [EntitySpan(a, b, "first"), EntitySpan(b if rng.integers(2) else c, d, "second")]
+            rng.shuffle(spans)
+            sentence = ParsedSentence(f"t{trial}", tokens, *spans)
+            validate_sentence(sentence)
+            for span in spans:
+                assert span.start <= representative_token(sentence, span) < span.end
+            assert len(shortest_path(sentence)) >= 2
 
     def test_matches_bfs_oracle_on_random_trees(self):
         """50 random valid trees: extracted path equals BFS on the undirected tree."""

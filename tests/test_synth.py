@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cure.artifacts import write_gold
-from cure.corpus import parse_corpus
+from cure.corpus import parse_corpus, validate_sentence
 from cure.errors import ValidationError
 from cure.labeling import cosine, load_stopwords
 from cure.paths import shortest_path
@@ -19,6 +19,7 @@ class TestTemplates:
         for rel in BUILTIN_RELATIONS:
             for i, template in enumerate(rel.sentences):
                 sentence = instantiate(template, f"{rel.name}-{i}", "Alpha", "Beta")
+                validate_sentence(sentence)
                 assert sentence.subject.canonical == "Alpha"
                 assert sentence.object.canonical == "Beta"
 
