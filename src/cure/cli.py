@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, artifacts, cluster as clustering, metrics, model as modeling, synth
 from .artifacts import read_path_instances
 from .corpus import parse_corpus
-from .errors import CureError, NumericError, ValidationError, reading, write_atomic
+from .errors import CureError, NumericError, ValidationError, reading, write_atomic, writing
 from .labeling import candidate_set, cw_label, load_stopwords, match_to_gold, wvs_label
 from .model import ModelConfig, PathIds, integer_key, paths_to_ids, read_checkpoint, write_checkpoint
 from .paths import extract_instances, group_pairs
@@ -221,7 +221,7 @@ def stage_evaluate(
         predicted_relation[pair] = cluster_relation[cluster_id]
 
     scores = metrics.prf1(predicted_relation, gold)  # refuses a pair that gold lacks
-    ri = metrics.rand_index(assignments, {pair: gold[pair] for pair in assignments})
+    ri = metrics.rand_index(assignments, gold)
     artifacts.write_scores(out_path, scores, ri)
     return ri, scores
 
@@ -238,7 +238,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
         if not Path(getattr(cfg, key)).exists():
             raise ValidationError(f"pipeline: config {key!r} points to missing file {getattr(cfg, key)!r}")
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
 
     names = ("paths.jsonl", "model.ckpt", "loss_log.csv", "vectors.jsonl", "clusters.jsonl", "centroids.jsonl",
              "labels.jsonl", "scores.csv")

@@ -103,12 +103,6 @@ def _nearest_partner(dist: np.ndarray, ids: np.ndarray, active: np.ndarray, row:
 def _duplicate_groups(points: np.ndarray) -> list[list[int]]:
     """The indices of each distinct point value, ascending, in order of first
     occurrence; + 0.0 turns -0.0 into 0.0, which is the same value."""
-    n, dim = points.shape
-    # If no two projections are equal, no two points are: skip the hashing.
-    # (Singleton groups are exact in any case, only slower on duplicates;
-    # einsum, not a BLAS matvec, which can wake its worker threads.)
-    if len(set(np.einsum("ij,j->i", points, np.arange(1.0, dim + 1.0)).tolist())) == n:
-        return [[i] for i in range(n)]
     groups: dict[bytes, list[int]] = {}
     for i, row in enumerate(points + 0.0):
         groups.setdefault(row.tobytes(), []).append(i)

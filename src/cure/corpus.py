@@ -52,9 +52,6 @@ class ParsedSentence:
 def validate_sentence(sentence: ParsedSentence) -> None:
     """Check tree shape and span invariants; raise ValidationError on the first failure."""
     n = len(sentence.tokens)
-    if n == 0:
-        raise ValidationError(f"sentence {sentence.id!r}: no tokens")
-
     roots = [i for i, t in enumerate(sentence.tokens) if t.head == -1]
     if len(roots) != 1:
         raise ValidationError(f"sentence {sentence.id!r}: expected exactly one root, found {len(roots)}")
@@ -66,8 +63,6 @@ def validate_sentence(sentence: ParsedSentence) -> None:
             continue
         if not 0 <= tok.head < n:
             raise ValidationError(f"sentence {sentence.id!r}: token {i} head {tok.head} out of range")
-        if tok.head == i:
-            raise ValidationError(f"sentence {sentence.id!r}: token {i} is its own head")
 
     # Every token must reach the root; a cycle shows up as a walk longer than n.
     for i in range(n):
@@ -171,6 +166,8 @@ def parse_line(line: str, where: str, what: str, parse: Callable[[Any], T]) -> T
         record = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{where}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # an integer past Python's limit on digits converted
+        raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         raise ValidationError(f"{where}: invalid JSON (nested too deeply)") from exc
     try:

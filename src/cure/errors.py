@@ -1,11 +1,11 @@
-"""Error types, and the two file guards: `reading` turns an unreadable input
-file into a ValidationError, `write_atomic` replaces an output file whole or
-not at all."""
+"""Error types, and the file guards: `reading` and `writing` turn an input or
+output path that cannot be used into a ValidationError, `write_atomic`
+replaces an output file whole or not at all."""
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -37,15 +37,29 @@ def reading(path: str | Path, what: str, mode: str = "r") -> Iterator[IO]:
         raise ValidationError(f"{what} {path} is not UTF-8 text ({exc})") from exc
 
 
+@contextmanager
+def writing(path: str | Path) -> Iterator[None]:
+    """An OSError inside the block (a missing directory, a directory where a
+    file belongs, a file where a directory belongs) is a ValidationError
+    naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def write_atomic(path: str | Path, data: bytes) -> None:
     """Replace path with data in one step: write a temporary file beside it,
-    then rename it over path, so a failed write leaves the old file whole."""
+    then rename it over path, so a failed write leaves the old file whole
+    and no temporary behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with writing(path):
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):  # never created, or nothing more to do
+                tmp.unlink()
+            raise

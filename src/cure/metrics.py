@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -11,20 +12,16 @@ from .errors import ValidationError
 
 def rand_index(predicted: Mapping[Hashable, Hashable], gold: Mapping[Hashable, Hashable]) -> float:
     """Fraction of item pairs on which the two partitions agree (grouped
-    together in both, or apart in both), out of all n-choose-2 pairs."""
+    together in both, or apart in both), out of all n-choose-2 pairs of
+    predicted's n items; gold's other items do not count."""
     n = len(predicted)
     if n < 2:
         raise ValidationError("rand_index needs at least 2 items")
 
     # Contingency counts: pairs together in both = sum C(n_ij, 2), etc.
-    joint: dict[tuple[Hashable, Hashable], int] = {}
-    pred_sizes: dict[Hashable, int] = {}
-    gold_sizes: dict[Hashable, int] = {}
-    for item in predicted:
-        p, g = predicted[item], gold[item]
-        joint[(p, g)] = joint.get((p, g), 0) + 1
-        pred_sizes[p] = pred_sizes.get(p, 0) + 1
-        gold_sizes[g] = gold_sizes.get(g, 0) + 1
+    joint = Counter((predicted[item], gold[item]) for item in predicted)
+    pred_sizes = Counter(predicted.values())
+    gold_sizes = Counter(gold[item] for item in predicted)
 
     def choose2(counts) -> int:
         return sum(c * (c - 1) // 2 for c in counts)
@@ -64,26 +61,17 @@ def prf1(
     if missing:
         raise ValidationError(f"items without gold relations: {sorted(map(str, missing))[:5]}")
 
-    gold_counts: dict[str, int] = {}
-    for item in predicted:
-        for r in gold[item]:
-            gold_counts[r] = gold_counts.get(r, 0) + 1
+    gold_counts = Counter(r for item in predicted for r in gold[item])
+    predictions = Counter(predicted.values())
+    correct = Counter(r for item, r in predicted.items() if r in gold[item])
 
-    predictions: dict[str, int] = {}
-    correct: dict[str, int] = {}
-    for item, r in predicted.items():
-        predictions[r] = predictions.get(r, 0) + 1
-        if r in gold[item]:
-            correct[r] = correct.get(r, 0) + 1
-
-    orphans = sorted(set(predictions) - set(gold_counts))
+    orphans = sorted(predictions.keys() - gold_counts.keys())
     if orphans:
         warnings.warn(f"predicted relations with zero gold count excluded: {orphans}", stacklevel=2)
 
     scores = []
     for relation in sorted(gold_counts):
-        hits = correct.get(relation, 0)
-        preds = predictions.get(relation, 0)
+        hits, preds = correct[relation], predictions[relation]
         precision = hits / preds if preds else 0.0
         recall = hits / gold_counts[relation]
         scores.append(RelationScore(relation=relation, recall=recall, precision=precision, f1=_f1(precision, recall)))

@@ -205,17 +205,14 @@ def read_checkpoint(path: str | Path) -> tuple[ModelParams, tuple[Vocab, Vocab, 
         return ModelConfig(**meta["config"]), tuple(Vocab(string_array(meta["vocab"], key)) for key in _VOCAB_KEYS)
 
     cfg, vocabs = parse_line(meta_line, f"{path}:2", "checkpoint metadata", parse)
-    if len(data) % 8:
-        raise ValidationError(
-            f"{path}: checkpoint tensor data is {len(data)} bytes, not a whole number of float64 values"
-        )
     sizes = [len(vocab) for vocab in vocabs]
     # Compared before anything is allocated, so a config that claims huge
     # tensors is refused instead of exhausting memory.
     expected = sum(math.prod(shape) for shape in parameter_shapes(cfg, *sizes).values())
-    if len(data) // 8 != expected:
+    if len(data) != 8 * expected:
         raise ValidationError(
-            f"{path}: config and vocabularies need {expected} parameters, the file holds {len(data) // 8}"
+            f"{path}: config and vocabularies need {expected} parameters ({8 * expected} bytes), "
+            f"the file holds {len(data)} tensor bytes"
         )
     params = ModelParams(cfg, *sizes, None)
     params.flat[...] = np.frombuffer(data, dtype="<f8")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .artifacts import write_corpus, write_gold
 from .corpus import EntitySpan, ParsedSentence, Token
-from .errors import ValidationError
+from .errors import ValidationError, writing
 from .vocab import write_embeddings
 
 EMBED_DIM = 16
@@ -270,7 +270,8 @@ def generate(
         raise ValidationError(f"too many pairs requested for a {len(pool)}-name pool")
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     corpus_path = out / "corpus.jsonl"
     gold_path = out / "gold.jsonl"
     embeddings_path = out / "embeddings.txt"

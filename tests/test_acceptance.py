@@ -8,12 +8,16 @@ pair of full pipeline runs via a session fixture.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cure
 import graph_oracle
 from cure import metrics
 from cure.cli import RunConfig, run_pipeline
@@ -288,5 +292,39 @@ def test_pipeline_determinism(pipeline_runs):
     _report(
         "pipeline-determinism",
         not differing and hashes_match,
+        f"{len(names)} artifacts compared" + (f"; differing: {differing}" if differing else ""),
+    )
+
+
+def test_pipeline_determinism_across_processes(tmp_path):
+    """`cure synth` then `cure pipeline --set epochs=2`, each in a fresh
+    process, under two string-hash seeds write byte-identical artifacts.
+    The runs above share one process and so one hash seed; an output that
+    followed a set's or a dict's hash order would differ only here."""
+    src = str(Path(cure.__file__).parents[1])
+
+    def cure_cli(hash_seed: str, *argv: str) -> None:
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        done = subprocess.run([sys.executable, "-m", "cure", *argv], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+
+    runs = []
+    for hash_seed in ("0", "1"):
+        root = tmp_path / f"hash-seed-{hash_seed}"
+        cure_cli(hash_seed, "synth", "--relations", "4", "--pairs", "25", "--sentences", "3",
+                 "--seed", str(ACCEPT_SEED), "--out-dir", str(root / "data"))
+        config = {"corpus": root / "data" / "corpus.jsonl", "embeddings": root / "data" / "embeddings.txt",
+                  "gold": root / "data" / "gold.jsonl", "out_dir": root / "out", **ACCEPT_CONFIG}
+        (root / "run.cfg").write_text("".join(f"{key} = {value}\n" for key, value in config.items()), encoding="utf-8")
+        cure_cli(hash_seed, "pipeline", "--config", str(root / "run.cfg"), "--set", "epochs=2")
+        runs.append({str(p.relative_to(root)): p for p in sorted(root.glob("*/*"))})
+
+    first, second = runs
+    names = [name for name in first if not name.endswith("manifest.json")]
+    differing = [n for n in names if first[n].read_bytes() != second[n].read_bytes()]
+    hashes = [[s["outputs"] for s in json.loads(run["out/manifest.json"].read_text())["stages"]] for run in runs]
+    _report(
+        "pipeline-determinism-across-processes",
+        first.keys() == second.keys() and len(names) == 11 and not differing and hashes[0] == hashes[1],
         f"{len(names)} artifacts compared" + (f"; differing: {differing}" if differing else ""),
     )

@@ -171,6 +171,27 @@ class TestExitCodes:
         assert code == 2
         assert f"cannot read checkpoint {tmp_path / 'nope.ckpt'}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["synth into a file", "pipeline into a file", "out in a missing directory",
+                                      "out is a directory"])
+    def test_unwritable_output_path_is_2(self, tiny_setup, tmp_path, capsys, case):
+        """An output path that cannot be written exits 2 naming it, and leaves no temporary file."""
+        _, cfg = tiny_setup
+        a_file, a_dir, missing = tmp_path / "a-file", tmp_path / "a-dir", tmp_path / "missing" / "p.jsonl"
+        a_file.write_text("kept\n", encoding="utf-8")
+        a_dir.mkdir()
+        extract = ["extract-paths", "--config", str(cfg), "--out"]
+        target, argv = {
+            "synth into a file": (a_file, ["synth", "--out-dir", str(a_file)]),
+            "pipeline into a file": (a_file, ["pipeline", "--config", str(cfg), "--set", f"out_dir={a_file}"]),
+            "out in a missing directory": (missing, extract + [str(missing)]),
+            "out is a directory": (a_dir, extract + [str(a_dir)]),
+        }[case]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {target}" in err and "Traceback" not in err, err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-dir", "a-file"]
+        assert a_file.read_text(encoding="utf-8") == "kept\n"
+
     def test_unknown_config_key_is_2(self, tmp_path):
         assert run("extract-paths", "--set", "bogus_key=1", "--set", "corpus=x", "--out", "y") == 2
         # encode reads no config key (the model config is in the checkpoint), so it takes no config flags.
@@ -449,6 +470,22 @@ class TestMalformedArtifacts:
             capsys, self.cluster_argv(vectors, tmp_path), f"{vectors}:2: malformed relation vector (OverflowError("
         )
 
+    def test_integer_past_the_digit_limit_is_2(self, tiny_setup, trained, tmp_path, capsys):
+        """A JSON integer longer than Python converts to an int (4 300 digits),
+        in a corpus line or in a checkpoint's meta line."""
+        root, _ = tiny_setup
+        huge = "1" + "0" * 5000
+        first = json.loads((root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        first["tokens"][0]["head"] = "HUGE"
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(first).replace('"HUGE"', huge) + "\n", encoding="utf-8")
+        argv = ["extract-paths", "--set", f"corpus={corpus}", "--out", str(tmp_path / "p.jsonl")]
+        self.assert_exit_2(capsys, argv, f"{corpus}:1: ")
+        meta = json.loads(split_checkpoint(trained[1])[1])
+        meta["config"]["learning_rate"] = "HUGE"
+        content = with_meta(trained[1], json.dumps(meta).replace('"HUGE"', huge).encode())
+        self.assert_exit_2(capsys, self.encode_argv(trained, tmp_path, content), f"{tmp_path / 'model.ckpt'}:2: ")
+
     def encode_argv(self, trained, tmp_path, content: bytes) -> list[str]:
         """encode on a checkpoint file holding content."""
         paths, _ = trained
@@ -527,7 +564,8 @@ class TestMalformedArtifacts:
         tracemalloc.start()
         try:
             self.assert_exit_2(
-                capsys, argv, str(tmp_path / "model.ckpt"), f"need {expected} parameters", f"holds {len(tensors) // 8}"
+                capsys, argv, str(tmp_path / "model.ckpt"), f"need {expected} parameters",
+                f"holds {len(tensors)} tensor bytes",
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -598,9 +636,12 @@ class TestMalformedArtifacts:
                            "not UTF-8"),
             "stopwords": (b"the\n" + not_utf8, label + ["--set", f"stopwords={bad}"], "not UTF-8"),
             "checkpoint": (with_meta(ckpt, not_utf8.rstrip() + split_checkpoint(ckpt)[1]), encode, "not UTF-8"),
-            "tensor bytes 1 short": (ckpt.read_bytes()[:-1], encode, "not a whole number of float64 values"),
+            "tensor bytes 1 short": (ckpt.read_bytes()[:-1], encode,
+                                     f"need {n_floats} parameters ({8 * n_floats} bytes), "
+                                     f"the file holds {8 * n_floats - 1} tensor bytes"),
             "8 tensor bytes extra": (ckpt.read_bytes() + bytes(8), encode,
-                                     f"need {n_floats} parameters, the file holds {n_floats + 1}"),
+                                     f"need {n_floats} parameters ({8 * n_floats} bytes), "
+                                     f"the file holds {8 * n_floats + 8} tensor bytes"),
         }[case]
         if content is not None:
             bad.write_bytes(content)
@@ -675,7 +716,7 @@ class TestMalformedArtifacts:
             else:
                 first = json.loads((root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
                 write_jsonl(bad, [first, {**first, "id": "empty", "tokens": []}])
-                reason = f"{bad}:2: sentence 'empty': no tokens"
+                reason = f"{bad}:2: sentence 'empty': expected exactly one root, found 0"
             argv = ["extract-paths", "--set", f"corpus={bad}", "--out", out]
         else:
             bad = tmp_path / "bad.txt"
@@ -992,7 +1033,7 @@ class TestTrainCheckpoint:
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-_NOT_A_FLOAT = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, '"1.0"', "null", "[]"]
+_NOT_A_FLOAT = ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "1" + "0" * 5000, '"1.0"', "null", "[]"]
 _DEEP = "[" * 100_000
 
 

@@ -95,7 +95,7 @@ class TestValidation:
     def test_self_head(self):
         record = self.base_record()
         record["tokens"][3]["head"] = 3
-        self.check_raises(record, "own head")
+        self.check_raises(record, "cyclic head links")
 
     def test_two_roots(self):
         record = self.base_record()

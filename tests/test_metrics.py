@@ -42,6 +42,12 @@ class TestRandIndex:
         p = {i: int(rng.integers(6)) for i in range(20)}
         assert rand_index(p, dict(p)) == 1.0
 
+    def test_gold_items_outside_predicted_do_not_count(self):
+        rng = np.random.default_rng(43)
+        predicted = {i: int(rng.integers(4)) for i in range(20)}
+        gold = {i: int(rng.integers(3)) for i in range(30)}
+        assert rand_index(predicted, gold) == brute_force_rand_index(predicted, {i: gold[i] for i in predicted})
+
     def test_needs_two_items(self):
         with pytest.raises(ValidationError):
             rand_index({1: 0}, {1: 0})
