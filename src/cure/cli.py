@@ -14,6 +14,7 @@ import argparse
 import difflib
 import hashlib
 import json
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -55,9 +56,6 @@ class RunConfig(ModelConfig):
         if self.method not in ("wvs", "cw"):
             raise ValidationError(f"config method must be 'wvs' or 'cw', got {self.method!r}")
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
-
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
@@ -71,8 +69,8 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
             text = fh.read()
         for lineno, line in enumerate(text.splitlines(), start=1):
             if line := line.split("#", 1)[0].strip():
-                items.append((f"config line {lineno}", line, f"expected 'key = value', got {line!r}"))
-    items += [(f"override {item!r}", item, "expected KEY=VALUE") for item in overrides or []]
+                items.append((f"config line {lineno}", line, f"expected 'key = value', got {reprlib.repr(line)}"))
+    items += [(f"override {reprlib.repr(item)}", item, "expected KEY=VALUE") for item in overrides or []]
     values: dict = {}
     for where, item, malformed in items:
         key, equals, value = (part.strip() for part in item.partition("="))
@@ -81,13 +79,13 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
         if key not in _DEFAULTS:
             hint = difflib.get_close_matches(key, _DEFAULTS, n=1)
             suffix = f" (did you mean {hint[0]!r}?)" if hint else ""
-            raise ValidationError(f"{where}: unknown config key {key!r}{suffix}")
+            raise ValidationError(f"{where}: unknown config key {reprlib.repr(key)}{suffix}")
         kind = type(_DEFAULTS[key])
         try:
             values[key] = kind(value)
         except ValueError as exc:
             expected = "integer" if kind is int else "number"
-            raise ValidationError(f"{where}: config key {key!r}: expected {expected}, got {value!r}") from exc
+            raise ValidationError(f"{where}: config key {key!r}: expected {expected}, got {reprlib.repr(value)}") from exc
     return RunConfig(**values)
 
 
@@ -114,10 +112,9 @@ def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path:
     if not groups:
         raise ValidationError(f"no pair has at least {cfg.min_paths} paths; nothing to train on")
     vocabs = build_vocab((t for _, t in instances), min_freq=cfg.min_freq)
-    mcfg = cfg.model_config()
-    prepared = [(g.pair, paths_to_ids(g, vocabs, mcfg.n_l)) for g in groups]
+    prepared = [(g.pair, paths_to_ids(g, vocabs, cfg.n_l)) for g in groups]
     losses: list[float] = []
-    params = modeling.train(prepared, mcfg, *map(len, vocabs), on_epoch=lambda _, loss, __: losses.append(loss))
+    params = modeling.train(prepared, cfg, *map(len, vocabs), on_epoch=lambda _, loss, __: losses.append(loss))
     # Written once, after training: a run that fails or is interrupted leaves
     # the previous checkpoint as it was.
     write_checkpoint(checkpoint_path, params, vocabs)
@@ -235,8 +232,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
     """
     _require(cfg, ["corpus", "embeddings", "gold", "out_dir"], "pipeline")
     for key in ("corpus", "embeddings", "gold"):
-        if not Path(getattr(cfg, key)).exists():
-            raise ValidationError(f"pipeline: config {key!r} points to missing file {getattr(cfg, key)!r}")
+        if not Path(getattr(cfg, key)).is_file():
+            raise ValidationError(f"pipeline: config {key!r} does not name a file: {getattr(cfg, key)!r}")
     out = Path(cfg.out_dir)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -71,7 +71,7 @@ class ModelConfig:
                 if type(value) is not int:
                     raise ValidationError(f"config {key.name} must be an integer, got {reprlib.repr(value)}")
                 if value < least:
-                    raise ValidationError(f"config {key.name} must be at least {least}, got {value}")
+                    raise ValidationError(f"config {key.name} must be at least {least}, got {reprlib.repr(value)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(f"config learning_rate must be finite and positive, got {self.learning_rate}")
 
@@ -185,7 +185,8 @@ def write_checkpoint(path: str | Path, params: ModelParams, vocabs: tuple[Vocab,
     """Checkpoint file: header line, the model config and the word,
     dependency and POS vocabularies as one JSON line, then params.flat as
     little-endian float64. The file is replaced whole or not at all."""
-    meta = {"config": asdict(params.cfg), "vocab": {key: list(v.symbols) for key, v in zip(_VOCAB_KEYS, vocabs)}}
+    config = {key.name: getattr(params.cfg, key.name) for key in fields(ModelConfig)}
+    meta = {"config": config, "vocab": {key: list(v.symbols) for key, v in zip(_VOCAB_KEYS, vocabs)}}
     head = f"{CHECKPOINT_HEADER}\n{json.dumps(meta, allow_nan=False)}\n".encode("utf-8")
     write_atomic(path, head + np.asarray(params.flat, dtype="<f8").tobytes())
 
@@ -264,35 +265,28 @@ def _embed(params: ModelParams, ids: tuple[np.ndarray, np.ndarray, np.ndarray]) 
     return np.concatenate([params.word_emb[words], params.dep_emb[deps], params.pos_emb[poss]], axis=2)
 
 
-@dataclass
-class EncoderCache:
-    """What encoder_backward needs from an encode_blocks run."""
-
-    ids: tuple[np.ndarray, np.ndarray, np.ndarray]  # word, dependency, POS ids, each (n_l, len(paths))
-    lstm: ad.BiLstmCache
-
-
-def encode_blocks(params: ModelParams, paths: Sequence[PathIds]) -> tuple[np.ndarray, EncoderCache]:
+def encode_blocks(params: ModelParams, paths: Sequence[PathIds]) -> tuple[np.ndarray, tuple]:
     """Per-position concatenated forward/backward LSTM states of every path,
     (len(paths), n_l, n_h + n_h2), all paths run as one batch through both
-    directions at once, and the cache encoder_backward needs."""
+    directions at once, and what encoder_backward needs: the word,
+    dependency and POS ids, each (n_l, len(paths)), and the LSTM cache."""
     ids = _position_ids(paths)
     lstm = ad.bilstm_forward((params.enc_fwd, params.enc_bwd), _embed(params, ids))
     forward, backward = lstm.by_direction(lstm.hs[1:])
     blocks = np.concatenate([forward, backward[::-1]], axis=2).transpose(1, 0, 2)
-    return blocks, EncoderCache(ids, lstm)
+    return blocks, (ids, lstm)
 
 
-def encoder_backward(params: ModelParams, grads: ModelParams, cache: EncoderCache, d_blocks: np.ndarray) -> None:
+def encoder_backward(params: ModelParams, grads: ModelParams, cache: tuple, d_blocks: np.ndarray) -> None:
     """Backpropagate d_blocks (len(paths), n_l, n_h + n_h2) through an
     encode_blocks run, adding the LSTM and embedding gradients into grads."""
     cfg = params.cfg
+    (words, deps, poss), lstm = cache
     d_states = d_blocks.transpose(1, 0, 2)
-    d_hs = np.empty(cache.lstm.tanh_c.shape)  # laid out as the LSTM states
-    for rows, own in zip(cache.lstm.by_direction(d_hs), (d_states[..., : cfg.n_h], d_states[::-1, :, cfg.n_h :])):
+    d_hs = np.empty(lstm.tanh_c.shape)  # laid out as the LSTM states
+    for rows, own in zip(lstm.by_direction(d_hs), (d_states[..., : cfg.n_h], d_states[::-1, :, cfg.n_h :])):
         rows[...] = own
-    d_xs = ad.bilstm_backward((params.enc_fwd, params.enc_bwd), (grads.enc_fwd, grads.enc_bwd), cache.lstm, d_hs)
-    words, deps, poss = cache.ids
+    d_xs = ad.bilstm_backward((params.enc_fwd, params.enc_bwd), (grads.enc_fwd, grads.enc_bwd), lstm, d_hs)
     np.add.at(grads.word_emb, words, d_xs[..., : cfg.d_w])
     np.add.at(grads.dep_emb, deps, d_xs[..., cfg.d_w : cfg.d_w + cfg.d_d])
     np.add.at(grads.pos_emb, poss, d_xs[..., cfg.d_w + cfg.d_d :])
@@ -444,25 +438,20 @@ def train(
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(groups))
-        pending = 0
         example_losses: list[float] = []
-        for gi in order:
-            pair, paths = groups[int(gi)]
-            where = f"epoch {epoch + 1}, pair {pair}"
-            u = int(rng.integers(len(paths)))
-            inputs = [p for i, p in enumerate(paths) if i != u]
-            if len(inputs) > cfg.max_input_paths:
-                keep = sorted(rng.choice(len(inputs), size=cfg.max_input_paths, replace=False).tolist())
-                inputs = [inputs[i] for i in keep]
-            loss = _path_prediction_loss(params, inputs, paths[u], grads)
-            if not math.isfinite(loss):
-                raise NumericError(f"{where}: non-finite example loss")
-            example_losses.append(loss)
-            pending += 1
-            if pending == cfg.batch_size:
-                _apply_batch(params, grads, cfg.learning_rate, where)
-                pending = 0
-        if pending:
+        for start in range(0, len(order), cfg.batch_size):
+            for gi in order[start : start + cfg.batch_size]:
+                pair, paths = groups[int(gi)]
+                where = f"epoch {epoch + 1}, pair {pair}"
+                u = int(rng.integers(len(paths)))
+                inputs = [p for i, p in enumerate(paths) if i != u]
+                if len(inputs) > cfg.max_input_paths:
+                    keep = sorted(rng.choice(len(inputs), size=cfg.max_input_paths, replace=False).tolist())
+                    inputs = [inputs[i] for i in keep]
+                loss = _path_prediction_loss(params, inputs, paths[u], grads)
+                if not math.isfinite(loss):
+                    raise NumericError(f"{where}: non-finite example loss")
+                example_losses.append(loss)
             _apply_batch(params, grads, cfg.learning_rate, where)
         if on_epoch is not None:
             on_epoch(epoch + 1, fmean(example_losses), params)

@@ -82,10 +82,7 @@ def shortest_path(sentence: ParsedSentence) -> SspTriple:
     return SspTriple(words=words, deps=deps, poss=poss)
 
 
-def group_pairs(
-    instances: Iterable[tuple[tuple[str, str], SspTriple]],
-    min_paths: int = 2,
-) -> list[PairGroup]:
+def group_pairs(instances: Iterable[tuple[tuple[str, str], SspTriple]], min_paths: int) -> list[PairGroup]:
     """Group path instances by ordered pair key, dropping pairs with fewer
     than min_paths instances. Output is deterministic: groups sorted by key,
     paths within a group sorted by content (duplicates kept)."""

@@ -21,29 +21,18 @@ from .errors import ValidationError, writing
 from .vocab import write_embeddings
 
 EMBED_DIM = 16
+NAME_POOL_SIZE = 24
 
 SUBJ = "{SUBJ}"
 OBJ = "{OBJ}"
 
 
 @dataclass(frozen=True)
-class SentenceTemplate:
-    """A full parsed sentence with two single-token entity slots."""
-
-    tokens: tuple[tuple[str, str, str, int], ...]  # (text, pos, dep, head)
-    subject_index: int
-    object_index: int
-
-
-@dataclass(frozen=True)
 class RelationTemplate:
     name: str  # gold relation name
     trigger: str  # distinctive word, always on the entity-entity path
-    sentences: tuple[SentenceTemplate, ...]
-
-
-def _t(*tokens, s: int, o: int) -> SentenceTemplate:
-    return SentenceTemplate(tokens=tuple(tokens), subject_index=s, object_index=o)
+    # Parsed sentences, one (text, pos, dep, head) per token; SUBJ and OBJ mark the entity slots.
+    sentences: tuple[tuple[tuple[str, str, str, int], ...], ...]
 
 
 BUILTIN_RELATIONS: tuple[RelationTemplate, ...] = (
@@ -51,16 +40,15 @@ BUILTIN_RELATIONS: tuple[RelationTemplate, ...] = (
         name="capital",
         trigger="capital",
         sentences=(
-            _t(
+            (
                 (SUBJ, "PROPN", "nsubj", 1),
                 ("is", "AUX", "ROOT", -1),
                 ("the", "DET", "det", 3),
                 ("capital", "NOUN", "attr", 1),
                 ("of", "ADP", "prep", 3),
                 (OBJ, "PROPN", "pobj", 4),
-                s=0, o=5,
             ),
-            _t(
+            (
                 (SUBJ, "PROPN", "nsubj", 1),
                 ("remains", "VERB", "ROOT", -1),
                 ("the", "DET", "det", 4),
@@ -68,16 +56,14 @@ BUILTIN_RELATIONS: tuple[RelationTemplate, ...] = (
                 ("capital", "NOUN", "attr", 1),
                 ("of", "ADP", "prep", 4),
                 (OBJ, "PROPN", "pobj", 5),
-                s=0, o=6,
             ),
-            _t(
+            (
                 ("the", "DET", "det", 1),
                 ("capital", "NOUN", "nsubj", 4),
                 ("of", "ADP", "prep", 1),
                 (OBJ, "PROPN", "pobj", 2),
                 ("is", "AUX", "ROOT", -1),
                 (SUBJ, "PROPN", "attr", 4),
-                s=5, o=3,
             ),
         ),
     ),
@@ -85,15 +71,14 @@ BUILTIN_RELATIONS: tuple[RelationTemplate, ...] = (
         name="placeBirth",
         trigger="born",
         sentences=(
-            _t(
+            (
                 (SUBJ, "PROPN", "nsubjpass", 2),
                 ("was", "AUX", "auxpass", 2),
                 ("born", "VERB", "ROOT", -1),
                 ("in", "ADP", "prep", 2),
                 (OBJ, "PROPN", "pobj", 3),
-                s=0, o=4,
             ),
-            _t(
+            (
                 (SUBJ, "PROPN", "nsubj", 8),
                 (",", "PUNCT", "punct", 0),
                 ("who", "PRON", "nsubj", 4),
@@ -103,15 +88,13 @@ BUILTIN_RELATIONS: tuple[RelationTemplate, ...] = (
                 (OBJ, "PROPN", "pobj", 5),
                 (",", "PUNCT", "punct", 0),
                 ("smiled", "VERB", "ROOT", -1),
-                s=0, o=6,
             ),
-            _t(
+            (
                 (SUBJ, "PROPN", "nsubjpass", 2),
                 ("was", "AUX", "auxpass", 2),
                 ("born", "VERB", "ROOT", -1),
                 ("near", "ADP", "prep", 2),
                 (OBJ, "PROPN", "pobj", 3),
-                s=0, o=4,
             ),
         ),
     ),
@@ -119,30 +102,27 @@ BUILTIN_RELATIONS: tuple[RelationTemplate, ...] = (
         name="founders",
         trigger="founded",
         sentences=(
-            _t(
+            (
                 (SUBJ, "PROPN", "nsubj", 1),
                 ("founded", "VERB", "ROOT", -1),
                 ("the", "DET", "det", 3),
                 ("firm", "NOUN", "dobj", 1),
                 (OBJ, "PROPN", "appos", 3),
-                s=0, o=4,
             ),
-            _t(
+            (
                 (SUBJ, "PROPN", "nsubj", 2),
                 ("quietly", "ADV", "advmod", 2),
                 ("founded", "VERB", "ROOT", -1),
                 ("the", "DET", "det", 4),
                 ("firm", "NOUN", "dobj", 2),
                 (OBJ, "PROPN", "appos", 4),
-                s=0, o=5,
             ),
-            _t(
+            (
                 (OBJ, "PROPN", "nsubjpass", 2),
                 ("was", "AUX", "auxpass", 2),
                 ("founded", "VERB", "ROOT", -1),
                 ("by", "ADP", "agent", 2),
                 (SUBJ, "PROPN", "pobj", 3),
-                s=4, o=0,
             ),
         ),
     ),
@@ -150,26 +130,23 @@ BUILTIN_RELATIONS: tuple[RelationTemplate, ...] = (
         name="neighborOf",
         trigger="borders",
         sentences=(
-            _t(
+            (
                 (SUBJ, "PROPN", "nsubj", 1),
                 ("borders", "VERB", "ROOT", -1),
                 (OBJ, "PROPN", "dobj", 1),
-                s=0, o=2,
             ),
-            _t(
+            (
                 ("everyone", "PRON", "nsubj", 1),
                 ("says", "VERB", "ROOT", -1),
                 (SUBJ, "PROPN", "nsubj", 3),
                 ("borders", "VERB", "ccomp", 1),
                 (OBJ, "PROPN", "dobj", 3),
-                s=2, o=4,
             ),
-            _t(
+            (
                 (SUBJ, "PROPN", "nsubj", 1),
                 ("borders", "VERB", "ROOT", -1),
                 ("snowy", "ADJ", "amod", 3),
                 (OBJ, "PROPN", "dobj", 1),
-                s=0, o=3,
             ),
         ),
     ),
@@ -179,12 +156,12 @@ BUILTIN_RELATIONS: tuple[RelationTemplate, ...] = (
 _CONTENT_WORDS = ("remains", "near", "firm")
 
 
-def name_pool(size: int = 24) -> list[str]:
-    """Deterministic pool of invented proper names."""
+def name_pool() -> list[str]:
+    """Deterministic pool of NAME_POOL_SIZE invented proper names."""
     syllables = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
     names: list[str] = []
     i = 0
-    while len(names) < size:
+    while len(names) < NAME_POOL_SIZE:
         name = (syllables[i % len(syllables)] + syllables[(i * 7 + 3) % len(syllables)]).capitalize()
         if name not in names:
             names.append(name)
@@ -192,19 +169,22 @@ def name_pool(size: int = 24) -> list[str]:
     return names
 
 
-def instantiate(template: SentenceTemplate, sentence_id: str, subject: str, obj: str) -> ParsedSentence:
+def instantiate(
+    template: tuple[tuple[str, str, str, int], ...], sentence_id: str, subject: str, obj: str
+) -> ParsedSentence:
+    """The template's sentence with subject in its SUBJ slot and obj in its OBJ slot."""
     tokens = []
-    for text, pos, dep, head in template.tokens:
+    for i, (text, pos, dep, head) in enumerate(template):
         if text == SUBJ:
-            text = subject
+            text, s = subject, i
         elif text == OBJ:
-            text = obj
-        tokens.append(Token(text=text, pos=pos, dep=dep, head=head))
+            text, o = obj, i
+        tokens.append(Token(text, pos, dep, head))
     return ParsedSentence(
         id=sentence_id,
         tokens=tuple(tokens),
-        subject=EntitySpan(template.subject_index, template.subject_index + 1, subject),
-        object=EntitySpan(template.object_index, template.object_index + 1, obj),
+        subject=EntitySpan(s, s + 1, subject),
+        object=EntitySpan(o, o + 1, obj),
     )
 
 

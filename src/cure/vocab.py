@@ -45,7 +45,7 @@ def _from_counts(counts: Counter, min_freq: int) -> Vocab:
     return Vocab(symbols=(PAD, UNK, *kept))
 
 
-def build_vocab(paths: Iterable[SspTriple], min_freq: int = 2) -> tuple[Vocab, Vocab, Vocab]:
+def build_vocab(paths: Iterable[SspTriple], min_freq: int) -> tuple[Vocab, Vocab, Vocab]:
     """Word, dependency-tag, and POS-tag vocabularies over a path corpus.
 
     Words below min_freq are dropped (they resolve to UNK); tag vocabularies

@@ -361,22 +361,23 @@ class TestGruStep:
 
 class TestOptimizerPieces:
     def test_clip_rescales_to_cap(self):
-        grad = np.array([3.0, 4.0, 0.0])
-        norm = ad.clip_gradients(grad, max_norm=1.0)
-        assert math.isclose(norm, 5.0)
-        assert math.isclose(float(np.linalg.norm(grad)), 1.0, rel_tol=1e-12)
+        grad = np.array([30.0, 40.0, 0.0])
+        norm = ad.clip_gradients(grad)
+        assert math.isclose(norm, 50.0)
+        assert math.isclose(float(np.linalg.norm(grad)), ad.GRAD_CLIP_NORM, rel_tol=1e-12)
 
     def test_clip_leaves_small_gradients_alone(self):
-        grad = np.array([0.3, 0.4])
-        ad.clip_gradients(grad, max_norm=5.0)
-        assert np.array_equal(grad, [0.3, 0.4])
+        grad = np.array([0.6, 0.8]) * (0.99 * ad.GRAD_CLIP_NORM)
+        before = grad.copy()
+        ad.clip_gradients(grad)
+        assert np.array_equal(grad, before)
 
     def test_clip_rejects_nonfinite_norm(self):
         """A non-finite norm is returned, for train to refuse, and the buffer is left as it is."""
         for bad in (np.inf, np.nan):
-            grad = np.array([1.0, bad])
-            assert not math.isfinite(ad.clip_gradients(grad, max_norm=1.0))
-            assert np.array_equal(grad, [1.0, bad], equal_nan=True)
+            grad = np.array([10.0 * ad.GRAD_CLIP_NORM, bad])
+            assert not math.isfinite(ad.clip_gradients(grad))
+            assert np.array_equal(grad, [10.0 * ad.GRAD_CLIP_NORM, bad], equal_nan=True)
 
     def test_sgd_and_zero_grad(self):
         """The step consumes the gradient: it is zero afterwards."""

@@ -192,6 +192,19 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["a-dir", "a-file"]
         assert a_file.read_text(encoding="utf-8") == "kept\n"
 
+    @pytest.mark.parametrize(
+        "config_text, setting",
+        [("", "top_n=" + "x" * 3000), ("", "top_n=-" + "9" * 4000), ("top_n " + "x" * 3000 + "\n", "seed=1")],
+        ids=["value not an integer", "integer under the bound", "line without equals"],
+    )
+    def test_long_config_value_is_shortened_in_the_error(self, tmp_path, capsys, config_text, setting):
+        config = tmp_path / "c.cfg"
+        config.write_text(config_text, encoding="utf-8")
+        assert run("extract-paths", "--config", str(config), "--set", setting, "--out", str(tmp_path / "p")) == 2
+        err = capsys.readouterr().err
+        assert len(err.rstrip("\n")) < 200 and "\n" not in err.rstrip("\n"), err[:300]
+        assert "top_n" in err, err
+
     def test_unknown_config_key_is_2(self, tmp_path):
         assert run("extract-paths", "--set", "bogus_key=1", "--set", "corpus=x", "--out", "y") == 2
         # encode reads no config key (the model config is in the checkpoint), so it takes no config flags.
@@ -1289,16 +1302,18 @@ class TestClusterStage:
         assert sorted(map(sorted, got.values())) == sorted(map(sorted, members.values()))
 
 
+PIPELINE_ARTIFACTS = (
+    "paths.jsonl", "model.ckpt", "loss_log.csv", "vectors.jsonl", "clusters.jsonl", "centroids.jsonl",
+    "labels.jsonl", "scores.csv",
+)
+
+
 class TestPipeline:
     def test_end_to_end_artifacts(self, tiny_setup):
         root, cfg = tiny_setup
         assert run("pipeline", "--config", str(cfg)) == 0
         out = root / "out"
-        for name in (
-            "paths.jsonl", "model.ckpt", "loss_log.csv",
-            "vectors.jsonl", "clusters.jsonl", "centroids.jsonl", "labels.jsonl",
-            "scores.csv", "manifest.json",
-        ):
+        for name in (*PIPELINE_ARTIFACTS, "manifest.json"):
             assert (out / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert [s["name"] for s in manifest["stages"]] == [
@@ -1318,6 +1333,26 @@ class TestPipeline:
         assert names
         for name in names:
             assert (root / "out_a" / name).read_bytes() == (root / "out_b" / name).read_bytes(), name
+
+    def test_stages_run_one_at_a_time_give_the_pipeline_bytes(self, tiny_setup, tmp_path):
+        """README's six stage commands write the same bytes as `cure pipeline` from one config."""
+        root, cfg = tiny_setup
+        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={tmp_path / 'pipeline'}") == 0
+        one = tmp_path / "stages"
+        one.mkdir()
+        c = ["--config", str(cfg)]
+        paths, ckpt, log, vectors, clusters, centroids, labels, scores = (str(one / n) for n in PIPELINE_ARTIFACTS)
+        for argv in (
+            ["extract-paths", *c, "--out", paths],
+            ["train", *c, "--paths-file", paths, "--out-checkpoint", ckpt, "--log", log],
+            ["encode", "--checkpoint", ckpt, "--paths-file", paths, "--out", vectors],
+            ["cluster", *c, "--vectors", vectors, "--out", clusters, "--centroids", centroids],
+            ["label", *c, "--clusters", clusters, "--paths-file", paths, "--out", labels],
+            ["evaluate", *c, "--clusters", clusters, "--labels", labels, "--out", scores],
+        ):
+            assert run(*argv) == 0, argv[0]
+        for name in PIPELINE_ARTIFACTS:
+            assert (one / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name
 
     def test_invalid_model_key_exits_before_any_stage_writes(self, tiny_setup, tmp_path, capsys):
         root, cfg = tiny_setup
@@ -1346,11 +1381,14 @@ class TestPipeline:
             run_pipeline(RunConfig(out_dir=str(tmp_path)))
 
     def test_missing_input_file_exits_before_any_stage_writes(self, tiny_setup, tmp_path, capsys):
+        """A missing file or a directory named as an input exits 2 before out_dir exists."""
         root, cfg = tiny_setup
-        out, gold = tmp_path / "out", tmp_path / "no-gold.jsonl"
-        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={out}", "--set", f"gold={gold}") == 2
-        assert f"pipeline: config 'gold' points to missing file {str(gold)!r}" in capsys.readouterr().err
-        assert not out.exists()
+        out = tmp_path / "out"
+        for key in ("corpus", "embeddings", "gold"):
+            for named in (tmp_path / f"no-{key}.jsonl", tmp_path):
+                assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={out}", "--set", f"{key}={named}") == 2
+                assert f"pipeline: config {key!r} does not name a file: {str(named)!r}" in capsys.readouterr().err
+                assert not out.exists(), (key, named)
 
     def test_failing_stage_is_named(self, tiny_setup, tmp_path, capsys):
         root, cfg = tiny_setup

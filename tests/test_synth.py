@@ -8,7 +8,7 @@ from cure.corpus import parse_corpus, validate_sentence
 from cure.errors import ValidationError
 from cure.labeling import cosine, load_stopwords
 from cure.paths import shortest_path
-from cure.synth import BUILTIN_RELATIONS, generate, instantiate, name_pool, toy_embeddings
+from cure.synth import BUILTIN_RELATIONS, OBJ, SUBJ, generate, instantiate, name_pool, toy_embeddings
 from cure.vocab import write_embeddings
 
 from helpers import WriteFailed, fail_writes_halfway
@@ -32,6 +32,13 @@ class TestTemplates:
                 assert path.words[0] == "Alpha"
                 assert path.words[-1] == "Beta"
 
+    def test_every_template_has_one_subject_and_one_object_slot(self):
+        """instantiate finds the entity slots from these placeholders."""
+        for rel in BUILTIN_RELATIONS:
+            for i, template in enumerate(rel.sentences):
+                texts = [text for text, _, _, _ in template]
+                assert (texts.count(SUBJ), texts.count(OBJ)) == (1, 1), f"{rel.name} template {i}"
+
     def test_triggers_are_not_stopwords(self):
         stop = load_stopwords()
         for rel in BUILTIN_RELATIONS:
@@ -48,7 +55,7 @@ class TestNamePool:
     def test_no_collision_with_template_words(self):
         pool = set(name_pool())
         template_words = {
-            text for rel in BUILTIN_RELATIONS for t in rel.sentences for (text, _, _, _) in t.tokens
+            text for rel in BUILTIN_RELATIONS for template in rel.sentences for (text, _, _, _) in template
         }
         assert not pool & template_words
 
