@@ -231,9 +231,10 @@ def run_pipeline(cfg: RunConfig) -> Path:
     the merge distances on either side of the cut.
     """
     _require(cfg, ["corpus", "embeddings", "gold", "out_dir"], "pipeline")
-    for key in ("corpus", "embeddings", "gold"):
-        if not Path(getattr(cfg, key)).is_file():
-            raise ValidationError(f"pipeline: config {key!r} does not name a file: {getattr(cfg, key)!r}")
+    for key in ("corpus", "embeddings", "gold", "stopwords"):  # stopwords may be empty: the packaged list
+        named = getattr(cfg, key)
+        if named and not Path(named).is_file():
+            raise ValidationError(f"pipeline: config {key!r} does not name a file: {named!r}")
     out = Path(cfg.out_dir)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)

@@ -20,13 +20,17 @@ is updated in place by the Lance-Williams formula
 (kept exactly at d(k, a) when d(k, a) == d(k, b), so a cluster of
 duplicates stays at its base distance: this is why phase 1 leaves the
 matrix exactly as the zero-distance merges would have), and every row
-caches its nearest partner, so a merge rescans only the rows whose cached
-partner it removed. If two distinct representatives are at distance
-exactly 0 (a squared difference underflows), the grouping is dropped and
-every point is its own group, which is the generic algorithm on all n
-points. Memory is O(G^2 + n * dim): the matrix, the points and one n x dim
-temporary. Time is O(G^2 * dim) for the distances plus, for the merges,
-O(G^2) when few cached partners go stale and O(G^3) at worst.
+caches its nearest partner. One scan fills every row's cache; a merge
+compares the union with each cached partner and then rescans, in one scan,
+the rows whose cached partner it removed. A scan reads only the active
+columns, in whole-array operations on blocks of rows of at most
+SCAN_BLOCK_ELEMENTS entries each. If two distinct representatives are at
+distance exactly 0 (a squared difference underflows), the grouping is
+dropped and every point is its own group, which is the generic algorithm
+on all n points. Memory is O(G^2 + n * dim): the matrix, the points, one
+n x dim temporary and a few temporaries of one scan block, whose size does
+not grow with G. Time is O(G^2 * dim) for the distances plus, for the
+merges, O(G^2) when few cached partners go stale and O(G^3) at worst.
 
 Merge order is fully deterministic: distance ties break on the lowest
 (id_a, id_b) pair, where singleton clusters carry their input index and
@@ -43,6 +47,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+
+# Matrix entries in one block of a partner scan: bounds the scan's temporaries
+# (a few arrays of this many elements) whatever the number of clusters.
+SCAN_BLOCK_ELEMENTS = 1 << 16
+_NO_ID = np.iinfo(np.intp).max  # above every cluster id: never the least among tied partners
 
 
 @dataclass(frozen=True)
@@ -88,16 +97,29 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _nearest_partner(dist: np.ndarray, ids: np.ndarray, active: np.ndarray, row: int) -> tuple[float, int]:
-    """The least (distance, partner id) over the active slots whose cluster
-    id exceeds row's, as (distance, partner slot); (inf, -1) if none does."""
-    later = np.flatnonzero(active & (ids > ids[row]))
-    if later.size == 0:
-        return np.inf, -1
-    distances = dist[row, later]
-    best = distances.min()
-    tied = later[distances == best]
-    return float(best), int(tied[np.argmin(ids[tied])])
+def _scan_partners(
+    dist: np.ndarray, ids: np.ndarray, active: np.ndarray, rows: np.ndarray, nearest: np.ndarray, partner: np.ndarray
+) -> None:
+    """Set each row's cache (nearest, partner) to its least (distance,
+    partner id) over the active slots whose cluster id exceeds the row's, as
+    (distance, partner slot); (inf, -1) for a row that has none. An infinite
+    distance is still a partner. Only the active columns are read, in
+    blocks of rows of at most SCAN_BLOCK_ELEMENTS entries, so that no
+    temporary outgrows a block."""
+    cols = active.nonzero()[0]
+    col_ids = ids[cols]
+    step = max(1, SCAN_BLOCK_ELEMENTS // len(cols))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        later = col_ids > ids[block, None]
+        distances = dist[block[:, None], cols]
+        np.putmask(distances, ~later, np.inf)
+        best = distances.min(axis=1)
+        tied = distances == best[:, None]
+        tied &= later
+        slot = np.where(tied, col_ids, _NO_ID).argmin(axis=1)
+        nearest[block] = best
+        partner[block] = np.where(tied.any(axis=1), cols[slot], -1)
 
 
 def _duplicate_groups(points: np.ndarray) -> list[list[int]]:
@@ -158,38 +180,45 @@ def hac(vectors: Sequence[np.ndarray]) -> Dendrogram:
         dist = pairwise_distances(points)
     merges, survivors = _merge_duplicates(groups, n)
     slots = len(groups)
-    ids = np.array(survivors)
+    ids = np.array(survivors, dtype=np.intp)
     sizes = np.array([len(group) for group in groups], dtype=np.float64)
     active = np.ones(slots, dtype=bool)
-    nearest = np.full(slots, np.inf)
-    partner = np.full(slots, -1)
-    for row in range(slots):
-        nearest[row], partner[row] = _nearest_partner(dist, ids, active, row)
+    nearest = np.empty(slots)
+    partner = np.empty(slots, dtype=np.intp)
+    _scan_partners(dist, ids, active, np.arange(slots), nearest, partner)
 
     for _ in range(slots - 1):
-        best = nearest.min()
-        rows = np.flatnonzero((nearest == best) & (partner >= 0))
-        a = int(rows[np.argmin(ids[rows])])
+        a = int(nearest.argmin())
+        best = float(nearest[a])
+        if partner[a] < 0 or np.count_nonzero(nearest == best) > 1:
+            rows = np.flatnonzero((nearest == best) & (partner >= 0))
+            a = int(rows[np.argmin(ids[rows])])
         b = int(partner[a])
-        merges.append(Merge(a=int(ids[a]), b=int(ids[b]), distance=float(best)))
+        merges.append(Merge(a=int(ids[a]), b=int(ids[b]), distance=best))
 
         dist_a, dist_b = dist[a], dist[b]
-        union = (sizes[a] * dist_a + sizes[b] * dist_b) / (sizes[a] + sizes[b])
-        union = np.where(dist_a == dist_b, dist_a, union)
+        size_a, size_b = sizes.item(a), sizes.item(b)  # Python floats: cheaper scalar arithmetic
+        union = size_a * dist_a
+        union += size_b * dist_b
+        union /= size_a + size_b
+        np.putmask(union, dist_a == dist_b, dist_a)
         dist[a] = dist[:, a] = union
-        sizes[a] += sizes[b]
+        sizes[a] = size_a + size_b
         ids[a] = n + len(merges) - 1
         active[b] = False
-        nearest[[a, b]], partner[[a, b]] = np.inf, -1
+        nearest[a] = nearest[b] = np.inf
+        partner[a] = partner[b] = -1
 
-        stale = np.flatnonzero((partner == a) | (partner == b))
+        stale = ((partner == a) | (partner == b)).nonzero()[0]
         # The union's id exceeds every cached partner's, so it wins a row
         # only when strictly closer, or when the row had no partner left.
-        closer = active & ((union < nearest) | (partner < 0))
+        closer = (union < nearest) | (partner < 0)
+        closer &= active
         closer[a] = False
-        nearest[closer], partner[closer] = union[closer], a
-        for row in stale:
-            nearest[row], partner[row] = _nearest_partner(dist, ids, active, row)
+        np.copyto(nearest, union, where=closer)
+        np.putmask(partner, closer, a)
+        if stale.size:
+            _scan_partners(dist, ids, active, stale, nearest, partner)
     return Dendrogram(points=points, merges=merges)
 
 

@@ -1381,14 +1381,18 @@ class TestPipeline:
             run_pipeline(RunConfig(out_dir=str(tmp_path)))
 
     def test_missing_input_file_exits_before_any_stage_writes(self, tiny_setup, tmp_path, capsys):
-        """A missing file or a directory named as an input exits 2 before out_dir exists."""
+        """A missing file or a directory named as an input exits 2 before out_dir
+        exists; stopwords alone may be empty (the packaged list) and a file it
+        names runs."""
         root, cfg = tiny_setup
         out = tmp_path / "out"
-        for key in ("corpus", "embeddings", "gold"):
+        for key in ("corpus", "embeddings", "gold", "stopwords"):
             for named in (tmp_path / f"no-{key}.jsonl", tmp_path):
                 assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={out}", "--set", f"{key}={named}") == 2
                 assert f"pipeline: config {key!r} does not name a file: {str(named)!r}" in capsys.readouterr().err
                 assert not out.exists(), (key, named)
+        packaged = resources.files("cure").joinpath("data/stopwords.txt")
+        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={out}", "--set", f"stopwords={packaged}") == 0
 
     def test_failing_stage_is_named(self, tiny_setup, tmp_path, capsys):
         root, cfg = tiny_setup

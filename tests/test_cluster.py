@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cure import cluster
 from cure.cluster import Merge, cut, hac, pairwise_distances
 from cure.errors import ValidationError
 
@@ -142,9 +143,55 @@ class TestAgglomeration:
             merges = hac(vecs([0.0], [1e200], [2e200], [3e200])).merges
         assert [(m.a, m.b, m.distance) for m in merges] == [(0, 1, np.inf), (2, 3, np.inf), (4, 5, np.inf)]
 
+    @pytest.mark.parametrize("budget", [1, 16])
+    def test_partner_scans_in_small_blocks_match_brute_force_oracle(self, budget, monkeypatch):
+        """With a block of at most 1 or 16 matrix entries, the first scan of
+        5-40 rows runs in several blocks, and so does every rescan of more
+        rows than one block holds; the merges are still the oracle's on
+        random, integer-line (tie-heavy) and duplicate-heavy inputs."""
+        monkeypatch.setattr(cluster, "SCAN_BLOCK_ELEMENTS", budget)
+        rng = np.random.default_rng(53 + budget)
+        for trial in range(30):
+            n, dim = int(rng.integers(5, 41)), int(rng.integers(1, 4))
+            if trial % 3 == 0:
+                points = rng.normal(size=(n, dim))
+            elif trial % 3 == 1:
+                points = rng.integers(0, 8, size=(n, 1)).astype(np.float64)  # exact integer distances
+            else:
+                distinct = rng.normal(size=(int(rng.integers(5, 9)), dim))
+                points = distinct[rng.integers(0, len(distinct), n)]
+            assert_matches_oracle(points, trial)
+
+    @pytest.mark.parametrize("budget", [cluster.SCAN_BLOCK_ELEMENTS, 1])
+    def test_a_merge_that_stales_every_row_matches_brute_force_oracle(self, budget, monkeypatch):
+        """The hub at the origin, the last point, is the nearest partner of
+        every other point: of +-3 e_k (k < 4) at distance 3, and of the far
+        point 1e200 e_0, whose distances all overflow to inf. The first merge,
+        (0, hub), leaves rows 1-8 to rescan at once: rows 1-7 find exact ties
+        at sqrt(18), and the far point only the union, at infinite distance."""
+        axes = np.eye(4)
+        points = [sign * 3.0 * axis for axis in axes for sign in (1.0, -1.0)] + [1e200 * axes[0], np.zeros(4)]
+        monkeypatch.setattr(cluster, "SCAN_BLOCK_ELEMENTS", budget)
+        scanned = []
+        scan = cluster._scan_partners
+
+        def recorded_scan(dist, ids, active, rows, *caches):
+            scanned.append(rows.tolist())
+            scan(dist, ids, active, rows, *caches)
+
+        monkeypatch.setattr(cluster, "_scan_partners", recorded_scan)
+        with np.errstate(over="ignore"):
+            merges = hac(points).merges
+            expected = brute_force_agglomeration(points)
+        assert scanned[1] == list(range(1, 9))
+        assert merges[0] == Merge(a=0, b=9, distance=3.0)
+        assert merges[-1].distance == np.inf
+        assert [(m.a, m.b) for m in merges] == expected
+
     def test_peak_memory_is_quadratic_not_cubic(self):
         """At n = 200, dim = 256 an n x n x dim temporary alone is 82 MB; the
-        matrix, the points and one n x dim temporary are about 0.7 MB."""
+        matrix, the points, one n x dim temporary and the temporaries of one
+        partner-scan block (here the whole matrix) are under 2 MB."""
         n, dim = 200, 256
         vectors = list(np.random.default_rng(37).normal(size=(n, dim)))
         tracemalloc.start()
