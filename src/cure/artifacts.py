@@ -54,7 +54,7 @@ def _unique(path: str | Path, what: str, records: Iterable[tuple], hint: str = "
     for key, value in records:
         if key in found:
             shown = list(key) if isinstance(key, tuple) else key
-            raise ValidationError(f"{path}: {what} {shown} is listed twice{hint}")
+            raise ValidationError(f"{path}: {what} {reprlib.repr(shown)} is listed twice{hint}")
         found[key] = value
     return found
 

@@ -14,9 +14,11 @@ import argparse
 import difflib
 import hashlib
 import json
+import os
 import reprlib
 import sys
 import time
+import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -54,7 +56,7 @@ class RunConfig(ModelConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.method not in ("wvs", "cw"):
-            raise ValidationError(f"config method must be 'wvs' or 'cw', got {self.method!r}")
+            raise ValidationError(f"config method must be 'wvs' or 'cw', got {reprlib.repr(self.method)}")
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
@@ -233,8 +235,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
     _require(cfg, ["corpus", "embeddings", "gold", "out_dir"], "pipeline")
     for key in ("corpus", "embeddings", "gold", "stopwords"):  # stopwords may be empty: the packaged list
         named = getattr(cfg, key)
-        if named and not Path(named).is_file():
-            raise ValidationError(f"pipeline: config {key!r} does not name a file: {named!r}")
+        if named and not os.path.isfile(named):  # False, not an OSError, for a name too long
+            raise ValidationError(f"pipeline: config {key!r} does not name a file: {reprlib.repr(named)}")
     out = Path(cfg.out_dir)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
@@ -293,61 +295,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cure {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override a config key")
+    def command(name, func, help, *files, config=True):
+        """The subcommand's parser, with its config flags and its required file flags."""
+        p = sub.add_parser(name, help=help)
+        if config:
+            p.add_argument("--config", help="flat key = value config file")
+            p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="override a config key")
+        for flag in files:
+            p.add_argument(flag, required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus with planted relations")
+    p = command("synth", cmd_synth, "generate a synthetic corpus with planted relations", config=False)
     p.add_argument("--relations", type=int, default=4)
     p.add_argument("--pairs", type=int, default=25)
     p.add_argument("--sentences", type=int, default=3)
     p.add_argument("--seed", type=int, default=13)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("extract-paths", help="extract entity-pair shortest paths from the config's corpus")
-    with_config(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("train", help="train the path-prediction encoder-decoder")
-    with_config(p)
-    p.add_argument("--paths-file", required=True)
-    p.add_argument("--out-checkpoint", required=True)
+    p.add_argument("--out-dir", required=True)  # after the integer flags, where synth's usage line has it
+    command("extract-paths", cmd_extract, "extract entity-pair shortest paths from the config's corpus", "--out")
+    p = command("train", cmd_train, "train the path-prediction encoder-decoder", "--paths-file", "--out-checkpoint")
     p.add_argument("--log", help="per-epoch loss CSV")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("encode", help="relation vectors for every entity pair (the model config is in the checkpoint)")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--paths-file", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_encode)
-
-    p = sub.add_parser("cluster", help="agglomerative clustering of relation vectors")
-    with_config(p)
-    p.add_argument("--vectors", required=True)
-    p.add_argument("--out", required=True)
+    command("encode", cmd_encode, "relation vectors for every entity pair (the model config is in the checkpoint)",
+            "--checkpoint", "--paths-file", "--out", config=False)
+    p = command("cluster", cmd_cluster, "agglomerative clustering of relation vectors", "--vectors", "--out")
     p.add_argument("--centroids", help="centroid output file (default: <out>.centroids.jsonl)")
-    p.set_defaults(func=cmd_cluster)
-
-    p = sub.add_parser("label", help="relation words for each cluster")
-    with_config(p)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--paths-file", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_label)
-
-    p = sub.add_parser("evaluate", help="score clusters against a gold relation file")
-    with_config(p)
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("pipeline", help="run all stages end to end")
-    with_config(p)
-    p.set_defaults(func=cmd_pipeline)
-
+    command("label", cmd_label, "relation words for each cluster", "--clusters", "--paths-file", "--out")
+    command("evaluate", cmd_evaluate, "score clusters against a gold relation file", "--clusters", "--labels", "--out")
+    command("pipeline", cmd_pipeline, "run all stages end to end")
     return parser
 
 
@@ -358,78 +332,72 @@ def _cfg(args, *required: str) -> RunConfig:
     return cfg
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     result = synth.generate(args.relations, args.pairs, args.sentences, args.seed, args.out_dir)
     print(f"wrote {result.record_count} records, {result.pair_count} pairs to {args.out_dir}")
-    return 0
 
 
-def cmd_extract(args) -> int:
+def cmd_extract(args) -> None:
     cfg = _cfg(args, "corpus")
     count = stage_extract(cfg.corpus, args.out)
     print(f"extracted {count} paths to {args.out}")
-    return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> None:
     cfg = _cfg(args)
     losses = stage_train(cfg, args.paths_file, args.out_checkpoint, args.log)
     if losses:
         print(f"trained {cfg.epochs} epochs; first loss {losses[0]:.4f}, last loss {losses[-1]:.4f}")
     else:
         print("trained 0 epochs; wrote initialized parameters")
-    return 0
 
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> None:
     count = stage_encode(args.checkpoint, args.paths_file, args.out)
     print(f"encoded {count} pairs to {args.out}")
-    return 0
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> None:
     cfg = _cfg(args)
     centroids = args.centroids or f"{args.out}.centroids.jsonl"
     cut = stage_cluster(args.vectors, cfg.k_clusters, args.out, centroids)
     print(f"cut dendrogram into {cut['k']} clusters; assignments in {args.out}")
-    return 0
 
 
-def cmd_label(args) -> int:
+def cmd_label(args) -> None:
     cfg = _cfg(args)
     _require(cfg, ["embeddings"] if cfg.method == "wvs" else [], args.command)
     count = stage_label(args.clusters, args.paths_file, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords, args.out)
     print(f"labeled {count} clusters to {args.out}")
-    return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> None:
     cfg = _cfg(args, "gold", "embeddings")
     ri, scores = stage_evaluate(args.clusters, args.labels, cfg.gold, cfg.embeddings, args.out)
     for s in scores:
         print(f"{s.relation}: recall {s.recall:.3f} precision {s.precision:.3f} f1 {s.f1:.3f}")
     print(f"rand_index: {ri:.4f}")
-    return 0
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args) -> None:
     cfg = _cfg(args)
     out = run_pipeline(cfg)
     print(f"pipeline complete; artifacts in {out}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # a warning is one line, without the source it came from
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -51,18 +51,21 @@ class ParsedSentence:
 
 def validate_sentence(sentence: ParsedSentence) -> None:
     """Check tree shape and span invariants; raise ValidationError on the first failure."""
+    def error(message: str) -> ValidationError:  # the id is quoted only when a check fails
+        return ValidationError(f"sentence {reprlib.repr(sentence.id)}: {message}")
+
     n = len(sentence.tokens)
     roots = [i for i, t in enumerate(sentence.tokens) if t.head == -1]
     if len(roots) != 1:
-        raise ValidationError(f"sentence {sentence.id!r}: expected exactly one root, found {len(roots)}")
+        raise error(f"expected exactly one root, found {len(roots)}")
     if sentence.tokens[roots[0]].dep != "ROOT":
-        raise ValidationError(f"sentence {sentence.id!r}: root token must carry dep 'ROOT'")
+        raise error("root token must carry dep 'ROOT'")
 
     for i, tok in enumerate(sentence.tokens):
         if i == roots[0]:
             continue
         if not 0 <= tok.head < n:
-            raise ValidationError(f"sentence {sentence.id!r}: token {i} head {tok.head} out of range")
+            raise error(f"token {i} head {tok.head} out of range")
 
     # Every token must reach the root; a cycle shows up as a walk longer than n.
     for i in range(n):
@@ -71,18 +74,18 @@ def validate_sentence(sentence: ParsedSentence) -> None:
             cur = sentence.tokens[cur].head
             steps += 1
             if steps > n:
-                raise ValidationError(f"sentence {sentence.id!r}: cyclic head links at token {i}")
+                raise error(f"cyclic head links at token {i}")
 
     for name, span in (("subject", sentence.subject), ("object", sentence.object)):
         if span.start >= span.end:
-            raise ValidationError(f"sentence {sentence.id!r}: empty span for {name}")
+            raise error(f"empty span for {name}")
         if span.start < 0 or span.end > n:
-            raise ValidationError(f"sentence {sentence.id!r}: {name} span ({span.start},{span.end}) out of range")
+            raise error(f"{name} span ({span.start},{span.end}) out of range")
         if not span.canonical:
-            raise ValidationError(f"sentence {sentence.id!r}: {name} canonical key is empty")
+            raise error(f"{name} canonical key is empty")
     s, o = sentence.subject, sentence.object
     if s.start < o.end and o.start < s.end:
-        raise ValidationError(f"sentence {sentence.id!r}: subject and object spans overlap")
+        raise error("subject and object spans overlap")
 
 
 def _span_from(obj: dict) -> EntitySpan:

@@ -198,7 +198,7 @@ def read_checkpoint(path: str | Path) -> tuple[ModelParams, tuple[Vocab, Vocab, 
     with reading(path, "checkpoint", "rb") as fh:
         header = fh.readline().decode("utf-8").rstrip("\n")
         if header != CHECKPOINT_HEADER:
-            raise ValidationError(f"{path}: bad checkpoint header {header!r}, expected {CHECKPOINT_HEADER!r}")
+            raise ValidationError(f"{path}: bad checkpoint header {reprlib.repr(header)}, expected {CHECKPOINT_HEADER!r}")
         meta_line = fh.readline().decode("utf-8")
         data = fh.read()
 

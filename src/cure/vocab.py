@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,7 +86,7 @@ def load_pretrained(path: str | Path) -> dict[str, np.ndarray]:
                 continue  # header
             token, values = parts[0], parts[1:]
             if not values:
-                raise ValidationError(f"{path}:{lineno}: no vector values for token {token!r}")
+                raise ValidationError(f"{path}:{lineno}: no vector values for token {reprlib.repr(token)}")
             try:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
@@ -97,7 +98,7 @@ def load_pretrained(path: str | Path) -> dict[str, np.ndarray]:
             elif vec.shape[0] != dim:
                 raise ValidationError(f"{path}:{lineno}: dimension {vec.shape[0]} != expected {dim}")
             if token in vectors:
-                raise ValidationError(f"{path}:{lineno}: duplicate token {token!r}")
+                raise ValidationError(f"{path}:{lineno}: duplicate token {reprlib.repr(token)}")
             vectors[token] = vec
     if dim is None:
         raise ValidationError(f"{path}: no vectors found")

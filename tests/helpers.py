@@ -3,7 +3,8 @@
 Every oracle here is written against the definition being tested, not
 against the implementation: BFS for tree paths, scalar loops for the
 recurrent cells, Decimal arithmetic for label scoring, from-scratch
-agglomeration for clustering, and a pair double-loop for the rand index.
+agglomeration for clustering (in floats, and in 80-digit Decimal for
+ties in real arithmetic), and a pair double-loop for the rand index.
 The single-direction LSTM passes that the fused bidirectional ones
 replaced are kept here as their reference, one run per direction. The
 entry points that only tests call (encoding one path, the loss of one
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from typing import Sequence
 
 import numpy as np
@@ -384,6 +385,32 @@ def brute_force_agglomeration(points: list[list[float]]) -> list[tuple[int, int]
         d, a, b = best
         merges.append((a, b))
         clusters[n + step] = sorted(clusters.pop(a) + clusters.pop(b))
+    return merges
+
+
+def exact_agglomeration(points: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
+    """brute_force_agglomeration for ties in real arithmetic: each distance is
+    the 80-digit square root of its exact square, each mean an 80-digit sum
+    over its count, and merges compare by (mean quantized to 1e-60, a, b), so
+    means that are equal in real arithmetic, such as (1 + sqrt 2)/2 reached
+    through different point pairs, tie and the lowest pair wins. (In
+    Decimal's default 28 digits the sums split such ties.)"""
+    n = len(points)
+    quantum = Decimal("1e-60")
+    clusters: dict[int, list[int]] = {i: [i] for i in range(n)}
+    merges = []
+    with localcontext() as ctx:
+        ctx.prec = 80
+        dist = [[sum((Decimal(x) - Decimal(y)) ** 2 for x, y in zip(p, q)).sqrt() for q in points] for p in points]
+        for step in range(n - 1):
+            ids = sorted(clusters)
+            _, a, b = min(
+                ((sum(dist[i][j] for i in clusters[a] for j in clusters[b]) / (len(clusters[a]) * len(clusters[b]))
+                  ).quantize(quantum), a, b)
+                for k, a in enumerate(ids) for b in ids[k + 1 :]
+            )
+            merges.append((a, b))
+            clusters[n + step] = sorted(clusters.pop(a) + clusters.pop(b))
     return merges
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import shlex
 import shutil
 import struct
@@ -205,13 +206,49 @@ class TestExitCodes:
         assert len(err.rstrip("\n")) < 200 and "\n" not in err.rstrip("\n"), err[:300]
         assert "top_n" in err, err
 
+    @pytest.mark.parametrize("case", ["config method", "pipeline corpus", "corpus sentence id", "vectors pair twice",
+                                      "checkpoint header", "embeddings token twice", "embeddings token without values"])
+    def test_long_input_value_is_shortened_in_the_error(self, tiny_setup, tmp_path, capsys, case):
+        """A value an error quotes from a setting or an input file is shortened,
+        and the error still names the key or the file."""
+        root, _ = tiny_setup
+        long, bad, empty, out = "x" * 50_000, tmp_path / "bad", tmp_path / "empty", str(tmp_path / "out")
+        empty.write_text("", encoding="utf-8")
+        record = json.loads((root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        record["tokens"][0]["head"] = 99
+        bad.write_text({
+            "corpus sentence id": json.dumps({**record, "id": long}) + "\n",
+            "vectors pair twice": 2 * (json.dumps({"pair": [long, "o"], "vector": [1.0]}) + "\n"),
+            "checkpoint header": "C" * 100_000 + "\n",
+            "embeddings token twice": f"{long} 1\n{long} 2\n",
+            "embeddings token without values": f"{long}\n",
+        }.get(case, ""), encoding="utf-8")
+        label = ["label", "--clusters", str(empty), "--paths-file", str(empty), "--set", f"embeddings={bad}"]
+        argv, named = {
+            "config method": (["extract-paths", "--set", f"method={long}"], "method"),
+            "pipeline corpus": (["pipeline", "--set", f"corpus={long}", "--set", "embeddings=e", "--set", "gold=g",
+                                 "--set", f"out_dir={out}"], "corpus"),
+            "corpus sentence id": (["extract-paths", "--set", f"corpus={bad}"], str(bad)),
+            "vectors pair twice": (["cluster", "--vectors", str(bad)], str(bad)),
+            "checkpoint header": (["encode", "--checkpoint", str(bad), "--paths-file", str(empty)], str(bad)),
+            "embeddings token twice": (label, str(bad)),
+            "embeddings token without values": (label, str(bad)),
+        }[case]
+        assert run(*argv, *(["--out", out] if case != "pipeline corpus" else [])) == 2
+        err = capsys.readouterr().err.rstrip("\n")
+        assert len(err) < 300 and "\n" not in err and named in err, err[:400]
+        assert not Path(out).exists()
+
     def test_unknown_config_key_is_2(self, tmp_path):
         assert run("extract-paths", "--set", "bogus_key=1", "--set", "corpus=x", "--out", "y") == 2
-        # encode reads no config key (the model config is in the checkpoint), so it takes no config flags.
-        with pytest.raises(SystemExit) as exited:
-            run("encode", "--config", "no_such.cfg", "--set", "bogus_key=1", "--checkpoint", str(tmp_path / "m.ckpt"),
-                "--paths-file", str(tmp_path / "p.jsonl"), "--out", str(tmp_path / "v.jsonl"))
-        assert exited.value.code == 2
+        # encode reads no config key (the model config is in the checkpoint), and synth
+        # takes its settings as flags, so neither takes the config flags.
+        for files in (["encode", "--checkpoint", str(tmp_path / "m.ckpt"), "--paths-file", str(tmp_path / "p.jsonl"),
+                       "--out", str(tmp_path / "v.jsonl")], ["synth", "--out-dir", str(tmp_path / "synth")]):
+            with pytest.raises(SystemExit) as exited:
+                run(*files, "--config", "no_such.cfg", "--set", "bogus_key=1")
+            assert exited.value.code == 2, files
+        assert not any(tmp_path.iterdir())
 
     # inf in a bias or an input weight saturates gates and still gives finite
     # vectors; the checkpoint itself must be rejected.
@@ -888,6 +925,23 @@ class TestStages:
         (rec,) = [json.loads(line) for line in open(labels, encoding="utf-8")]
         assert rec["labels"][0][1] >= rec["labels"][-1][1]
 
+    def test_evaluate_shows_a_warning_as_one_line(self, tiny_setup, tmp_path, capsys):
+        """A cluster of two capital pairs labeled 'born' is matched to placeBirth,
+        which gold gives none of the scored pairs: evaluate excludes it, scores
+        the rest and says so in one line, without a source path or code."""
+        root, cfg = tiny_setup
+        gold = [json.loads(line) for line in (root / "gold.jsonl").read_text(encoding="utf-8").splitlines()][:2]
+        assert [rec["relations"] for rec in gold] == [["capital"]] * 2
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": rec["pair"]} for rec in gold])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["born", 1.0]]}])
+        scores = tmp_path / "s.csv"
+        assert run("evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+                   "--out", str(scores)) == 0
+        out, err = capsys.readouterr()
+        assert err == "warning: predicted relations with zero gold count excluded: ['placeBirth']\n"
+        assert out == "capital: recall 0.000 precision 0.000 f1 0.000\nrand_index: 1.0000\n"
+        assert scores.read_text(encoding="utf-8") == "relation,recall,precision,f1\ncapital,0.0,0.0,0.0\nrand_index,1.0\n"
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @example(k=600)
     @example(k=-600)
@@ -1389,7 +1443,8 @@ class TestPipeline:
         for key in ("corpus", "embeddings", "gold", "stopwords"):
             for named in (tmp_path / f"no-{key}.jsonl", tmp_path):
                 assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={out}", "--set", f"{key}={named}") == 2
-                assert f"pipeline: config {key!r} does not name a file: {str(named)!r}" in capsys.readouterr().err
+                err = capsys.readouterr().err
+                assert f"pipeline: config {key!r} does not name a file: {reprlib.repr(str(named))}" in err
                 assert not out.exists(), (key, named)
         packaged = resources.files("cure").joinpath("data/stopwords.txt")
         assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={out}", "--set", f"stopwords={packaged}") == 0
@@ -1399,6 +1454,29 @@ class TestPipeline:
         assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={tmp_path}", "--set", "min_paths=99") == 2
         assert "error: stage 'train' failed: no pair has at least 99 paths" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+
+REQUIRED_FILE_FLAGS = {
+    "synth": ["--out-dir"],
+    "extract-paths": ["--out"],
+    "train": ["--paths-file", "--out-checkpoint"],
+    "encode": ["--checkpoint", "--paths-file", "--out"],
+    "cluster": ["--vectors", "--out"],
+    "label": ["--clusters", "--paths-file", "--out"],
+    "evaluate": ["--clusters", "--labels", "--out"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, flag) for c, flags in REQUIRED_FILE_FLAGS.items() for flag in flags])
+def test_leaving_out_a_file_flag_exits_2(command, flag, tmp_path, capsys):
+    """Every file a stage reads or writes is named by a required flag: with the
+    others given, leaving one out stops argparse with exit 2 before anything runs."""
+    others = [other for other in REQUIRED_FILE_FLAGS[command] if other != flag]
+    with pytest.raises(SystemExit) as exited:
+        run(command, *(arg for other in others for arg in (other, str(tmp_path / other[2:]))))
+    assert exited.value.code == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_every_readme_command_parses():

@@ -9,7 +9,7 @@ from cure import cluster
 from cure.cluster import Merge, cut, hac, pairwise_distances
 from cure.errors import ValidationError
 
-from helpers import brute_force_agglomeration
+from helpers import brute_force_agglomeration, exact_agglomeration
 
 
 def vecs(*rows):
@@ -109,6 +109,29 @@ class TestAgglomeration:
         for trial in range(200):
             points = rng.integers(0, 6, size=(int(rng.integers(3, 13)), 1)).astype(np.float64)
             assert_matches_oracle(points, trial)
+
+    # Clusters 40 and 47 (12 point pairs) and 43 and 45 (8 pairs) both lie at
+    # (1 + sqrt 2)/2 in real arithmetic; summed in floats, the first mean
+    # rounds one ulp above the second.
+    REAL_TIE_GRID = [[2, 4], [5, 1], [3, 3], [1, 3], [5, 3], [5, 5], [2, 4], [2, 1], [0, 2], [2, 4], [0, 1], [4, 3],
+                     [3, 2], [1, 3], [5, 0], [5, 5], [5, 1], [0, 5], [4, 2], [4, 1], [2, 5], [2, 5], [4, 2], [4, 1],
+                     [4, 0], [1, 2], [1, 1], [4, 3], [3, 2], [2, 0]]
+
+    def test_a_real_tie_of_irrational_means_goes_to_the_lowest_pair(self):
+        """hac takes (40, 47) at merge 19, as the exact oracle does; the float
+        oracle, whose sums split the tie, takes (43, 45) there."""
+        merges = [(m.a, m.b) for m in hac(list(np.array(self.REAL_TIE_GRID, dtype=np.float64))).merges]
+        assert merges[19:21] == [(40, 47), (43, 45)]
+        assert merges == exact_agglomeration(self.REAL_TIE_GRID)
+
+    def test_2d_integer_grids_match_exact_oracle(self):
+        """Points on a 6 x 6 integer grid: many duplicates, and distances sqrt k
+        whose means tie in real arithmetic but not always in floats."""
+        rng = np.random.default_rng(5)
+        for trial in range(80):
+            points = rng.integers(0, 6, size=(int(rng.integers(5, 26)), 2))
+            got = [(m.a, m.b) for m in hac(list(points.astype(np.float64))).merges]
+            assert got == exact_agglomeration(points.tolist()), f"trial {trial}"
 
     def test_clusters_of_duplicates_keep_their_base_distance(self):
         """m copies of u, v, m copies of w with d(u, v) == d(v, w): the union of
