@@ -4,15 +4,23 @@ corpus.jsonl (read by corpus.parse_corpus), paths.jsonl, vectors.jsonl,
 cluster assignments, centroids, labels, gold, scores.csv and loss_log.csv
 (README "File formats"). Every JSON Lines file is read through
 corpus.read_jsonl, so an error names `<file>:<line>`, and a reader refuses
-a file that lists one pair, or one cluster, twice.
+a file that lists one pair, or one cluster, twice. Inside reuse_written()
+(`cure pipeline` runs its stages in one), the paths, vectors, cluster and
+labels readers do not parse again a file that their writer wrote there:
+when the file's sha256 is that of the bytes written, they return the value
+the writer recorded, which is the value parsing those bytes gives.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import reprlib
+from contextlib import contextmanager, suppress
+from contextvars import ContextVar
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,18 +32,65 @@ from .metrics import RelationScore
 from .paths import SspTriple
 
 Pair = tuple[str, str]
+T = TypeVar("T", list, dict)
 # json.dumps with allow_nan=False, without building an encoder per call: JSON has no NaN or Infinity.
 _to_json = json.JSONEncoder(allow_nan=False).encode
+# Inside reuse_written(): (reader name, path) -> (sha256 of the bytes written, the reader's value for them).
+_written: ContextVar[dict | None] = ContextVar("_written", default=None)
 
 
-def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    """One JSON line per record. A NaN or infinity, which JSON cannot hold,
-    is a NumericError naming the file, and the file is left as it was."""
+@contextmanager
+def reuse_written() -> Iterator[None]:
+    """Inside the block, a reader given a file that its writer wrote inside
+    the block, and that still holds the bytes written, returns a copy of
+    the written value instead of parsing the file. A writer records the
+    value it was given, in its reader's types; that is what the reader
+    returns for the bytes written, since every value the stages write
+    passes the reader's checks (each pair listed once, vectors of one
+    length, paths that are not empty)."""
+    token = _written.set({})
+    try:
+        yield
+    finally:
+        _written.reset(token)
+
+
+def _record(reader: str, path: str | Path, data: bytes, value: Callable[[], list | dict]) -> None:
+    """Inside reuse_written(), record that path holds data, for which the
+    reader of that name returns value(). Outside it, do nothing: value is
+    not called."""
+    written = _written.get()
+    if written is not None:
+        written[reader, Path(path)] = hashlib.sha256(data).digest(), value()
+
+
+def _reusable(read: Callable[[str | Path], T]) -> Callable[[str | Path], T]:
+    """read, except that inside reuse_written() a file that holds the bytes
+    its writer wrote there gives a copy of the writer's value, unparsed. A
+    file that cannot be read is left to read, which reports it."""
+    @functools.wraps(read)
+    def reusing(path: str | Path) -> T:
+        entry = (_written.get() or {}).get((read.__name__, Path(path)))
+        if entry is not None:
+            with suppress(OSError):
+                if hashlib.sha256(Path(path).read_bytes()).digest() == entry[0]:
+                    return entry[1].copy()
+        return read(path)
+
+    return reusing
+
+
+def _write_jsonl(path: str | Path, records: Iterable[dict]) -> bytes:
+    """One JSON line per record; returns the bytes written. A NaN or
+    infinity, which JSON cannot hold, is a NumericError naming the file, and
+    the file is left as it was."""
     try:
         text = "".join(_to_json(record) + "\n" for record in records)
     except ValueError as exc:
         raise NumericError(f"{path}: cannot write a non-finite value ({exc})") from exc
-    write_atomic(path, text.encode("utf-8"))
+    data = text.encode("utf-8")
+    write_atomic(path, data)
+    return data
 
 
 def _pair(rec: dict) -> Pair:
@@ -67,7 +122,9 @@ def write_corpus(path: str | Path, sentences: Iterable[ParsedSentence]) -> None:
 # -- paths.jsonl: one record per (pair, shortest path) instance ----------------------
 def write_paths(path: str | Path, instances: Sequence[tuple[Pair, SspTriple]]) -> None:
     rows = ({"pair": list(p), "words": list(t.words), "deps": list(t.deps), "poss": list(t.poss)} for p, t in instances)
-    _write_jsonl(path, rows)
+    data = _write_jsonl(path, rows)
+    _record("read_path_instances", path, data,
+            lambda: [(tuple(p), SspTriple(tuple(t.words), tuple(t.deps), tuple(t.poss))) for p, t in instances])
 
 
 def _path_instance(rec: dict) -> tuple[Pair, SspTriple]:
@@ -80,6 +137,7 @@ def _path_instance(rec: dict) -> tuple[Pair, SspTriple]:
     return pair, path
 
 
+@_reusable
 def read_path_instances(path: str | Path) -> list[tuple[Pair, SspTriple]]:
     return read_jsonl(path, "path instance", _path_instance)
 
@@ -101,7 +159,20 @@ def write_vectors(path: str | Path, records: Sequence[tuple[Pair, np.ndarray]]) 
         if text is None:
             text = texts[id(vector)] = _to_json(vector.tolist())
         lines.append(f'{{"pair": {json.dumps(list(pair))}{VECTOR_KEY}{text}}}\n')
-    write_atomic(path, "".join(lines).encode("utf-8"))
+    data = "".join(lines).encode("utf-8")
+    write_atomic(path, data)
+
+    def value() -> dict[Pair, np.ndarray]:
+        """What read_vectors gives: one read-only array per distinct vector text."""
+        arrays: dict[str, np.ndarray] = {}
+        for _, vector in records:
+            text = texts[id(vector)]
+            if text not in arrays:
+                arrays[text] = np.array(vector, dtype=np.float64)
+                arrays[text].flags.writeable = False
+        return {tuple(pair): arrays[texts[id(vector)]] for pair, vector in records}
+
+    _record("read_vectors", path, data, value)
 
 
 def _finite_vector(values) -> np.ndarray:
@@ -139,6 +210,7 @@ def _split_vector_line(line: str, memo: dict[str, np.ndarray]) -> tuple[Pair, np
         return None  # not the split form after all, or malformed: parse_line decides
 
 
+@_reusable
 def read_vectors(path: str | Path) -> dict[Pair, np.ndarray]:
     """Pair -> vector, in file order, each distinct vector text parsed and
     checked once, all vectors of one length.
@@ -170,9 +242,11 @@ def read_vectors(path: str | Path) -> dict[Pair, np.ndarray]:
 
 # -- cluster assignments and centroids -----------------------------------------------
 def write_clusters(path: str | Path, assignments: Mapping[Pair, int]) -> None:
-    _write_jsonl(path, ({"cluster": cluster, "pair": list(pair)} for pair, cluster in assignments.items()))
+    data = _write_jsonl(path, ({"cluster": cluster, "pair": list(pair)} for pair, cluster in assignments.items()))
+    _record("read_clusters", path, data, lambda: dict(assignments))
 
 
+@_reusable
 def read_clusters(path: str | Path) -> dict[Pair, int]:
     """Pair -> cluster id, in file order."""
     records = read_jsonl(path, "cluster assignment", lambda rec: (_pair(rec), integer(rec["cluster"], "cluster")))
@@ -185,7 +259,8 @@ def write_centroids(path: str | Path, centroids: Mapping[int, np.ndarray]) -> No
 
 # -- labels: {"cluster": 0, "labels": [["word", score], ...]} per cluster -------------
 def write_labels(path: str | Path, labels: Mapping[int, Sequence[tuple[str, float]]]) -> None:
-    _write_jsonl(path, ({"cluster": c, "labels": [[w, float(s)] for w, s in top]} for c, top in labels.items()))
+    data = _write_jsonl(path, ({"cluster": c, "labels": [[w, float(s)] for w, s in top]} for c, top in labels.items()))
+    _record("read_labels", path, data, lambda: {c: tuple((w, float(s)) for w, s in top) for c, top in labels.items()})
 
 
 def _label_record(rec: dict) -> tuple[int, tuple[tuple[str, float], ...]]:
@@ -193,6 +268,7 @@ def _label_record(rec: dict) -> tuple[int, tuple[tuple[str, float], ...]]:
     return integer(rec["cluster"], "cluster"), candidates
 
 
+@_reusable
 def read_labels(path: str | Path) -> dict[int, tuple[tuple[str, float], ...]]:
     """Cluster id -> its ranked label candidates, in file order."""
     return _unique(path, "cluster", read_jsonl(path, "cluster label", _label_record))
@@ -203,9 +279,18 @@ def write_gold(path: str | Path, gold: Mapping[Pair, Sequence[str]]) -> None:
     _write_jsonl(path, ({"pair": list(pair), "relations": list(relations)} for pair, relations in gold.items()))
 
 
+def _gold_record(rec: dict) -> tuple[Pair, tuple[str, ...]]:
+    relations = tuple(sorted(string_array(rec, "relations")))
+    for first, second in zip(relations, relations[1:]):
+        if first == second:
+            raise ValidationError(f"relation {reprlib.repr(first)} is listed twice")
+    return _pair(rec), relations
+
+
 def read_gold(path: str | Path) -> dict[Pair, tuple[str, ...]]:
-    """Pair -> its gold relation names, in file order."""
-    records = read_jsonl(path, "gold relation", lambda rec: (_pair(rec), string_array(rec, "relations")))
+    """Pair -> its gold relation names, sorted, so that a pair's rand-index
+    class is its set of relations; the pairs in file order."""
+    records = read_jsonl(path, "gold relation", _gold_record)
     return _unique(path, "pair", records, "; one record lists all of a pair's relations")
 
 

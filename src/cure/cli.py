@@ -230,7 +230,8 @@ def run_pipeline(cfg: RunConfig) -> Path:
 
     Every stage artifact lands in cfg.out_dir; manifest.json records the
     seed and per-stage output hashes and timings, and for the cluster stage
-    the merge distances on either side of the cut.
+    the merge distances on either side of the cut. No stage parses an
+    artifact that an earlier one wrote (artifacts.reuse_written).
     """
     _require(cfg, ["corpus", "embeddings", "gold", "out_dir"], "pipeline")
     for key in ("corpus", "embeddings", "gold", "stopwords"):  # stopwords may be empty: the packaged list
@@ -258,20 +259,21 @@ def run_pipeline(cfg: RunConfig) -> Path:
     ]
 
     manifest = {"seed": cfg.seed, "stages": []}
-    for name, run, outputs in stages:
-        started = time.perf_counter()
-        try:
-            result = run()
-        except CureError as exc:
-            raise type(exc)(f"stage {name!r} failed: {exc}") from exc
-        entry = {
-            "name": name,
-            "seconds": round(time.perf_counter() - started, 3),
-            "outputs": {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in outputs},
-        }
-        if name == "cluster":
-            entry["cut"] = result
-        manifest["stages"].append(entry)
+    with artifacts.reuse_written():
+        for name, run, outputs in stages:
+            started = time.perf_counter()
+            try:
+                result = run()
+            except CureError as exc:
+                raise type(exc)(f"stage {name!r} failed: {exc}") from exc
+            entry = {
+                "name": name,
+                "seconds": round(time.perf_counter() - started, 3),
+                "outputs": {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in outputs},
+            }
+            if name == "cluster":
+                entry["cut"] = result
+            manifest["stages"].append(entry)
     write_atomic(out / "manifest.json", (json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode("utf-8"))
     return out
 

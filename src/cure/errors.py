@@ -31,8 +31,8 @@ def reading(path: str | Path, what: str, mode: str = "r") -> Iterator[IO]:
     try:
         with open(path, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    except OSError as exc:  # strerror, not str(exc), which names path again
+        raise ValidationError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{what} {path} is not UTF-8 text ({exc})") from exc
 

@@ -82,7 +82,7 @@ def load_pretrained(path: str | Path) -> dict[str, np.ndarray]:
             parts = line.split()
             if not parts:
                 continue
-            if lineno == 1 and len(parts) == 2 and all(_is_int(p) for p in parts):
+            if lineno == 1 and len(parts) == 2 and all(_parses(int, p) for p in parts):
                 continue  # header
             token, values = parts[0], parts[1:]
             if not values:
@@ -90,7 +90,8 @@ def load_pretrained(path: str | Path) -> dict[str, np.ndarray]:
             try:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: unparseable vector value ({exc})") from exc
+                bad = next(v for v in values if not _parses(float, v))
+                raise ValidationError(f"{path}:{lineno}: unparseable vector value {reprlib.repr(bad)}") from exc
             if not np.all(np.isfinite(vec)):
                 raise ValidationError(f"{path}:{lineno}: non-finite vector value")
             if dim is None:
@@ -105,9 +106,9 @@ def load_pretrained(path: str | Path) -> dict[str, np.ndarray]:
     return vectors
 
 
-def _is_int(s: str) -> bool:
+def _parses(kind: type, s: str) -> bool:
     try:
-        int(s)
+        kind(s)
     except ValueError:
         return False
     return True

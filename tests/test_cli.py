@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -17,11 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cure import artifacts, autodiff, cli
+from cure import artifacts, autodiff, cli, corpus
 from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
 from cure.errors import NumericError, ValidationError
 from cure.model import parameter_shapes, paths_to_ids, read_checkpoint, write_checkpoint
-from cure.paths import group_pairs
+from cure.paths import SspTriple, group_pairs
 from cure.vocab import load_pretrained, write_embeddings
 
 from helpers import WriteFailed, brute_force_agglomeration, fail_writes_halfway
@@ -172,6 +173,13 @@ class TestExitCodes:
         assert code == 2
         assert f"cannot read checkpoint {tmp_path / 'nope.ckpt'}" in capsys.readouterr().err
 
+    def test_unreadable_input_names_its_path_once(self, tmp_path, capsys):
+        """The reason is the OSError's own, without the path it repeats."""
+        long = str(tmp_path / ("y" * 5000))
+        assert run("extract-paths", "--set", f"corpus={long}", "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err.rstrip("\n")
+        assert err == f"error: cannot read corpus record file {long}: File name too long", err[-200:]
+
     @pytest.mark.parametrize("case", ["synth into a file", "pipeline into a file", "out in a missing directory",
                                       "out is a directory"])
     def test_unwritable_output_path_is_2(self, tiny_setup, tmp_path, capsys, case):
@@ -207,7 +215,8 @@ class TestExitCodes:
         assert "top_n" in err, err
 
     @pytest.mark.parametrize("case", ["config method", "pipeline corpus", "corpus sentence id", "vectors pair twice",
-                                      "checkpoint header", "embeddings token twice", "embeddings token without values"])
+                                      "checkpoint header", "embeddings token twice", "embeddings token without values",
+                                      "embeddings bad value"])
     def test_long_input_value_is_shortened_in_the_error(self, tiny_setup, tmp_path, capsys, case):
         """A value an error quotes from a setting or an input file is shortened,
         and the error still names the key or the file."""
@@ -222,6 +231,7 @@ class TestExitCodes:
             "checkpoint header": "C" * 100_000 + "\n",
             "embeddings token twice": f"{long} 1\n{long} 2\n",
             "embeddings token without values": f"{long}\n",
+            "embeddings bad value": f"tok 1.0 {long}\n",
         }.get(case, ""), encoding="utf-8")
         label = ["label", "--clusters", str(empty), "--paths-file", str(empty), "--set", f"embeddings={bad}"]
         argv, named = {
@@ -233,6 +243,7 @@ class TestExitCodes:
             "checkpoint header": (["encode", "--checkpoint", str(bad), "--paths-file", str(empty)], str(bad)),
             "embeddings token twice": (label, str(bad)),
             "embeddings token without values": (label, str(bad)),
+            "embeddings bad value": (label, str(bad)),
         }[case]
         assert run(*argv, *(["--out", out] if case != "pipeline corpus" else [])) == 2
         err = capsys.readouterr().err.rstrip("\n")
@@ -436,6 +447,20 @@ class TestMalformedArtifacts:
             ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
              "--set", f"gold={gold}", "--out", str(tmp_path / "s.csv")],
             f"{gold}: pair ['a', 'b'] is listed twice; one record lists all of a pair's relations",
+        )
+
+    def test_relation_listed_twice_for_a_pair_in_gold(self, tiny_setup, tmp_path, capsys):
+        """["a"] beside ["a", "a"] would be two rand-index classes."""
+        root, cfg = tiny_setup
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["p", p]} for p in "12"])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["w", 1.0]]}])
+        gold = write_jsonl(tmp_path / "g.jsonl", [{"pair": ["p", "1"], "relations": ["a"]},
+                                                  {"pair": ["p", "2"], "relations": ["a", "a"]}])
+        self.assert_exit_2(
+            capsys,
+            ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+             "--set", f"gold={gold}", "--out", str(tmp_path / "s.csv")],
+            f"{gold}:2: relation 'a' is listed twice",
         )
 
     def test_cluster_listed_twice_in_labels(self, tiny_setup, tmp_path, capsys):
@@ -942,6 +967,22 @@ class TestStages:
         assert out == "capital: recall 0.000 precision 0.000 f1 0.000\nrand_index: 1.0000\n"
         assert scores.read_text(encoding="utf-8") == "relation,recall,precision,f1\ncapital,0.0,0.0,0.0\nrand_index,1.0\n"
 
+    @pytest.mark.parametrize("p2", [["b", "a"], ["a", "b"]])
+    def test_rand_index_class_is_the_set_of_gold_relations(self, tmp_path, p2):
+        """p1 and p2 clustered together, p3 apart: gold ["a", "b"] for p1 puts
+        p2 in p1's class whichever order p2's relations are written in."""
+        write_embeddings(tmp_path / "e.txt", {w: np.eye(3)[i] for i, w in enumerate("abc")})
+        pairs = [["p", "1"], ["p", "2"], ["p", "3"]]
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": int(p == "3"), "pair": [s, p]} for s, p in pairs])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["a", 1.0]]},
+                                                    {"cluster": 1, "labels": [["c", 1.0]]}])
+        gold = write_jsonl(tmp_path / "g.jsonl", [{"pair": pair, "relations": relations}
+                                                  for pair, relations in zip(pairs, [["a", "b"], p2, ["c"]])])
+        scores = tmp_path / "s.csv"
+        assert run("evaluate", "--set", f"gold={gold}", "--set", f"embeddings={tmp_path / 'e.txt'}",
+                   "--clusters", str(clusters), "--labels", str(labels), "--out", str(scores)) == 0
+        assert scores.read_text(encoding="utf-8").splitlines()[-1] == "rand_index,1.0"
+
     @settings(max_examples=20, deadline=None, derandomize=True)
     @example(k=600)
     @example(k=-600)
@@ -1305,6 +1346,102 @@ class TestReaders:
         assert run(*argv(str(bad))) in (0, 2)
 
 
+def _typed(value):
+    """value with the type of each part beside it, and an array as its
+    dtype, shape, writeability and bytes: equal only for values that are
+    equal in every part, order and type."""
+    if isinstance(value, np.ndarray):
+        return "ndarray", value.dtype.str, value.shape, value.flags.writeable, value.tobytes()
+    if isinstance(value, SspTriple):
+        return "SspTriple", _typed((value.words, value.deps, value.poss))
+    if isinstance(value, dict):
+        return "dict", [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [_typed(v) for v in value]
+    return type(value).__name__, repr(value)
+
+
+@pytest.fixture
+def parsed(monkeypatch) -> Counter:
+    """The name of every file the JSON Lines reader parses from here on, counted."""
+    names: Counter = Counter()
+    read_jsonl = corpus.read_jsonl
+
+    def counted(path, *args):
+        names[Path(path).name] += 1
+        return read_jsonl(path, *args)
+
+    monkeypatch.setattr(corpus, "read_jsonl", counted)
+    monkeypatch.setattr(artifacts, "read_jsonl", counted)
+    return names
+
+
+REUSED = {  # the artifacts a pipeline stage reads after an earlier stage wrote them, and their readers
+    "paths.jsonl": artifacts.read_path_instances, "vectors.jsonl": artifacts.read_vectors,
+    "clusters.jsonl": artifacts.read_clusters, "labels.jsonl": artifacts.read_labels,
+}
+
+
+class TestReuseWritten:
+    def test_reader_after_its_writer_gives_what_parsing_gives(self, tiny_setup, tmp_path, parsed):
+        """Each artifact the stages write, read inside the scope, is the value
+        parsing the file gives outside it, and a fresh copy at every read."""
+        _, cfg_file = tiny_setup
+        cfg = load_config(str(cfg_file))
+        paths, ckpt, log, vectors, clusters, centroids, labels, scores = (str(tmp_path / n) for n in PIPELINE_ARTIFACTS)
+        with artifacts.reuse_written():
+            cli.stage_extract(cfg.corpus, paths)
+            cli.stage_train(cfg, paths, ckpt, log)
+            cli.stage_encode(ckpt, paths, vectors)
+            cli.stage_cluster(vectors, cfg.k_clusters, clusters, centroids)
+            cli.stage_label(clusters, paths, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords, labels)
+            parsed.clear()
+            reused = {name: read(tmp_path / name) for name, read in REUSED.items()}
+            for name, read in REUSED.items():
+                read(tmp_path / name).clear()  # a copy: later reads are whole
+            assert not parsed
+        for name, read in REUSED.items():
+            assert _typed(reused[name]) == _typed(read(tmp_path / name)), name
+        assert parsed == dict.fromkeys(REUSED, 1)
+
+        def sharing(read: dict) -> list[int]:
+            ids = [id(vector) for vector in read.values()]
+            return [ids.index(i) for i in ids]
+
+        assert sharing(reused["vectors.jsonl"]) == sharing(artifacts.read_vectors(vectors))
+
+    @pytest.mark.parametrize("name", list(REUSED))
+    def test_file_rewritten_after_its_write_is_parsed(self, trained, tmp_path, parsed, name):
+        """Inside the scope, a file that no longer holds the bytes written is
+        read from disk: a good rewrite gives its own records, a malformed one
+        the error, with <file>:<line>, that exits 2."""
+        paths, _ = trained
+        records = {
+            "paths.jsonl": [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()[:2]],
+            "vectors.jsonl": [{"pair": ["s", "o"], "vector": [1.0, 2.0]}, {"pair": ["t", "o"], "vector": [3.0, 4.0]}],
+            "clusters.jsonl": [{"cluster": 0, "pair": ["s", "o"]}, {"cluster": 1, "pair": ["t", "o"]}],
+            "labels.jsonl": [{"cluster": 0, "labels": [["w", 1.0]]}, {"cluster": 1, "labels": [["v", 0.5]]}],
+        }[name]
+        read, written, other = REUSED[name], tmp_path / "written" / name, tmp_path / "other" / name
+        written.parent.mkdir()
+        other.parent.mkdir()
+        write_jsonl(written, records[:1])
+        write_jsonl(other, records)
+        value = read(written)
+        write = {"paths.jsonl": artifacts.write_paths, "clusters.jsonl": artifacts.write_clusters,
+                 "labels.jsonl": artifacts.write_labels,
+                 "vectors.jsonl": lambda path, value: artifacts.write_vectors(path, list(value.items()))}[name]
+        with artifacts.reuse_written():
+            write(written, value)
+            parsed.clear()
+            assert _typed(read(written)) == _typed(value) and not parsed
+            shutil.copyfile(other, written)
+            assert _typed(read(written)) == _typed(read(other)) and parsed[name] == 2
+            written.write_text(other.read_text(encoding="utf-8").splitlines()[0] + "\n{\n", encoding="utf-8")
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(written))}:2: invalid JSON"):
+                read(written)
+
+
 class TestClusterStage:
     POINTS = [[0.0], [1.0], [10.0]]  # merges (0, 1) at 1.0, then (2, 3) at 9.5
 
@@ -1407,6 +1544,24 @@ class TestPipeline:
             assert run(*argv) == 0, argv[0]
         for name in PIPELINE_ARTIFACTS:
             assert (one / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name
+
+    def test_no_artifact_the_run_wrote_is_parsed(self, tiny_setup, tmp_path, parsed):
+        """Of the JSON Lines files, a pipeline run parses its inputs, once each, and nothing it wrote."""
+        _, cfg = tiny_setup
+        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={tmp_path}") == 0
+        assert parsed == {"corpus.jsonl": 1, "gold.jsonl": 1}
+
+    def test_written_values_are_dropped_when_the_run_ends(self, tiny_setup, tmp_path, parsed):
+        """After a run returns, and after one raises, a reader parses the files it wrote."""
+        _, cfg = tiny_setup
+        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={tmp_path / 'ok'}") == 0
+        with pytest.raises(ValidationError, match="no pair has at least 99 paths"):
+            run_pipeline(load_config(str(cfg), [f"out_dir={tmp_path / 'failed'}", "min_paths=99"]))
+        parsed.clear()
+        for name, read in REUSED.items():
+            read(tmp_path / "ok" / name)
+        artifacts.read_path_instances(tmp_path / "failed" / "paths.jsonl")
+        assert parsed == {**dict.fromkeys(REUSED, 1), "paths.jsonl": 2}
 
     def test_invalid_model_key_exits_before_any_stage_writes(self, tiny_setup, tmp_path, capsys):
         root, cfg = tiny_setup
