@@ -2,13 +2,17 @@
 
 corpus.jsonl (read by corpus.parse_corpus), paths.jsonl, vectors.jsonl,
 cluster assignments, centroids, labels, gold, scores.csv and loss_log.csv
-(README "File formats"). Every JSON Lines file is read through
+(README "File formats"). Every writer streams its file one encoded line
+at a time through errors.write_atomic, so that it holds about one record's
+text in memory besides its input. Every JSON Lines file is read through
 corpus.read_jsonl, so an error names `<file>:<line>`, and a reader refuses
 a file that lists one pair, or one cluster, twice. Inside reuse_written()
 (`cure pipeline` runs its stages in one), the paths, vectors, cluster and
 labels readers do not parse again a file that their writer wrote there:
-when the file's sha256 is that of the bytes written, they return the value
-the writer recorded, which is the value parsing those bytes gives.
+when the file's sha256, read in fixed-size chunks, is that of the bytes
+written, which the writer hashed as it wrote them, they return the value the
+writer recorded, which is the value parsing those bytes gives. Outside
+reuse_written() nothing is hashed.
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ import functools
 import hashlib
 import json
 import reprlib
+from collections import Counter
 from contextlib import contextmanager, suppress
 from contextvars import ContextVar
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -37,6 +43,7 @@ T = TypeVar("T", list, dict)
 _to_json = json.JSONEncoder(allow_nan=False).encode
 # Inside reuse_written(): (reader name, path) -> (sha256 of the bytes written, the reader's value for them).
 _written: ContextVar[dict | None] = ContextVar("_written", default=None)
+_HASH_CHUNK = 1 << 16  # bytes read at a time to hash a file
 
 
 @contextmanager
@@ -55,13 +62,35 @@ def reuse_written() -> Iterator[None]:
         _written.reset(token)
 
 
-def _record(reader: str, path: str | Path, data: bytes, value: Callable[[], list | dict]) -> None:
-    """Inside reuse_written(), record that path holds data, for which the
-    reader of that name returns value(). Outside it, do nothing: value is
-    not called."""
-    written = _written.get()
-    if written is not None:
-        written[reader, Path(path)] = hashlib.sha256(data).digest(), value()
+def file_sha256(path: str | Path) -> bytes:
+    """The sha256 digest of the file's bytes, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _write(path: str | Path, lines: Iterable[str], reader: str = "", value: Callable[[], list | dict] | None = None) -> None:
+    """Replace path with the lines, encoded as UTF-8 one at a time. Inside
+    reuse_written(), with a reader named, also hash the bytes as they are
+    written and record that path holds them, for which that reader returns
+    value(), called after the write. Outside it, nothing is hashed and value
+    is not called."""
+    chunks = (line.encode("utf-8") for line in lines)
+    written = _written.get() if reader else None
+    if written is None:
+        write_atomic(path, chunks)
+        return
+    digest = hashlib.sha256()
+
+    def hashed() -> Iterator[bytes]:
+        for chunk in chunks:
+            digest.update(chunk)
+            yield chunk
+
+    write_atomic(path, hashed())
+    written[reader, Path(path)] = digest.digest(), value()
 
 
 def _reusable(read: Callable[[str | Path], T]) -> Callable[[str | Path], T]:
@@ -73,24 +102,25 @@ def _reusable(read: Callable[[str | Path], T]) -> Callable[[str | Path], T]:
         entry = (_written.get() or {}).get((read.__name__, Path(path)))
         if entry is not None:
             with suppress(OSError):
-                if hashlib.sha256(Path(path).read_bytes()).digest() == entry[0]:
+                if file_sha256(path) == entry[0]:
                     return entry[1].copy()
         return read(path)
 
     return reusing
 
 
-def _write_jsonl(path: str | Path, records: Iterable[dict]) -> bytes:
-    """One JSON line per record; returns the bytes written. A NaN or
-    infinity, which JSON cannot hold, is a NumericError naming the file, and
-    the file is left as it was."""
-    try:
-        text = "".join(_to_json(record) + "\n" for record in records)
-    except ValueError as exc:
-        raise NumericError(f"{path}: cannot write a non-finite value ({exc})") from exc
-    data = text.encode("utf-8")
-    write_atomic(path, data)
-    return data
+def _write_jsonl(path: str | Path, records: Iterable[dict], reader: str = "", value: Callable | None = None) -> None:
+    """One JSON line per record, recorded as _write does. A NaN or infinity,
+    which JSON cannot hold, is a NumericError naming the file, and the file
+    is left as it was."""
+    def lines() -> Iterator[str]:
+        for record in records:
+            try:
+                yield _to_json(record) + "\n"
+            except ValueError as exc:
+                raise NumericError(f"{path}: cannot write a non-finite value ({exc})") from exc
+
+    _write(path, lines(), reader, value)
 
 
 def _pair(rec: dict) -> Pair:
@@ -122,9 +152,8 @@ def write_corpus(path: str | Path, sentences: Iterable[ParsedSentence]) -> None:
 # -- paths.jsonl: one record per (pair, shortest path) instance ----------------------
 def write_paths(path: str | Path, instances: Sequence[tuple[Pair, SspTriple]]) -> None:
     rows = ({"pair": list(p), "words": list(t.words), "deps": list(t.deps), "poss": list(t.poss)} for p, t in instances)
-    data = _write_jsonl(path, rows)
-    _record("read_path_instances", path, data,
-            lambda: [(tuple(p), SspTriple(tuple(t.words), tuple(t.deps), tuple(t.poss))) for p, t in instances])
+    _write_jsonl(path, rows, "read_path_instances",
+                 lambda: [(tuple(p), SspTriple(tuple(t.words), tuple(t.deps), tuple(t.poss))) for p, t in instances])
 
 
 def _path_instance(rec: dict) -> tuple[Pair, SspTriple]:
@@ -151,28 +180,32 @@ _JSON_SPACE = " \t\n\r"  # the whitespace JSON allows; str.strip() strips more
 def write_vectors(path: str | Path, records: Sequence[tuple[Pair, np.ndarray]]) -> None:
     """One line per record, each equal to json.dumps of {"pair": ...,
     "vector": ...}. A vector object that several records share is formatted
-    once (the records hold it, so its id is not reused while this runs)."""
-    texts: dict[int, str] = {}
-    lines = []
-    for pair, vector in records:
-        text = texts.get(id(vector))
-        if text is None:
-            text = texts[id(vector)] = _to_json(vector.tolist())
-        lines.append(f'{{"pair": {json.dumps(list(pair))}{VECTOR_KEY}{text}}}\n')
-    data = "".join(lines).encode("utf-8")
-    write_atomic(path, data)
+    once, and its text is kept only until its last record (the records hold
+    it, so its id is not reused while this runs)."""
+    left = Counter(id(vector) for _, vector in records)  # records still to write, per vector object
+    texts: dict[int, str] = {}  # a vector object's text, while a later record shares the object
+    # Inside reuse_written(), what read_vectors gives: one read-only array per
+    # distinct vector text, found by the text's digest.
+    recording = _written.get() is not None
+    arrays: dict[bytes, np.ndarray] = {}
+    value: dict[Pair, np.ndarray] = {}
 
-    def value() -> dict[Pair, np.ndarray]:
-        """What read_vectors gives: one read-only array per distinct vector text."""
-        arrays: dict[str, np.ndarray] = {}
-        for _, vector in records:
-            text = texts[id(vector)]
-            if text not in arrays:
-                arrays[text] = np.array(vector, dtype=np.float64)
-                arrays[text].flags.writeable = False
-        return {tuple(pair): arrays[texts[id(vector)]] for pair, vector in records}
+    def lines() -> Iterator[str]:
+        for pair, vector in records:
+            key = id(vector)
+            text = texts.pop(key, None) or _to_json(vector.tolist())
+            left[key] -= 1
+            if left[key]:
+                texts[key] = text
+            if recording:
+                digest = hashlib.sha256(text.encode("utf-8")).digest()
+                if digest not in arrays:
+                    arrays[digest] = np.array(vector, dtype=np.float64)
+                    arrays[digest].flags.writeable = False
+                value[tuple(pair)] = arrays[digest]
+            yield f'{{"pair": {json.dumps(list(pair))}{VECTOR_KEY}{text}}}\n'
 
-    _record("read_vectors", path, data, value)
+    _write(path, lines(), "read_vectors", lambda: value)
 
 
 def _finite_vector(values) -> np.ndarray:
@@ -242,8 +275,8 @@ def read_vectors(path: str | Path) -> dict[Pair, np.ndarray]:
 
 # -- cluster assignments and centroids -----------------------------------------------
 def write_clusters(path: str | Path, assignments: Mapping[Pair, int]) -> None:
-    data = _write_jsonl(path, ({"cluster": cluster, "pair": list(pair)} for pair, cluster in assignments.items()))
-    _record("read_clusters", path, data, lambda: dict(assignments))
+    _write_jsonl(path, ({"cluster": cluster, "pair": list(pair)} for pair, cluster in assignments.items()),
+                 "read_clusters", lambda: dict(assignments))
 
 
 @_reusable
@@ -259,8 +292,8 @@ def write_centroids(path: str | Path, centroids: Mapping[int, np.ndarray]) -> No
 
 # -- labels: {"cluster": 0, "labels": [["word", score], ...]} per cluster -------------
 def write_labels(path: str | Path, labels: Mapping[int, Sequence[tuple[str, float]]]) -> None:
-    data = _write_jsonl(path, ({"cluster": c, "labels": [[w, float(s)] for w, s in top]} for c, top in labels.items()))
-    _record("read_labels", path, data, lambda: {c: tuple((w, float(s)) for w, s in top) for c, top in labels.items()})
+    _write_jsonl(path, ({"cluster": c, "labels": [[w, float(s)] for w, s in top]} for c, top in labels.items()),
+                 "read_labels", lambda: {c: tuple((w, float(s)) for w, s in top) for c, top in labels.items()})
 
 
 def _label_record(rec: dict) -> tuple[int, tuple[tuple[str, float], ...]]:
@@ -296,10 +329,10 @@ def read_gold(path: str | Path) -> dict[Pair, tuple[str, ...]]:
 
 # -- CSV: scores and the per-epoch training loss -------------------------------------
 def write_scores(path: str | Path, scores: Sequence[RelationScore], rand_index: float) -> None:
-    rows = "".join(f"{s.relation},{s.recall!r},{s.precision!r},{s.f1!r}\n" for s in scores)
-    write_atomic(path, f"relation,recall,precision,f1\n{rows}rand_index,{rand_index!r}\n".encode("utf-8"))
+    rows = (f"{s.relation},{s.recall!r},{s.precision!r},{s.f1!r}\n" for s in scores)
+    _write(path, chain(["relation,recall,precision,f1\n"], rows, [f"rand_index,{rand_index!r}\n"]))
 
 
 def write_loss_log(path: str | Path, losses: Sequence[float]) -> None:
-    rows = "".join(f"{epoch},{loss!r}\n" for epoch, loss in enumerate(losses, start=1))
-    write_atomic(path, f"epoch,loss\n{rows}".encode("utf-8"))
+    rows = (f"{epoch},{loss!r}\n" for epoch, loss in enumerate(losses, start=1))
+    _write(path, chain(["epoch,loss\n"], rows))

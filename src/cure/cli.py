@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import hashlib
 import json
 import os
 import reprlib
@@ -269,12 +268,12 @@ def run_pipeline(cfg: RunConfig) -> Path:
             entry = {
                 "name": name,
                 "seconds": round(time.perf_counter() - started, 3),
-                "outputs": {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in outputs},
+                "outputs": {Path(p).name: artifacts.file_sha256(p).hex() for p in outputs},
             }
             if name == "cluster":
                 entry["cut"] = result
             manifest["stages"].append(entry)
-    write_atomic(out / "manifest.json", (json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode("utf-8"))
+    write_atomic(out / "manifest.json", [(json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode("utf-8")])
     return out
 
 

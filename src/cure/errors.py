@@ -1,13 +1,13 @@
 """Error types, and the file guards: `reading` and `writing` turn an input or
 output path that cannot be used into a ValidationError, `write_atomic`
-replaces an output file whole or not at all."""
+replaces an output file whole or not at all, streaming its bytes."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 
 class CureError(Exception):
@@ -41,23 +41,26 @@ def reading(path: str | Path, what: str, mode: str = "r") -> Iterator[IO]:
 def writing(path: str | Path) -> Iterator[None]:
     """An OSError inside the block (a missing directory, a directory where a
     file belongs, a file where a directory belongs) is a ValidationError
-    naming path."""
+    naming path, and no other file (a temporary one, say)."""
     try:
         yield
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    except OSError as exc:  # strerror, not str(exc), which names the file the call failed on
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace path with data in one step: write a temporary file beside it,
-    then rename it over path, so a failed write leaves the old file whole
-    and no temporary behind."""
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Replace path, in one step, with the concatenated chunks (bytes, or
+    any object with a byte buffer): write each chunk to a temporary file
+    beside path as it is produced, so that only one chunk at a time need be
+    in memory, then rename the file over path. A failed write, or an error
+    raised while a chunk is produced, leaves the old file whole and no
+    temporary behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     with writing(path):
         try:
             with open(tmp, "wb") as fh:
-                fh.write(data)
+                fh.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             with suppress(OSError):  # never created, or nothing more to do

@@ -22,13 +22,15 @@ into preallocated rows.
 
 Also here: the config, each integer key bounded below beside its default,
 and the checkpoint file, which holds the config, the vocabularies and the
-parameters, and is written and read only by this module.
+parameters, and is written and read only by this module, its parameters
+straight from and into ModelParams.flat.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import reprlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -179,44 +181,50 @@ def _gate_views(prefix: str, cell: ad.CellWeights, gates: Sequence[str]) -> dict
 
 CHECKPOINT_HEADER = "CURE-MODEL v3"
 _VOCAB_KEYS = ("words", "deps", "poss")
+_TENSOR_DTYPE = np.dtype("<f8")  # the parameters' byte order in the file, on any host
 
 
 def write_checkpoint(path: str | Path, params: ModelParams, vocabs: tuple[Vocab, Vocab, Vocab]) -> None:
     """Checkpoint file: header line, the model config and the word,
     dependency and POS vocabularies as one JSON line, then params.flat as
-    little-endian float64. The file is replaced whole or not at all."""
+    little-endian float64, written from params.flat's own buffer (a
+    big-endian host writes a swapped copy). The file is replaced whole or
+    not at all."""
     config = {key.name: getattr(params.cfg, key.name) for key in fields(ModelConfig)}
     meta = {"config": config, "vocab": {key: list(v.symbols) for key, v in zip(_VOCAB_KEYS, vocabs)}}
     head = f"{CHECKPOINT_HEADER}\n{json.dumps(meta, allow_nan=False)}\n".encode("utf-8")
-    write_atomic(path, head + np.asarray(params.flat, dtype="<f8").tobytes())
+    write_atomic(path, (head, np.asarray(params.flat, dtype=_TENSOR_DTYPE)))
 
 
 def read_checkpoint(path: str | Path) -> tuple[ModelParams, tuple[Vocab, Vocab, Vocab]]:
-    """The parameters and vocabularies of a checkpoint. Anything malformed is
-    a ValidationError naming the file (`<file>:2` for the metadata line); a
+    """The parameters and vocabularies of a checkpoint, the parameters read
+    straight into the new ModelParams.flat. Anything malformed is a
+    ValidationError naming the file (`<file>:2` for the metadata line); a
     non-finite parameter is a NumericError naming the file and the tensor."""
-    with reading(path, "checkpoint", "rb") as fh:
-        header = fh.readline().decode("utf-8").rstrip("\n")
-        if header != CHECKPOINT_HEADER:
-            raise ValidationError(f"{path}: bad checkpoint header {reprlib.repr(header)}, expected {CHECKPOINT_HEADER!r}")
-        meta_line = fh.readline().decode("utf-8")
-        data = fh.read()
 
     def parse(meta: dict) -> tuple[ModelConfig, tuple[Vocab, Vocab, Vocab]]:
         return ModelConfig(**meta["config"]), tuple(Vocab(string_array(meta["vocab"], key)) for key in _VOCAB_KEYS)
 
-    cfg, vocabs = parse_line(meta_line, f"{path}:2", "checkpoint metadata", parse)
-    sizes = [len(vocab) for vocab in vocabs]
-    # Compared before anything is allocated, so a config that claims huge
-    # tensors is refused instead of exhausting memory.
-    expected = sum(math.prod(shape) for shape in parameter_shapes(cfg, *sizes).values())
-    if len(data) != 8 * expected:
-        raise ValidationError(
-            f"{path}: config and vocabularies need {expected} parameters ({8 * expected} bytes), "
-            f"the file holds {len(data)} tensor bytes"
-        )
-    params = ModelParams(cfg, *sizes, None)
-    params.flat[...] = np.frombuffer(data, dtype="<f8")
+    with reading(path, "checkpoint", "rb") as fh:
+        header = fh.readline().decode("utf-8").rstrip("\n")
+        if header != CHECKPOINT_HEADER:
+            raise ValidationError(f"{path}: bad checkpoint header {reprlib.repr(header)}, expected {CHECKPOINT_HEADER!r}")
+        cfg, vocabs = parse_line(fh.readline().decode("utf-8"), f"{path}:2", "checkpoint metadata", parse)
+        sizes = [len(vocab) for vocab in vocabs]
+        # Compared before anything is allocated, so a config that claims huge
+        # tensors is refused instead of exhausting memory.
+        expected = 8 * sum(math.prod(shape) for shape in parameter_shapes(cfg, *sizes).values())
+        held = os.fstat(fh.fileno()).st_size - fh.tell()
+        if held != expected:
+            raise ValidationError(
+                f"{path}: config and vocabularies need {expected // 8} parameters ({expected} bytes), "
+                f"the file holds {held} tensor bytes"
+            )
+        params = ModelParams(cfg, *sizes, None)
+        if fh.readinto(params.flat) != expected or fh.read(1):
+            raise ValidationError(f"{path}: the file changed while it was read")
+    if params.flat.dtype != _TENSOR_DTYPE:  # a big-endian host read the file's little-endian bytes
+        params.flat.byteswap(inplace=True)
     # Checked here rather than on the outputs: an infinite weight can saturate
     # a gate to exactly 0 or 1 and still give finite vectors, and encoding
     # never reads the decoder's weights.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -65,11 +66,12 @@ def build_vocab(paths: Iterable[SspTriple], min_freq: int) -> tuple[Vocab, Vocab
 
 def write_embeddings(path: str | Path, vectors: Mapping[str, np.ndarray]) -> None:
     """Pretrained-vector text as load_pretrained reads it: a "count dim"
-    header, then "token v1 v2 ... vd" per token in sorted order."""
+    header, then "token v1 v2 ... vd" per token in sorted order, written one
+    line at a time."""
     tokens = sorted(vectors)
-    lines = [f"{len(tokens)} {len(vectors[tokens[0]])}\n"]
-    lines += [token + " " + " ".join(repr(float(v)) for v in vectors[token]) + "\n" for token in tokens]
-    write_atomic(path, "".join(lines).encode("utf-8"))
+    lines = (token + " " + " ".join(repr(float(v)) for v in vectors[token]) + "\n" for token in tokens)
+    header = f"{len(tokens)} {len(vectors[tokens[0]])}\n"
+    write_atomic(path, (line.encode("utf-8") for line in chain([header], lines)))
 
 
 def load_pretrained(path: str | Path) -> dict[str, np.ndarray]:

@@ -180,6 +180,19 @@ class TestExitCodes:
         err = capsys.readouterr().err.rstrip("\n")
         assert err == f"error: cannot read corpus record file {long}: File name too long", err[-200:]
 
+    @pytest.mark.parametrize("name, reason", [("p.jsonl", "No such file or directory"),
+                                              ("p" * 5000, "File name too long")],
+                             ids=["missing directory", "name too long"])
+    def test_unwritable_output_names_its_path_once(self, tiny_setup, tmp_path, capsys, name, reason):
+        """The reason is the OSError's own, without the temporary file that
+        the failed call names: the path given is the only one named."""
+        root, _ = tiny_setup
+        out = str(tmp_path / "missing" / name)
+        assert run("extract-paths", "--set", f"corpus={root / 'corpus.jsonl'}", "--out", out) == 2
+        err = capsys.readouterr().err.rstrip("\n")
+        assert err == f"error: cannot write {out}: {reason}", err[-200:]
+        assert err.count(name) == 1 and ".tmp" not in err
+
     @pytest.mark.parametrize("case", ["synth into a file", "pipeline into a file", "out in a missing directory",
                                       "out is a directory"])
     def test_unwritable_output_path_is_2(self, tiny_setup, tmp_path, capsys, case):
@@ -314,6 +327,25 @@ class TestExitCodes:
         with pytest.raises(NumericError, match=f"{re.escape(str(path))}: cannot write a non-finite value"):
             artifacts._write_jsonl(path, [{"x": [1.0]}, {"x": [bad]}])
         assert path.read_text(encoding="utf-8") == "before\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    @pytest.mark.parametrize("name", ["paths", "vectors"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name):
+        """A streamed write that dies partway leaves the old file byte-identical and no temporary behind."""
+        path = tmp_path / f"{name}.jsonl"
+        write = {
+            "paths": lambda n: artifacts.write_paths(path, [(("s", f"o{i}"), SspTriple(("w",), ("d",), ("p",)))
+                                                            for i in range(n)]),
+            "vectors": lambda n: artifacts.write_vectors(path, [(("s", f"o{i}"), np.full(3, i / 7)) for i in range(n)]),
+        }[name]
+        write(2)
+        before = path.read_bytes()
+        fail_writes_halfway(monkeypatch)
+        with pytest.raises(WriteFailed):
+            write(3)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 _WRONG_TYPES = {  # case: (what the file holds, a change to its first record, the reason given)
@@ -882,7 +914,7 @@ class TestStages:
         root, cfg = tiny_setup
         out = tmp_path / "paths.jsonl"
         assert run("extract-paths", "--set", f"corpus={root / 'corpus.jsonl'}", "--out", str(out)) == 0
-        records = [json.loads(line) for line in open(out, encoding="utf-8")]
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
         assert len(records) == 12  # 2 relations x 3 pairs x 2 sentences
         for rec in records:
             assert set(rec) == {"pair", "words", "deps", "poss"}
@@ -906,21 +938,21 @@ class TestStages:
         assert len(log_lines) == 3  # header + 2 epochs
 
         assert run("encode", "--checkpoint", str(ckpt), "--paths-file", str(paths), "--out", str(vectors)) == 0
-        vec_records = [json.loads(line) for line in open(vectors, encoding="utf-8")]
+        vec_records = [json.loads(line) for line in vectors.read_text(encoding="utf-8").splitlines()]
         assert len(vec_records) == 6  # 6 pairs
         dim = len(vec_records[0]["vector"])
         assert all(len(r["vector"]) == dim for r in vec_records)
 
         assert run("cluster", "--vectors", str(vectors), "--set", "k_clusters=2", "--out", str(clusters)) == 0
         assert Path(str(clusters) + ".centroids.jsonl").exists()
-        cluster_records = [json.loads(line) for line in open(clusters, encoding="utf-8")]
+        cluster_records = [json.loads(line) for line in clusters.read_text(encoding="utf-8").splitlines()]
         assert sorted({r["cluster"] for r in cluster_records}) == [0, 1]
 
         assert run(
             "label", "--config", str(cfg),
             "--clusters", str(clusters), "--paths-file", str(paths), "--out", str(labels),
         ) == 0
-        label_records = [json.loads(line) for line in open(labels, encoding="utf-8")]
+        label_records = [json.loads(line) for line in labels.read_text(encoding="utf-8").splitlines()]
         assert len(label_records) == 2
         for rec in label_records:
             assert rec["labels"], "every cluster must carry at least one label word"
@@ -940,14 +972,14 @@ class TestStages:
         labels = tmp_path / "l.jsonl"
         run("extract-paths", "--config", str(cfg), "--out", str(paths))
         # fake a single cluster over all pairs
-        records = [json.loads(line) for line in open(paths, encoding="utf-8")]
+        records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
         pairs = sorted({tuple(r["pair"]) for r in records})
         with open(clusters, "w", encoding="utf-8") as fh:
             for p in pairs:
                 fh.write(json.dumps({"cluster": 0, "pair": list(p)}) + "\n")
         argv = ["label", "--clusters", str(clusters), "--paths-file", str(paths), "--out", str(labels)]
         assert run(*argv, "--set", "method=cw") == 0
-        (rec,) = [json.loads(line) for line in open(labels, encoding="utf-8")]
+        (rec,) = [json.loads(line) for line in labels.read_text(encoding="utf-8").splitlines()]
         assert rec["labels"][0][1] >= rec["labels"][-1][1]
 
     def test_evaluate_shows_a_warning_as_one_line(self, tiny_setup, tmp_path, capsys):

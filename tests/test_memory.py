@@ -1,0 +1,119 @@
+"""Artifact writers and readers hold about one record in memory: each peak
+here is what tracemalloc sees while one write or read runs, outside
+reuse_written(), over inputs made before it started. Also: the hashing that
+reuse_written() relies on happens only inside it."""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cure import artifacts
+from cure.model import ModelConfig, ModelParams, read_checkpoint, write_checkpoint
+from cure.paths import PAD, UNK, SspTriple
+from cure.vocab import Vocab
+
+MB = 2**20
+
+
+def traced_peak(run) -> int:
+    """The most bytes traced at once while run() ran, its result included."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def distinct_vectors(n: int) -> list[tuple[tuple[str, str], np.ndarray]]:
+    rows = np.random.default_rng(5).standard_normal((n, 192))
+    return [((f"s{i}", "o"), row) for i, row in enumerate(rows)]
+
+
+def shared_vectors(n: int, objects: int) -> list[tuple[tuple[str, str], np.ndarray]]:
+    rows = list(np.random.default_rng(6).standard_normal((objects, 192)))
+    return [((f"s{i}", "o"), rows[i % objects]) for i in range(n)]
+
+
+def path_instances(n: int) -> list:
+    path = SspTriple(("founded", "by"), ("nsubj", "prep"), ("VBN", "IN"))
+    return [((f"s{i}", f"o{i}"), path) for i in range(n)]
+
+
+def big_checkpoint_parts() -> tuple[ModelParams, tuple[Vocab, Vocab, Vocab]]:
+    """The default config over a 20 002-word vocabulary: about 19 MB of parameters."""
+    vocabs = (Vocab((PAD, UNK, *(f"w{i}" for i in range(20000)))), Vocab((PAD, UNK, "nsubj")), Vocab((PAD, UNK, "NN")))
+    params = ModelParams(ModelConfig(), *map(len, vocabs), None)
+    params.flat[...] = np.random.default_rng(7).standard_normal(params.flat.size)
+    return params, vocabs
+
+
+@pytest.mark.parametrize("make, bound", [
+    pytest.param(lambda: distinct_vectors(5000), 2 * MB, id="5000 distinct vectors"),
+    pytest.param(lambda: shared_vectors(5000, 30), 1 * MB, id="5000 pairs sharing 30 vectors"),
+])
+def test_write_vectors_streams(tmp_path, make, bound):
+    path, records = tmp_path / "vectors.jsonl", make()
+    assert traced_peak(lambda: artifacts.write_vectors(path, records)) <= bound
+    assert path.stat().st_size > 5 * bound  # the file is far larger than what was held
+
+
+def test_write_paths_streams(tmp_path):
+    path, instances = tmp_path / "paths.jsonl", path_instances(20000)
+    assert traced_peak(lambda: artifacts.write_paths(path, instances)) <= 1 * MB
+    assert len(artifacts.read_path_instances(path)) == 20000
+
+
+def test_write_checkpoint_holds_no_copy_of_the_parameters(tmp_path):
+    params, vocabs = big_checkpoint_parts()
+    assert params.flat.nbytes > 18 * MB
+    assert traced_peak(lambda: write_checkpoint(tmp_path / "model.ckpt", params, vocabs)) <= 3 * MB
+
+
+def test_read_checkpoint_reads_into_the_new_parameter_buffer(tmp_path):
+    """One float64 buffer, the new ModelParams.flat, and little more."""
+    params, vocabs = big_checkpoint_parts()
+    path, read = tmp_path / "model.ckpt", []
+    write_checkpoint(path, params, vocabs)
+    assert traced_peak(lambda: read.append(read_checkpoint(path))) <= 1.35 * params.flat.nbytes
+    assert read[0][0].flat.tobytes() == params.flat.tobytes()
+
+
+WRITERS = {  # reader name: a write of a small value to path
+    "read_path_instances": lambda path: artifacts.write_paths(path, path_instances(3)),
+    "read_vectors": lambda path: artifacts.write_vectors(path, shared_vectors(5, 2)),
+    "read_clusters": lambda path: artifacts.write_clusters(path, {("a", "b"): 0, ("c", "d"): 1}),
+    "read_labels": lambda path: artifacts.write_labels(path, {0: [("founder", 0.5)], 1: [("born", 0.25)]}),
+}
+
+
+@pytest.mark.parametrize("reader", list(WRITERS))
+def test_recorded_digest_is_the_files(tmp_path, reader):
+    """Inside reuse_written() a writer hashes the bytes it streams; the
+    digest it records is the sha256 of the file on disk."""
+    path = tmp_path / "out.jsonl"
+    with artifacts.reuse_written():
+        WRITERS[reader](path)
+        digest, _ = artifacts._written.get()[reader, path]
+    assert digest == hashlib.sha256(path.read_bytes()).digest() == artifacts.file_sha256(path)
+
+
+def test_no_hash_outside_reuse_written(tmp_path, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a writer hashed outside reuse_written()")
+
+    monkeypatch.setattr(artifacts.hashlib, "sha256", refused)
+    for reader, write in WRITERS.items():
+        write(tmp_path / f"{reader}.jsonl")
+    artifacts.write_scores(tmp_path / "scores.csv", [], 1.0)
+    artifacts.write_loss_log(tmp_path / "loss.csv", [0.5])
+
+
+def test_file_sha256_reads_in_chunks(tmp_path, monkeypatch):
+    """A file longer than one chunk hashes as its whole bytes do."""
+    monkeypatch.setattr(artifacts, "_HASH_CHUNK", 7)
+    path = tmp_path / "f"
+    path.write_bytes(bytes(range(256)) * 3)
+    assert artifacts.file_sha256(path) == hashlib.sha256(path.read_bytes()).digest()

@@ -1,4 +1,6 @@
 import math
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -472,6 +474,18 @@ class TestCheckpoint:
         assert vocabs == self.VOCABS
         assert loaded.flat.tobytes() == params.flat.tobytes()  # bit for bit, the sign of -0.0 included
 
+    @pytest.mark.parametrize("order", ["<f8", ">f8"])
+    def test_tensor_bytes_in_the_file_byte_order(self, tmp_path, monkeypatch, order):
+        """The tensors are written from and read into params.flat; the file
+        is little-endian on any host. The big-endian order that stands in
+        for it here takes the path a host of the other byte order takes:
+        a swapped copy written, the bytes read swapped back in place."""
+        monkeypatch.setattr(mdl, "_TENSOR_DTYPE", np.dtype(order))
+        params, path = self.params(), tmp_path / "model.ckpt"
+        write_checkpoint(path, params, self.VOCABS)
+        assert path.read_bytes().endswith(params.flat.astype(order).tobytes())
+        assert read_checkpoint(path)[0].flat.tobytes() == params.flat.tobytes()
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_text("NOT-A-MODEL\n", encoding="utf-8")
@@ -484,6 +498,19 @@ class TestCheckpoint:
         write_checkpoint(path, params, self.VOCABS)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(ValidationError, match=f"the file holds {8 * params.flat.size - 1} tensor bytes"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [-8, 8])
+    def test_file_changed_while_read(self, tmp_path, monkeypatch, change):
+        """Tensor bytes cut short or grown after the size was taken are
+        refused, not read into a half-filled or truncated buffer."""
+        params, path = self.params(), tmp_path / "model.ckpt"
+        write_checkpoint(path, params, self.VOCABS)
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + bytes(change))
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size - change))
+        with pytest.raises(ValidationError, match="the file changed while it was read"):
             read_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):

@@ -80,7 +80,7 @@ class TestGenerate:
         assert result.record_count == 2
         assert result.pair_count == 1
         assert len(parse_corpus(result.corpus_path)) == 2
-        gold = [json.loads(line) for line in open(result.gold_path, encoding="utf-8")]
+        gold = [json.loads(line) for line in result.gold_path.read_text(encoding="utf-8").splitlines()]
         assert len(gold) == 1
 
     def test_same_seed_is_byte_identical(self, tmp_path):
@@ -108,7 +108,7 @@ class TestGenerate:
 
     def test_pairs_globally_unique(self, tmp_path):
         result = generate(4, 10, 2, seed=3, out_dir=tmp_path)
-        gold = [json.loads(line) for line in open(result.gold_path, encoding="utf-8")]
+        gold = [json.loads(line) for line in result.gold_path.read_text(encoding="utf-8").splitlines()]
         pairs = [tuple(g["pair"]) for g in gold]
         assert len(pairs) == len(set(pairs))
 
