@@ -6,27 +6,21 @@ cluster assignments, centroids, labels, gold, scores.csv and loss_log.csv
 at a time through errors.write_atomic, so that it holds about one record's
 text in memory besides its input. Every JSON Lines file is read through
 corpus.read_jsonl, so an error names `<file>:<line>`, and a reader refuses
-a file that lists one pair, or one cluster, twice. Inside reuse_written()
-(`cure pipeline` runs its stages in one), the paths, vectors, cluster and
-labels readers do not parse again a file that their writer wrote there:
-when the file's sha256, read in fixed-size chunks, is that of the bytes
-written, which the writer hashed as it wrote them, they return the value the
-writer recorded, which is the value parsing those bytes gives. Outside
-reuse_written() nothing is hashed.
+a file that lists one pair, or one cluster, twice. `cure pipeline` reads
+none of the files its stages write: each stage hands its value to the next
+one, and file_sha256 hashes the files, in fixed-size chunks, only for the
+manifest. No writer hashes what it writes.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import reprlib
 from collections import Counter
-from contextlib import contextmanager, suppress
-from contextvars import ContextVar
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -38,28 +32,9 @@ from .metrics import RelationScore
 from .paths import SspTriple
 
 Pair = tuple[str, str]
-T = TypeVar("T", list, dict)
 # json.dumps with allow_nan=False, without building an encoder per call: JSON has no NaN or Infinity.
 _to_json = json.JSONEncoder(allow_nan=False).encode
-# Inside reuse_written(): (reader name, path) -> (sha256 of the bytes written, the reader's value for them).
-_written: ContextVar[dict | None] = ContextVar("_written", default=None)
 _HASH_CHUNK = 1 << 16  # bytes read at a time to hash a file
-
-
-@contextmanager
-def reuse_written() -> Iterator[None]:
-    """Inside the block, a reader given a file that its writer wrote inside
-    the block, and that still holds the bytes written, returns a copy of
-    the written value instead of parsing the file. A writer records the
-    value it was given, in its reader's types; that is what the reader
-    returns for the bytes written, since every value the stages write
-    passes the reader's checks (each pair listed once, vectors of one
-    length, paths that are not empty)."""
-    token = _written.set({})
-    try:
-        yield
-    finally:
-        _written.reset(token)
 
 
 def file_sha256(path: str | Path) -> bytes:
@@ -71,48 +46,14 @@ def file_sha256(path: str | Path) -> bytes:
     return digest.digest()
 
 
-def _write(path: str | Path, lines: Iterable[str], reader: str = "", value: Callable[[], list | dict] | None = None) -> None:
-    """Replace path with the lines, encoded as UTF-8 one at a time. Inside
-    reuse_written(), with a reader named, also hash the bytes as they are
-    written and record that path holds them, for which that reader returns
-    value(), called after the write. Outside it, nothing is hashed and value
-    is not called."""
-    chunks = (line.encode("utf-8") for line in lines)
-    written = _written.get() if reader else None
-    if written is None:
-        write_atomic(path, chunks)
-        return
-    digest = hashlib.sha256()
-
-    def hashed() -> Iterator[bytes]:
-        for chunk in chunks:
-            digest.update(chunk)
-            yield chunk
-
-    write_atomic(path, hashed())
-    written[reader, Path(path)] = digest.digest(), value()
+def _write(path: str | Path, lines: Iterable[str]) -> None:
+    """Replace path with the lines, encoded as UTF-8 one at a time."""
+    write_atomic(path, (line.encode("utf-8") for line in lines))
 
 
-def _reusable(read: Callable[[str | Path], T]) -> Callable[[str | Path], T]:
-    """read, except that inside reuse_written() a file that holds the bytes
-    its writer wrote there gives a copy of the writer's value, unparsed. A
-    file that cannot be read is left to read, which reports it."""
-    @functools.wraps(read)
-    def reusing(path: str | Path) -> T:
-        entry = (_written.get() or {}).get((read.__name__, Path(path)))
-        if entry is not None:
-            with suppress(OSError):
-                if file_sha256(path) == entry[0]:
-                    return entry[1].copy()
-        return read(path)
-
-    return reusing
-
-
-def _write_jsonl(path: str | Path, records: Iterable[dict], reader: str = "", value: Callable | None = None) -> None:
-    """One JSON line per record, recorded as _write does. A NaN or infinity,
-    which JSON cannot hold, is a NumericError naming the file, and the file
-    is left as it was."""
+def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One JSON line per record. A NaN or infinity, which JSON cannot hold,
+    is a NumericError naming the file, and the file is left as it was."""
     def lines() -> Iterator[str]:
         for record in records:
             try:
@@ -120,7 +61,7 @@ def _write_jsonl(path: str | Path, records: Iterable[dict], reader: str = "", va
             except ValueError as exc:
                 raise NumericError(f"{path}: cannot write a non-finite value ({exc})") from exc
 
-    _write(path, lines(), reader, value)
+    _write(path, lines())
 
 
 def _pair(rec: dict) -> Pair:
@@ -152,8 +93,7 @@ def write_corpus(path: str | Path, sentences: Iterable[ParsedSentence]) -> None:
 # -- paths.jsonl: one record per (pair, shortest path) instance ----------------------
 def write_paths(path: str | Path, instances: Sequence[tuple[Pair, SspTriple]]) -> None:
     rows = ({"pair": list(p), "words": list(t.words), "deps": list(t.deps), "poss": list(t.poss)} for p, t in instances)
-    _write_jsonl(path, rows, "read_path_instances",
-                 lambda: [(tuple(p), SspTriple(tuple(t.words), tuple(t.deps), tuple(t.poss))) for p, t in instances])
+    _write_jsonl(path, rows)
 
 
 def _path_instance(rec: dict) -> tuple[Pair, SspTriple]:
@@ -166,7 +106,6 @@ def _path_instance(rec: dict) -> tuple[Pair, SspTriple]:
     return pair, path
 
 
-@_reusable
 def read_path_instances(path: str | Path) -> list[tuple[Pair, SspTriple]]:
     return read_jsonl(path, "path instance", _path_instance)
 
@@ -177,35 +116,24 @@ VECTOR_KEY = ', "vector": '
 _JSON_SPACE = " \t\n\r"  # the whitespace JSON allows; str.strip() strips more
 
 
-def write_vectors(path: str | Path, records: Sequence[tuple[Pair, np.ndarray]]) -> None:
-    """One line per record, each equal to json.dumps of {"pair": ...,
-    "vector": ...}. A vector object that several records share is formatted
-    once, and its text is kept only until its last record (the records hold
+def write_vectors(path: str | Path, vectors: Mapping[Pair, np.ndarray]) -> None:
+    """One line per pair, each equal to json.dumps of {"pair": ...,
+    "vector": ...}. A vector object that several pairs share is formatted
+    once, and its text is kept only until its last pair (the mapping holds
     it, so its id is not reused while this runs)."""
-    left = Counter(id(vector) for _, vector in records)  # records still to write, per vector object
+    left = Counter(map(id, vectors.values()))  # pairs still to write, per vector object
     texts: dict[int, str] = {}  # a vector object's text, while a later record shares the object
-    # Inside reuse_written(), what read_vectors gives: one read-only array per
-    # distinct vector text, found by the text's digest.
-    recording = _written.get() is not None
-    arrays: dict[bytes, np.ndarray] = {}
-    value: dict[Pair, np.ndarray] = {}
 
     def lines() -> Iterator[str]:
-        for pair, vector in records:
+        for pair, vector in vectors.items():
             key = id(vector)
             text = texts.pop(key, None) or _to_json(vector.tolist())
             left[key] -= 1
             if left[key]:
                 texts[key] = text
-            if recording:
-                digest = hashlib.sha256(text.encode("utf-8")).digest()
-                if digest not in arrays:
-                    arrays[digest] = np.array(vector, dtype=np.float64)
-                    arrays[digest].flags.writeable = False
-                value[tuple(pair)] = arrays[digest]
             yield f'{{"pair": {json.dumps(list(pair))}{VECTOR_KEY}{text}}}\n'
 
-    _write(path, lines(), "read_vectors", lambda: value)
+    _write(path, lines())
 
 
 def _finite_vector(values) -> np.ndarray:
@@ -243,7 +171,6 @@ def _split_vector_line(line: str, memo: dict[str, np.ndarray]) -> tuple[Pair, np
         return None  # not the split form after all, or malformed: parse_line decides
 
 
-@_reusable
 def read_vectors(path: str | Path) -> dict[Pair, np.ndarray]:
     """Pair -> vector, in file order, each distinct vector text parsed and
     checked once, all vectors of one length.
@@ -275,11 +202,9 @@ def read_vectors(path: str | Path) -> dict[Pair, np.ndarray]:
 
 # -- cluster assignments and centroids -----------------------------------------------
 def write_clusters(path: str | Path, assignments: Mapping[Pair, int]) -> None:
-    _write_jsonl(path, ({"cluster": cluster, "pair": list(pair)} for pair, cluster in assignments.items()),
-                 "read_clusters", lambda: dict(assignments))
+    _write_jsonl(path, ({"cluster": cluster, "pair": list(pair)} for pair, cluster in assignments.items()))
 
 
-@_reusable
 def read_clusters(path: str | Path) -> dict[Pair, int]:
     """Pair -> cluster id, in file order."""
     records = read_jsonl(path, "cluster assignment", lambda rec: (_pair(rec), integer(rec["cluster"], "cluster")))
@@ -292,8 +217,7 @@ def write_centroids(path: str | Path, centroids: Mapping[int, np.ndarray]) -> No
 
 # -- labels: {"cluster": 0, "labels": [["word", score], ...]} per cluster -------------
 def write_labels(path: str | Path, labels: Mapping[int, Sequence[tuple[str, float]]]) -> None:
-    _write_jsonl(path, ({"cluster": c, "labels": [[w, float(s)] for w, s in top]} for c, top in labels.items()),
-                 "read_labels", lambda: {c: tuple((w, float(s)) for w, s in top) for c, top in labels.items()})
+    _write_jsonl(path, ({"cluster": c, "labels": [[w, float(s)] for w, s in top]} for c, top in labels.items()))
 
 
 def _label_record(rec: dict) -> tuple[int, tuple[tuple[str, float], ...]]:
@@ -301,7 +225,6 @@ def _label_record(rec: dict) -> tuple[int, tuple[tuple[str, float], ...]]:
     return integer(rec["cluster"], "cluster"), candidates
 
 
-@_reusable
 def read_labels(path: str | Path) -> dict[int, tuple[tuple[str, float], ...]]:
     """Cluster id -> its ranked label candidates, in file order."""
     return _unique(path, "cluster", read_jsonl(path, "cluster label", _label_record))
@@ -314,6 +237,8 @@ def write_gold(path: str | Path, gold: Mapping[Pair, Sequence[str]]) -> None:
 
 def _gold_record(rec: dict) -> tuple[Pair, tuple[str, ...]]:
     relations = tuple(sorted(string_array(rec, "relations")))
+    if not relations:
+        raise ValidationError("relations is empty: a gold pair has at least one relation")
     for first, second in zip(relations, relations[1:]):
         if first == second:
             raise ValidationError(f"relation {reprlib.repr(first)} is listed twice")
@@ -322,8 +247,11 @@ def _gold_record(rec: dict) -> tuple[Pair, tuple[str, ...]]:
 
 def read_gold(path: str | Path) -> dict[Pair, tuple[str, ...]]:
     """Pair -> its gold relation names, sorted, so that a pair's rand-index
-    class is its set of relations; the pairs in file order."""
+    class is its set of relations; the pairs in file order. A file without
+    records is refused."""
     records = read_jsonl(path, "gold relation", _gold_record)
+    if not records:
+        raise ValidationError(f"{path}: no gold records")
     return _unique(path, "pair", records, "; one record lists all of a pair's relations")
 
 

@@ -20,17 +20,17 @@ import time
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from . import __version__, artifacts, cluster as clustering, metrics, model as modeling, synth
-from .artifacts import read_path_instances
+from .artifacts import Pair, read_path_instances
 from .corpus import parse_corpus
 from .errors import CureError, NumericError, ValidationError, reading, write_atomic, writing
 from .labeling import candidate_set, cw_label, load_stopwords, match_to_gold, wvs_label
 from .model import ModelConfig, PathIds, integer_key, paths_to_ids, read_checkpoint, write_checkpoint
-from .paths import extract_instances, group_pairs
+from .paths import SspTriple, extract_instances, group_pairs
 from .vocab import build_vocab, load_pretrained
 
 
@@ -100,15 +100,25 @@ def _require(cfg: RunConfig, keys: Sequence[str], command: str) -> None:
 # Stage implementations (shared by subcommands and `pipeline`)
 # ---------------------------------------------------------------------------
 
+Instances = list[tuple[Pair, SspTriple]]
+Labels = dict[int, tuple[tuple[str, float], ...]]
+V = TypeVar("V")
 
-def stage_extract(corpus_path: str, out_path: str) -> int:
+
+def _given(made: str | Path | V, read: Callable[[str | Path], V]) -> V:
+    """An input that an earlier stage made: the value read from its file
+    (a stage command) or the value itself (`cure pipeline`)."""
+    return read(made) if isinstance(made, (str, Path)) else made
+
+
+def stage_extract(corpus_path: str, out_path: str) -> Instances:
     instances = extract_instances(parse_corpus(corpus_path))
     artifacts.write_paths(out_path, instances)
-    return len(instances)
+    return instances
 
 
-def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path: str | None) -> list[float]:
-    instances = read_path_instances(paths_file)
+def stage_train(cfg: RunConfig, paths: str | Instances, checkpoint_path: str, log_path: str | None) -> list[float]:
+    instances = _given(paths, read_path_instances)
     groups = group_pairs(instances, min_paths=cfg.min_paths)
     if not groups:
         raise ValidationError(f"no pair has at least {cfg.min_paths} paths; nothing to train on")
@@ -124,41 +134,47 @@ def stage_train(cfg: RunConfig, paths_file: str, checkpoint_path: str, log_path:
     return losses
 
 
-def stage_encode(checkpoint_path: str, paths_file: str, out_path: str) -> int:
+def stage_encode(checkpoint_path: str, paths: str | Instances, out_path: str) -> dict[Pair, np.ndarray]:
+    """Pair -> relation vector, as read_vectors reads the file written: the
+    vectors are read-only, since pairs share them."""
     params, vocabs = read_checkpoint(checkpoint_path)
-    instances = read_path_instances(paths_file)
-    groups = group_pairs(instances, min_paths=1)
+    groups = group_pairs(_given(paths, read_path_instances), min_paths=1)
     ids = [paths_to_ids(group, vocabs, params.cfg.n_l) for group in groups]
-    encodings = modeling.encode_distinct(params, [p for paths in ids for p in paths])
+    encodings = modeling.encode_distinct(params, [p for path_ids in ids for p in path_ids])
     # Pairs with the same path-id sequence have bit-identical vectors (the
     # sum runs in path order), so each sequence's vector is computed once and
     # shared, and write_vectors formats it once.
-    vectors: dict[tuple[PathIds, ...], np.ndarray] = {}
-    records = []
-    for group, paths in zip(groups, ids):
-        key = tuple(paths)
-        if key not in vectors:
-            vector = modeling.infer_relation_vector(paths, encodings)
+    shared: dict[tuple[PathIds, ...], np.ndarray] = {}
+    vectors = {}
+    for group, path_ids in zip(groups, ids):
+        key = tuple(path_ids)
+        if key not in shared:
+            vector = modeling.infer_relation_vector(path_ids, encodings)
             if not np.all(np.isfinite(vector)):
                 raise NumericError(f"pair {group.pair}: non-finite relation vector")
-            vectors[key] = vector
-        records.append((group.pair, vectors[key]))
-    artifacts.write_vectors(out_path, records)
-    return len(records)
+            vector.flags.writeable = False
+            shared[key] = vector
+        vectors[group.pair] = shared[key]
+    artifacts.write_vectors(out_path, vectors)
+    return vectors
 
 
-def stage_cluster(vectors_file: str, k: int, out_path: str, centroids_path: str) -> dict:
-    """Cluster the vectors and cut at k. Returns the cut's summary for the
-    manifest: k and the distances of the last merge kept (merge n-k) and of
-    the first merge undone (merge n-k+1), None where there is no such merge."""
-    vectors = artifacts.read_vectors(vectors_file)
+def stage_cluster(
+    vectors: str | dict[Pair, np.ndarray], k: int, out_path: str, centroids_path: str,
+) -> tuple[dict[Pair, int], dict]:
+    """Cluster the vectors and cut at k. Returns pair -> cluster id, and the
+    cut's summary for the manifest: k and the distances of the last merge
+    kept (merge n-k) and of the first merge undone (merge n-k+1), None where
+    there is no such merge."""
+    vectors = _given(vectors, artifacts.read_vectors)
     dendrogram = clustering.hac(list(vectors.values()))
     clusters = clustering.cut(dendrogram, k)
     cluster_of = {member: c.id for c in clusters for member in c.members}
-    artifacts.write_clusters(out_path, {pair: cluster_of[i] for i, pair in enumerate(vectors)})
+    assignments = {pair: cluster_of[i] for i, pair in enumerate(vectors)}
+    artifacts.write_clusters(out_path, assignments)
     artifacts.write_centroids(centroids_path, {c.id: c.centroid for c in clusters})
     merges, n = dendrogram.merges, dendrogram.n
-    return {
+    return assignments, {
         "k": len(clusters),
         "last_kept_merge_distance": merges[n - k - 1].distance if k < n else None,
         "first_undone_merge_distance": merges[n - k].distance if k > 1 else None,
@@ -166,16 +182,16 @@ def stage_cluster(vectors_file: str, k: int, out_path: str, centroids_path: str)
 
 
 def stage_label(
-    clusters_file: str,
-    paths_file: str,
+    clusters: str | dict[Pair, int],
+    paths: str | Instances,
     embeddings_file: str,
     method: str,
     top_n: int,
     stopwords_path: str,
     out_path: str,
-) -> int:
-    assignments = artifacts.read_clusters(clusters_file)
-    instances = read_path_instances(paths_file)
+) -> Labels:
+    assignments = _given(clusters, artifacts.read_clusters)
+    instances = _given(paths, read_path_instances)
     stopwords = load_stopwords(stopwords_path or None)
     vectors = load_pretrained(embeddings_file) if method == "wvs" else None
 
@@ -185,23 +201,28 @@ def stage_label(
             word_paths[assignments[pair]].append(triple.words)
 
     labels = {}
-    for cluster_id, paths in word_paths.items():
-        counts = candidate_set(paths, stopwords)
-        ranked = wvs_label(counts, vectors) if method == "wvs" else cw_label(counts)
+    for cluster_id, cluster_paths in word_paths.items():
+        try:
+            if not cluster_paths:
+                raise ValidationError("no path: none of its pairs is in the paths file")
+            counts = candidate_set(cluster_paths, stopwords)
+            ranked = wvs_label(counts, vectors) if method == "wvs" else cw_label(counts)
+        except ValidationError as exc:
+            raise ValidationError(f"cluster {cluster_id}: {exc}") from exc
         labels[cluster_id] = ranked[:top_n]
     artifacts.write_labels(out_path, labels)
-    return len(labels)
+    return labels
 
 
 def stage_evaluate(
-    clusters_file: str,
-    labels_file: str,
+    clusters: str | dict[Pair, int],
+    labels: str | Labels,
     gold_file: str,
     embeddings_file: str,
     out_path: str,
 ) -> tuple[float, list[metrics.RelationScore]]:
-    assignments = artifacts.read_clusters(clusters_file)
-    labels = artifacts.read_labels(labels_file)
+    assignments = _given(clusters, artifacts.read_clusters)
+    labels = _given(labels, artifacts.read_labels)
     gold = artifacts.read_gold(gold_file)
     vectors = load_pretrained(embeddings_file)
 
@@ -227,10 +248,11 @@ def stage_evaluate(
 def run_pipeline(cfg: RunConfig) -> Path:
     """extract-paths > train > encode > cluster > label > evaluate.
 
-    Every stage artifact lands in cfg.out_dir; manifest.json records the
-    seed and per-stage output hashes and timings, and for the cluster stage
-    the merge distances on either side of the cut. No stage parses an
-    artifact that an earlier one wrote (artifacts.reuse_written).
+    Every stage artifact lands in cfg.out_dir, and each stage passes the
+    value it made to the stages after it, so no stage reads a file that an
+    earlier one wrote. manifest.json records the seed and per-stage output
+    hashes and timings, and for the cluster stage the merge distances on
+    either side of the cut; the files are hashed for it alone.
     """
     _require(cfg, ["corpus", "embeddings", "gold", "out_dir"], "pipeline")
     for key in ("corpus", "embeddings", "gold", "stopwords"):  # stopwords may be empty: the packaged list
@@ -244,35 +266,33 @@ def run_pipeline(cfg: RunConfig) -> Path:
     names = ("paths.jsonl", "model.ckpt", "loss_log.csv", "vectors.jsonl", "clusters.jsonl", "centroids.jsonl",
              "labels.jsonl", "scores.csv")
     paths, ckpt, log, vectors, clusters, centroids, labels, scores = (str(out / name) for name in names)
-    stages = [
-        ("extract-paths", lambda: stage_extract(cfg.corpus, paths), [paths]),
-        ("train", lambda: stage_train(cfg, paths, ckpt, log), [ckpt, log]),
-        ("encode", lambda: stage_encode(ckpt, paths, vectors), [vectors]),
-        ("cluster", lambda: stage_cluster(vectors, cfg.k_clusters, clusters, centroids), [clusters, centroids]),
-        (
-            "label",
-            lambda: stage_label(clusters, paths, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords, labels),
-            [labels],
-        ),
-        ("evaluate", lambda: stage_evaluate(clusters, labels, cfg.gold, cfg.embeddings, scores), [scores]),
-    ]
-
     manifest = {"seed": cfg.seed, "stages": []}
-    with artifacts.reuse_written():
-        for name, run, outputs in stages:
-            started = time.perf_counter()
-            try:
-                result = run()
-            except CureError as exc:
-                raise type(exc)(f"stage {name!r} failed: {exc}") from exc
-            entry = {
-                "name": name,
-                "seconds": round(time.perf_counter() - started, 3),
-                "outputs": {Path(p).name: artifacts.file_sha256(p).hex() for p in outputs},
-            }
-            if name == "cluster":
-                entry["cut"] = result
-            manifest["stages"].append(entry)
+
+    def run(name: str, outputs: list[str], stage: Callable[..., V], *args) -> V:
+        started = time.perf_counter()
+        try:
+            result = stage(*args)
+        except CureError as exc:
+            raise type(exc)(f"stage {name!r} failed: {exc}") from exc
+        manifest["stages"].append({
+            "name": name,
+            "seconds": round(time.perf_counter() - started, 3),
+            "outputs": {Path(p).name: artifacts.file_sha256(p).hex() for p in outputs},
+        })
+        return result
+
+    instances = run("extract-paths", [paths], stage_extract, cfg.corpus, paths)
+    run("train", [ckpt, log], stage_train, cfg, instances, ckpt, log)
+    relation_vectors = run("encode", [vectors], stage_encode, ckpt, instances, vectors)
+    assignments, cut = run(
+        "cluster", [clusters, centroids], stage_cluster, relation_vectors, cfg.k_clusters, clusters, centroids,
+    )
+    manifest["stages"][-1]["cut"] = cut
+    cluster_labels = run(
+        "label", [labels], stage_label, assignments, instances, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords,
+        labels,
+    )
+    run("evaluate", [scores], stage_evaluate, assignments, cluster_labels, cfg.gold, cfg.embeddings, scores)
     write_atomic(out / "manifest.json", [(json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode("utf-8")])
     return out
 
@@ -340,8 +360,8 @@ def cmd_synth(args) -> None:
 
 def cmd_extract(args) -> None:
     cfg = _cfg(args, "corpus")
-    count = stage_extract(cfg.corpus, args.out)
-    print(f"extracted {count} paths to {args.out}")
+    instances = stage_extract(cfg.corpus, args.out)
+    print(f"extracted {len(instances)} paths to {args.out}")
 
 
 def cmd_train(args) -> None:
@@ -354,22 +374,22 @@ def cmd_train(args) -> None:
 
 
 def cmd_encode(args) -> None:
-    count = stage_encode(args.checkpoint, args.paths_file, args.out)
-    print(f"encoded {count} pairs to {args.out}")
+    vectors = stage_encode(args.checkpoint, args.paths_file, args.out)
+    print(f"encoded {len(vectors)} pairs to {args.out}")
 
 
 def cmd_cluster(args) -> None:
     cfg = _cfg(args)
     centroids = args.centroids or f"{args.out}.centroids.jsonl"
-    cut = stage_cluster(args.vectors, cfg.k_clusters, args.out, centroids)
+    _, cut = stage_cluster(args.vectors, cfg.k_clusters, args.out, centroids)
     print(f"cut dendrogram into {cut['k']} clusters; assignments in {args.out}")
 
 
 def cmd_label(args) -> None:
     cfg = _cfg(args)
     _require(cfg, ["embeddings"] if cfg.method == "wvs" else [], args.command)
-    count = stage_label(args.clusters, args.paths_file, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords, args.out)
-    print(f"labeled {count} clusters to {args.out}")
+    labels = stage_label(args.clusters, args.paths_file, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords, args.out)
+    print(f"labeled {len(labels)} clusters to {args.out}")
 
 
 def cmd_evaluate(args) -> None:

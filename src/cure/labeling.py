@@ -102,11 +102,11 @@ def match_to_gold(
 ) -> str:
     """The gold relation whose name vector is most cosine-similar to the
     label's first word; words without a vector fall through to the next.
+    gold_relations is not empty: artifacts.read_gold refuses a gold file
+    without a relation.
 
     Ties break lexicographically on the relation name.
     """
-    if not gold_relations:
-        raise ValidationError("no gold relations given")
     ordered_gold = sorted(gold_relations, key=lambda nv: nv[0])
     for word, _score in label:
         word_vec = vectors.get(word)
@@ -117,6 +117,5 @@ def match_to_gold(
             sim = cosine(word_vec, gold_vec)
             if sim > best_sim:
                 best_name, best_sim = name, sim
-        assert best_name is not None
         return best_name
     raise ValidationError("no label candidate has a pretrained vector")

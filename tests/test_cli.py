@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -336,7 +337,7 @@ class TestExitCodes:
         write = {
             "paths": lambda n: artifacts.write_paths(path, [(("s", f"o{i}"), SspTriple(("w",), ("d",), ("p",)))
                                                             for i in range(n)]),
-            "vectors": lambda n: artifacts.write_vectors(path, [(("s", f"o{i}"), np.full(3, i / 7)) for i in range(n)]),
+            "vectors": lambda n: artifacts.write_vectors(path, {("s", f"o{i}"): np.full(3, i / 7) for i in range(n)}),
         }[name]
         write(2)
         before = path.read_bytes()
@@ -806,6 +807,43 @@ class TestMalformedArtifacts:
              "--set", f"gold={gold}", "--out", str(tmp_path / "s.csv")],
             f"{gold}:1: malformed gold relation",
         )
+
+    @pytest.mark.parametrize("records, where", [
+        pytest.param([], "", id="no records"),
+        pytest.param([{"pair": ["a", "b"], "relations": []}], ":1", id="every relations array empty"),
+        pytest.param([{"pair": ["c", "d"], "relations": ["capital"]}, {"pair": ["a", "b"], "relations": []}], ":2",
+                     id="one relations array empty"),
+    ])
+    def test_gold_without_a_relation_is_2(self, tiny_setup, tmp_path, capsys, records, where):
+        """A gold file without records, or a pair without a relation, is
+        refused where it is read, naming the file and the line."""
+        root, cfg = tiny_setup
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [["born", 1.0]]}])
+        gold = write_jsonl(tmp_path / "g.jsonl", records)
+        assert run("evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels),
+                   "--set", f"gold={gold}", "--out", str(tmp_path / "s.csv")) == 2
+        reason = "relations is empty: a gold pair has at least one relation" if where else "no gold records"
+        assert capsys.readouterr().err == f"error: {gold}{where}: {reason}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("words, reason", [
+        pytest.param(["A", "of", "B"], "empty candidate set: every path word was an endpoint or stopword",
+                     id="stopwords only"),
+        pytest.param(None, "no path: none of its pairs is in the paths file", id="no path"),
+    ])
+    def test_cluster_without_candidate_words_is_named(self, tiny_setup, tmp_path, capsys, words, reason):
+        """Cluster 1's pair has only an endpoint-and-stopword path, or no path at all."""
+        root, cfg = tiny_setup
+        path = {"pair": ["a", "b"], "words": ["A", "capital", "B"], "deps": ["nsubj", "attr", "pobj"],
+                "poss": ["PROPN", "NOUN", "PROPN"]}
+        records = [path] + ([{**path, "pair": ["c", "d"], "words": words}] if words else [])
+        paths = write_jsonl(tmp_path / "p.jsonl", records)
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": ["a", "b"]}, {"cluster": 1, "pair": ["c", "d"]}])
+        for method in ("wvs", "cw"):
+            assert run("label", "--config", str(cfg), "--set", f"method={method}", "--clusters", str(clusters),
+                       "--paths-file", str(paths), "--out", str(tmp_path / "l.jsonl")) == 2
+            assert capsys.readouterr().err == f"error: cluster 1: {reason}\n"
 
 
     @pytest.mark.parametrize("case", ["corpus", "corpus without tokens", "embeddings", "embeddings nan"])
@@ -1408,70 +1446,29 @@ def parsed(monkeypatch) -> Counter:
     return names
 
 
-REUSED = {  # the artifacts a pipeline stage reads after an earlier stage wrote them, and their readers
+REUSED = {  # the artifacts whose values later pipeline stages take from earlier ones, and their readers
     "paths.jsonl": artifacts.read_path_instances, "vectors.jsonl": artifacts.read_vectors,
     "clusters.jsonl": artifacts.read_clusters, "labels.jsonl": artifacts.read_labels,
 }
 
 
-class TestReuseWritten:
-    def test_reader_after_its_writer_gives_what_parsing_gives(self, tiny_setup, tmp_path, parsed):
-        """Each artifact the stages write, read inside the scope, is the value
-        parsing the file gives outside it, and a fresh copy at every read."""
-        _, cfg_file = tiny_setup
-        cfg = load_config(str(cfg_file))
-        paths, ckpt, log, vectors, clusters, centroids, labels, scores = (str(tmp_path / n) for n in PIPELINE_ARTIFACTS)
-        with artifacts.reuse_written():
-            cli.stage_extract(cfg.corpus, paths)
-            cli.stage_train(cfg, paths, ckpt, log)
-            cli.stage_encode(ckpt, paths, vectors)
-            cli.stage_cluster(vectors, cfg.k_clusters, clusters, centroids)
-            cli.stage_label(clusters, paths, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords, labels)
-            parsed.clear()
-            reused = {name: read(tmp_path / name) for name, read in REUSED.items()}
-            for name, read in REUSED.items():
-                read(tmp_path / name).clear()  # a copy: later reads are whole
-            assert not parsed
-        for name, read in REUSED.items():
-            assert _typed(reused[name]) == _typed(read(tmp_path / name)), name
-        assert parsed == dict.fromkeys(REUSED, 1)
-
-        def sharing(read: dict) -> list[int]:
-            ids = [id(vector) for vector in read.values()]
-            return [ids.index(i) for i in ids]
-
-        assert sharing(reused["vectors.jsonl"]) == sharing(artifacts.read_vectors(vectors))
-
-    @pytest.mark.parametrize("name", list(REUSED))
-    def test_file_rewritten_after_its_write_is_parsed(self, trained, tmp_path, parsed, name):
-        """Inside the scope, a file that no longer holds the bytes written is
-        read from disk: a good rewrite gives its own records, a malformed one
-        the error, with <file>:<line>, that exits 2."""
-        paths, _ = trained
-        records = {
-            "paths.jsonl": [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()[:2]],
-            "vectors.jsonl": [{"pair": ["s", "o"], "vector": [1.0, 2.0]}, {"pair": ["t", "o"], "vector": [3.0, 4.0]}],
-            "clusters.jsonl": [{"cluster": 0, "pair": ["s", "o"]}, {"cluster": 1, "pair": ["t", "o"]}],
-            "labels.jsonl": [{"cluster": 0, "labels": [["w", 1.0]]}, {"cluster": 1, "labels": [["v", 0.5]]}],
-        }[name]
-        read, written, other = REUSED[name], tmp_path / "written" / name, tmp_path / "other" / name
-        written.parent.mkdir()
-        other.parent.mkdir()
-        write_jsonl(written, records[:1])
-        write_jsonl(other, records)
-        value = read(written)
-        write = {"paths.jsonl": artifacts.write_paths, "clusters.jsonl": artifacts.write_clusters,
-                 "labels.jsonl": artifacts.write_labels,
-                 "vectors.jsonl": lambda path, value: artifacts.write_vectors(path, list(value.items()))}[name]
-        with artifacts.reuse_written():
-            write(written, value)
-            parsed.clear()
-            assert _typed(read(written)) == _typed(value) and not parsed
-            shutil.copyfile(other, written)
-            assert _typed(read(written)) == _typed(read(other)) and parsed[name] == 2
-            written.write_text(other.read_text(encoding="utf-8").splitlines()[0] + "\n{\n", encoding="utf-8")
-            with pytest.raises(ValidationError, match=f"^{re.escape(str(written))}:2: invalid JSON"):
-                read(written)
+def test_stage_values_are_what_their_files_read_back(tiny_setup, tmp_path):
+    """The value that extract, encode, cluster and label return, which
+    `cure pipeline` passes to the later stages, is what the reader parses
+    from the file the stage wrote, in every part and type."""
+    _, cfg_file = tiny_setup
+    cfg = load_config(str(cfg_file))
+    paths, ckpt, log, vectors, clusters, centroids, labels, scores = (str(tmp_path / n) for n in PIPELINE_ARTIFACTS)
+    instances = cli.stage_extract(cfg.corpus, paths)
+    cli.stage_train(cfg, instances, ckpt, log)
+    relation_vectors = cli.stage_encode(ckpt, instances, vectors)
+    assignments, _ = cli.stage_cluster(relation_vectors, cfg.k_clusters, clusters, centroids)
+    made = {
+        "paths.jsonl": instances, "vectors.jsonl": relation_vectors, "clusters.jsonl": assignments,
+        "labels.jsonl": cli.stage_label(assignments, instances, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords, labels),
+    }
+    for name, read in REUSED.items():
+        assert _typed(made[name]) == _typed(read(tmp_path / name)), name
 
 
 class TestClusterStage:
@@ -1479,7 +1476,7 @@ class TestClusterStage:
 
     def cluster(self, tmp_path, k: int) -> dict:
         vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": [f"s{i}", "o"], "vector": v} for i, v in enumerate(self.POINTS)])
-        return stage_cluster(str(vectors), k, str(tmp_path / "c.jsonl"), str(tmp_path / "centroids.jsonl"))
+        return stage_cluster(str(vectors), k, str(tmp_path / "c.jsonl"), str(tmp_path / "centroids.jsonl"))[1]
 
     @pytest.mark.parametrize("k, kept, undone", [(1, 9.5, None), (2, 1.0, 9.5), (3, None, 1.0)])
     def test_cut_reports_merge_distances_around_the_cut(self, tmp_path, k, kept, undone):
@@ -1547,6 +1544,16 @@ class TestPipeline:
         cut = manifest["stages"][3]["cut"]
         assert cut["k"] == 2
         assert cut["last_kept_merge_distance"] <= cut["first_undone_merge_distance"]
+
+    def test_manifest_hashes_are_the_files(self, tiny_setup, tmp_path):
+        """Every output sha256 in the manifest is that of the file on disk, and every artifact has one."""
+        _, cfg = tiny_setup
+        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={tmp_path}") == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        outputs = {name: digest for stage in manifest["stages"] for name, digest in stage["outputs"].items()}
+        assert sorted(outputs) == sorted(PIPELINE_ARTIFACTS)
+        for name, digest in outputs.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     def test_rerun_is_byte_identical_except_manifest(self, tiny_setup):
         root, cfg = tiny_setup

@@ -1,7 +1,6 @@
 """Artifact writers and readers hold about one record in memory: each peak
-here is what tracemalloc sees while one write or read runs, outside
-reuse_written(), over inputs made before it started. Also: the hashing that
-reuse_written() relies on happens only inside it."""
+here is what tracemalloc sees while one write or read runs, over inputs made
+before it started. Also: no writer hashes what it writes."""
 
 import hashlib
 import tracemalloc
@@ -27,14 +26,14 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def distinct_vectors(n: int) -> list[tuple[tuple[str, str], np.ndarray]]:
+def distinct_vectors(n: int) -> dict[tuple[str, str], np.ndarray]:
     rows = np.random.default_rng(5).standard_normal((n, 192))
-    return [((f"s{i}", "o"), row) for i, row in enumerate(rows)]
+    return {(f"s{i}", "o"): row for i, row in enumerate(rows)}
 
 
-def shared_vectors(n: int, objects: int) -> list[tuple[tuple[str, str], np.ndarray]]:
+def shared_vectors(n: int, objects: int) -> dict[tuple[str, str], np.ndarray]:
     rows = list(np.random.default_rng(6).standard_normal((objects, 192)))
-    return [((f"s{i}", "o"), rows[i % objects]) for i in range(n)]
+    return {(f"s{i}", "o"): rows[i % objects] for i in range(n)}
 
 
 def path_instances(n: int) -> list:
@@ -55,8 +54,8 @@ def big_checkpoint_parts() -> tuple[ModelParams, tuple[Vocab, Vocab, Vocab]]:
     pytest.param(lambda: shared_vectors(5000, 30), 1 * MB, id="5000 pairs sharing 30 vectors"),
 ])
 def test_write_vectors_streams(tmp_path, make, bound):
-    path, records = tmp_path / "vectors.jsonl", make()
-    assert traced_peak(lambda: artifacts.write_vectors(path, records)) <= bound
+    path, vectors = tmp_path / "vectors.jsonl", make()
+    assert traced_peak(lambda: artifacts.write_vectors(path, vectors)) <= bound
     assert path.stat().st_size > 5 * bound  # the file is far larger than what was held
 
 
@@ -81,32 +80,17 @@ def test_read_checkpoint_reads_into_the_new_parameter_buffer(tmp_path):
     assert read[0][0].flat.tobytes() == params.flat.tobytes()
 
 
-WRITERS = {  # reader name: a write of a small value to path
-    "read_path_instances": lambda path: artifacts.write_paths(path, path_instances(3)),
-    "read_vectors": lambda path: artifacts.write_vectors(path, shared_vectors(5, 2)),
-    "read_clusters": lambda path: artifacts.write_clusters(path, {("a", "b"): 0, ("c", "d"): 1}),
-    "read_labels": lambda path: artifacts.write_labels(path, {0: [("founder", 0.5)], 1: [("born", 0.25)]}),
-}
-
-
-@pytest.mark.parametrize("reader", list(WRITERS))
-def test_recorded_digest_is_the_files(tmp_path, reader):
-    """Inside reuse_written() a writer hashes the bytes it streams; the
-    digest it records is the sha256 of the file on disk."""
-    path = tmp_path / "out.jsonl"
-    with artifacts.reuse_written():
-        WRITERS[reader](path)
-        digest, _ = artifacts._written.get()[reader, path]
-    assert digest == hashlib.sha256(path.read_bytes()).digest() == artifacts.file_sha256(path)
-
-
-def test_no_hash_outside_reuse_written(tmp_path, monkeypatch):
+def test_no_writer_hashes(tmp_path, monkeypatch):
     def refused(*args):
-        raise AssertionError("a writer hashed outside reuse_written()")
+        raise AssertionError("a writer hashed what it wrote")
 
     monkeypatch.setattr(artifacts.hashlib, "sha256", refused)
-    for reader, write in WRITERS.items():
-        write(tmp_path / f"{reader}.jsonl")
+    artifacts.write_paths(tmp_path / "paths.jsonl", path_instances(3))
+    artifacts.write_vectors(tmp_path / "vectors.jsonl", shared_vectors(5, 2))
+    artifacts.write_clusters(tmp_path / "clusters.jsonl", {("a", "b"): 0, ("c", "d"): 1})
+    artifacts.write_centroids(tmp_path / "centroids.jsonl", {0: np.ones(3)})
+    artifacts.write_labels(tmp_path / "labels.jsonl", {0: [("founder", 0.5)], 1: [("born", 0.25)]})
+    artifacts.write_gold(tmp_path / "gold.jsonl", {("a", "b"): ["founder"]})
     artifacts.write_scores(tmp_path / "scores.csv", [], 1.0)
     artifacts.write_loss_log(tmp_path / "loss.csv", [0.5])
 
