@@ -117,7 +117,7 @@ def stage_extract(corpus_path: str, out_path: str) -> Instances:
     return instances
 
 
-def stage_train(cfg: RunConfig, paths: str | Instances, checkpoint_path: str, log_path: str | None) -> list[float]:
+def stage_train(cfg: RunConfig, paths: str | Instances, checkpoint_path: str, log_path: str) -> list[float]:
     instances = _given(paths, read_path_instances)
     groups = group_pairs(instances, min_paths=cfg.min_paths)
     if not groups:
@@ -129,8 +129,7 @@ def stage_train(cfg: RunConfig, paths: str | Instances, checkpoint_path: str, lo
     # Written once, after training: a run that fails or is interrupted leaves
     # the previous checkpoint as it was.
     write_checkpoint(checkpoint_path, params, vocabs)
-    if log_path:
-        artifacts.write_loss_log(log_path, losses)
+    artifacts.write_loss_log(log_path, losses)
     return losses
 
 
@@ -248,11 +247,13 @@ def stage_evaluate(
 def run_pipeline(cfg: RunConfig) -> Path:
     """extract-paths > train > encode > cluster > label > evaluate.
 
-    Every stage artifact lands in cfg.out_dir, and each stage passes the
-    value it made to the stages after it, so no stage reads a file that an
-    earlier one wrote. manifest.json records the seed and per-stage output
-    hashes and timings, and for the cluster stage the merge distances on
-    either side of the cut; the files are hashed for it alone.
+    Every stage artifact lands in cfg.out_dir. Each stage passes the value
+    it made to the stages after it, except the checkpoint: encode reads
+    model.ckpt back from the file that train wrote. manifest.json, written
+    last, records the seed and per-stage output hashes and timings, and for
+    the cluster stage the merge distances on either side of the cut; the
+    files are hashed for it alone. A run that fails after its input checks
+    leaves no manifest.json.
     """
     _require(cfg, ["corpus", "embeddings", "gold", "out_dir"], "pipeline")
     for key in ("corpus", "embeddings", "gold", "stopwords"):  # stopwords may be empty: the packaged list
@@ -262,6 +263,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").unlink(missing_ok=True)  # the previous run's, which this run's artifacts replace
 
     names = ("paths.jsonl", "model.ckpt", "loss_log.csv", "vectors.jsonl", "clusters.jsonl", "centroids.jsonl",
              "labels.jsonl", "scores.csv")
@@ -334,12 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--out-dir", required=True)  # after the integer flags, where synth's usage line has it
     command("extract-paths", cmd_extract, "extract entity-pair shortest paths from the config's corpus", "--out")
-    p = command("train", cmd_train, "train the path-prediction encoder-decoder", "--paths-file", "--out-checkpoint")
-    p.add_argument("--log", help="per-epoch loss CSV")
+    command("train", cmd_train, "train the path-prediction encoder-decoder", "--paths-file", "--out-checkpoint", "--log")
     command("encode", cmd_encode, "relation vectors for every entity pair (the model config is in the checkpoint)",
             "--checkpoint", "--paths-file", "--out", config=False)
-    p = command("cluster", cmd_cluster, "agglomerative clustering of relation vectors", "--vectors", "--out")
-    p.add_argument("--centroids", help="centroid output file (default: <out>.centroids.jsonl)")
+    command("cluster", cmd_cluster, "agglomerative clustering of relation vectors", "--vectors", "--out", "--centroids")
     command("label", cmd_label, "relation words for each cluster", "--clusters", "--paths-file", "--out")
     command("evaluate", cmd_evaluate, "score clusters against a gold relation file", "--clusters", "--labels", "--out")
     command("pipeline", cmd_pipeline, "run all stages end to end")
@@ -354,8 +354,8 @@ def _cfg(args, *required: str) -> RunConfig:
 
 
 def cmd_synth(args) -> None:
-    result = synth.generate(args.relations, args.pairs, args.sentences, args.seed, args.out_dir)
-    print(f"wrote {result.record_count} records, {result.pair_count} pairs to {args.out_dir}")
+    records, pairs = synth.generate(args.relations, args.pairs, args.sentences, args.seed, args.out_dir)
+    print(f"wrote {records} records, {pairs} pairs to {args.out_dir}")
 
 
 def cmd_extract(args) -> None:
@@ -380,8 +380,7 @@ def cmd_encode(args) -> None:
 
 def cmd_cluster(args) -> None:
     cfg = _cfg(args)
-    centroids = args.centroids or f"{args.out}.centroids.jsonl"
-    _, cut = stage_cluster(args.vectors, cfg.k_clusters, args.out, centroids)
+    _, cut = stage_cluster(args.vectors, cfg.k_clusters, args.out, args.centroids)
     print(f"cut dendrogram into {cut['k']} clusters; assignments in {args.out}")
 
 
@@ -419,7 +418,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

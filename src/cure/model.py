@@ -228,10 +228,15 @@ def read_checkpoint(path: str | Path) -> tuple[ModelParams, tuple[Vocab, Vocab, 
     # Checked here rather than on the outputs: an infinite weight can saturate
     # a gate to exactly 0 or 1 and still give finite vectors, and encoding
     # never reads the decoder's weights.
+    _require_finite(params, str(path))
+    return params, vocabs
+
+
+def _require_finite(params: ModelParams, where: str) -> None:
+    """A NumericError naming where and the first tensor that holds a non-finite value, if one does."""
     if not np.isfinite(params.flat).all():
         name = next(name for name, arr in params.arrays().items() if not np.isfinite(arr).all())
-        raise NumericError(f"{path}: parameter {name!r} holds a non-finite value")
-    return params, vocabs
+        raise NumericError(f"{where}: parameter {name!r} holds a non-finite value")
 
 
 def paths_to_ids(group: PairGroup, vocabs: tuple[Vocab, Vocab, Vocab], n_l: int) -> list[PathIds]:
@@ -437,8 +442,10 @@ def train(
     over each batch of size m, clip the global gradient norm, and step. All
     randomness flows from cfg.seed, so identical inputs give bitwise
     identical parameters. A non-finite example loss or gradient norm is a
-    NumericError naming the epoch and pair. on_epoch, if given, is called
-    after every epoch with its number (from 1), mean loss and the parameters.
+    NumericError naming the epoch and pair, and a non-finite parameter after
+    the last step one naming the epoch and tensor. on_epoch, if given, is
+    called after every epoch with its number (from 1), mean loss and the
+    parameters.
     """
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(cfg, n_words, n_deps, n_pos, rng)
@@ -463,6 +470,8 @@ def train(
             _apply_batch(params, grads, cfg.learning_rate, where)
         if on_epoch is not None:
             on_epoch(epoch + 1, fmean(example_losses), params)
+    # No loss is computed after the last step, so nothing above has seen its result.
+    _require_finite(params, f"epoch {cfg.epochs}")
     return params
 
 

@@ -211,23 +211,15 @@ def toy_embeddings(relations: tuple[RelationTemplate, ...]) -> dict[str, np.ndar
     return vectors
 
 
-@dataclass
-class SynthResult:
-    corpus_path: Path
-    gold_path: Path
-    embeddings_path: Path
-    record_count: int
-    pair_count: int
-
-
 def generate(
     relations: int,
     pairs_per_relation: int,
     sentences_per_pair: int,
     seed: int,
     out_dir: str | Path,
-) -> SynthResult:
-    """Write corpus.jsonl, gold.jsonl, and embeddings.txt under out_dir.
+) -> tuple[int, int]:
+    """Write corpus.jsonl, gold.jsonl, and embeddings.txt under out_dir,
+    and return the numbers of corpus records and of pairs.
 
     Entity names come from a fixed pool; every pair is globally unique and
     is realized by `sentences_per_pair` templates of its relation, sampled
@@ -252,9 +244,6 @@ def generate(
     out = Path(out_dir)
     with writing(out):
         out.mkdir(parents=True, exist_ok=True)
-    corpus_path = out / "corpus.jsonl"
-    gold_path = out / "gold.jsonl"
-    embeddings_path = out / "embeddings.txt"
 
     sentences = []
     gold: dict[tuple[str, str], list[str]] = {}
@@ -270,13 +259,7 @@ def generate(
                 template = rel.sentences[int(rng.integers(len(rel.sentences)))]
                 sentences.append(instantiate(template, f"{rel.name}-{p:03d}-{k}", s_name, o_name))
 
-    write_corpus(corpus_path, sentences)
-    write_gold(gold_path, gold)
-    write_embeddings(embeddings_path, toy_embeddings(chosen))
-    return SynthResult(
-        corpus_path=corpus_path,
-        gold_path=gold_path,
-        embeddings_path=embeddings_path,
-        record_count=len(sentences),
-        pair_count=len(gold),
-    )
+    write_corpus(out / "corpus.jsonl", sentences)
+    write_gold(out / "gold.jsonl", gold)
+    write_embeddings(out / "embeddings.txt", toy_embeddings(chosen))
+    return len(sentences), len(gold)

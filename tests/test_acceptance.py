@@ -70,16 +70,17 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 def pipeline_runs(tmp_path_factory) -> tuple[Path, Path, Path]:
     """Synthetic corpus plus two identical-seed pipeline runs."""
     root = tmp_path_factory.mktemp("acceptance")
-    data = generate(4, 25, 3, seed=ACCEPT_SEED, out_dir=root / "data")
+    data = root / "data"
+    generate(4, 25, 3, seed=ACCEPT_SEED, out_dir=data)
     base = dict(
-        corpus=str(data.corpus_path),
-        embeddings=str(data.embeddings_path),
-        gold=str(data.gold_path),
+        corpus=str(data / "corpus.jsonl"),
+        embeddings=str(data / "embeddings.txt"),
+        gold=str(data / "gold.jsonl"),
         **ACCEPT_CONFIG,
     )
     out_a = run_pipeline(RunConfig(out_dir=str(root / "out_a"), **base))
     out_b = run_pipeline(RunConfig(out_dir=str(root / "out_b"), **base))
-    return root / "data", out_a, out_b
+    return data, out_a, out_b
 
 
 def _jsonl(path: Path) -> list[dict]:

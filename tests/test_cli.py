@@ -70,7 +70,8 @@ def trained(tiny_setup, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
     paths, ckpt = out / "paths.jsonl", out / "model.ckpt"
     assert run("extract-paths", "--config", str(cfg), "--out", str(paths)) == 0
-    assert run("train", "--config", str(cfg), "--paths-file", str(paths), "--out-checkpoint", str(ckpt)) == 0
+    assert run("train", "--config", str(cfg), "--paths-file", str(paths), "--out-checkpoint", str(ckpt),
+               "--log", str(out / "loss_log.csv")) == 0
     return paths, ckpt
 
 
@@ -253,7 +254,8 @@ class TestExitCodes:
             "pipeline corpus": (["pipeline", "--set", f"corpus={long}", "--set", "embeddings=e", "--set", "gold=g",
                                  "--set", f"out_dir={out}"], "corpus"),
             "corpus sentence id": (["extract-paths", "--set", f"corpus={bad}"], str(bad)),
-            "vectors pair twice": (["cluster", "--vectors", str(bad)], str(bad)),
+            "vectors pair twice": (["cluster", "--vectors", str(bad), "--centroids", str(tmp_path / "centroids.jsonl")],
+                                   str(bad)),
             "checkpoint header": (["encode", "--checkpoint", str(bad), "--paths-file", str(empty)], str(bad)),
             "embeddings token twice": (label, str(bad)),
             "embeddings token without values": (label, str(bad)),
@@ -383,7 +385,8 @@ class TestMalformedArtifacts:
     def test_vectors_record_without_pair(self, tmp_path, capsys):
         vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": ["a", "b"], "vector": [0.0]}, {"vector": [1.0]}])
         self.assert_exit_2(
-            capsys, ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl")],
+            capsys, ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl"),
+                     "--centroids", str(tmp_path / "centroids.jsonl")],
             f"{vectors}:2: malformed relation vector",
         )
 
@@ -391,7 +394,8 @@ class TestMalformedArtifacts:
         vectors = tmp_path / "v.jsonl"
         vectors.write_text('{"pair": ["a", "b"], "vector": [0.0]}\n\n  \n{"vector": [1.0]}\n', encoding="utf-8")
         self.assert_exit_2(
-            capsys, ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl")],
+            capsys, ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl"),
+                     "--centroids", str(tmp_path / "centroids.jsonl")],
             f"{vectors}:4: malformed relation vector (KeyError('pair'))",
         )
 
@@ -402,13 +406,15 @@ class TestMalformedArtifacts:
         assert ("NaN" if value != value else "Infinity") in vectors.read_text()
         out = tmp_path / "c.jsonl"
         self.assert_exit_2(
-            capsys, ["cluster", "--vectors", str(vectors), "--set", "k_clusters=2", "--out", str(out)],
+            capsys, ["cluster", "--vectors", str(vectors), "--set", "k_clusters=2", "--out", str(out),
+                     "--centroids", str(tmp_path / "centroids.jsonl")],
             f"{vectors}:2: malformed relation vector", "non-finite",
         )
         assert not out.exists()
 
     def cluster_argv(self, vectors: Path, tmp_path) -> list[str]:
-        return ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl")]
+        return ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl"),
+                "--centroids", str(tmp_path / "centroids.jsonl")]
 
     @pytest.mark.parametrize("pair", ["ab", ["a"], ["a", "b", "c"], ["a", 1], [["a"], "b"], None])
     @pytest.mark.parametrize("layout", ["as encode writes it", "keys reordered"])
@@ -437,7 +443,8 @@ class TestMalformedArtifacts:
         if kind == "paths":
             records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
             bad = write_jsonl(tmp_path / "p.jsonl", [records[0], {**records[1], "pair": "ab"}])
-            argv = ["train", "--config", str(cfg), "--paths-file", str(bad), "--out-checkpoint", out]
+            argv = ["train", "--config", str(cfg), "--paths-file", str(bad), "--out-checkpoint", out,
+                    "--log", str(tmp_path / "loss_log.csv")]
             what, line = "path instance", 2
         elif kind == "clusters":
             bad = write_jsonl(tmp_path / "bad.jsonl", [{"cluster": 0, "pair": "ab"}])
@@ -538,7 +545,8 @@ class TestMalformedArtifacts:
             # As long as the path, so that it would read as a path of single characters.
             value = [*records[1][key][:-1], 7] if case == "number in words" else "x" * n
             bad = write_jsonl(tmp_path / "p.jsonl", [records[0], {**records[1], key: value}])
-            argv = ["train", "--config", str(cfg), "--paths-file", str(bad), "--out-checkpoint", out]
+            argv = ["train", "--config", str(cfg), "--paths-file", str(bad), "--out-checkpoint", out,
+                    "--log", str(tmp_path / "loss_log.csv")]
             self.assert_exit_2(capsys, argv, f"{bad}:2: malformed path instance", f"{key} must be an array of strings")
 
     @pytest.mark.parametrize("vector", [1.5, [[1.0], [2.0]]])
@@ -610,7 +618,8 @@ class TestMalformedArtifacts:
         deep = b"[" * 100_000
         vectors = tmp_path / "v.jsonl"
         vectors.write_bytes(deep + b"\n")
-        argv = ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl")]
+        argv = ["cluster", "--vectors", str(vectors), "--set", "k_clusters=1", "--out", str(tmp_path / "c.jsonl"),
+                "--centroids", str(tmp_path / "centroids.jsonl")]
         self.assert_exit_2(capsys, argv, f"{vectors}:1: invalid JSON (nested too deeply)")
         argv = self.encode_argv(trained, tmp_path, with_meta(trained[1], deep))
         self.assert_exit_2(capsys, argv, f"{tmp_path / 'model.ckpt'}:2: invalid JSON (nested too")
@@ -737,9 +746,12 @@ class TestMalformedArtifacts:
             "missing stopwords": (None, label + ["--set", f"stopwords={bad}"], "cannot read stopwords"),
             "corpus": (not_utf8, ["extract-paths", "--set", f"corpus={bad}", "--out", out], "not UTF-8"),
             "paths": (paths.read_bytes() + not_utf8, ["train", "--config", str(cfg), "--paths-file", str(bad),
-                                                      "--out-checkpoint", out], "not UTF-8"),
+                                                      "--out-checkpoint", out, "--log", str(tmp_path / "loss_log.csv")],
+                      "not UTF-8"),
             "vectors": (b'{"pair": ["a", "b"], "vector": [0.0]}\n' + not_utf8,
-                        ["cluster", "--vectors", str(bad), "--set", "k_clusters=1", "--out", out], "not UTF-8"),
+                        ["cluster", "--vectors", str(bad), "--set", "k_clusters=1", "--out", out,
+                         "--centroids", str(tmp_path / "centroids.jsonl")],
+                        "not UTF-8"),
             "embeddings": ((root / "embeddings.txt").read_bytes() + not_utf8, label + ["--set", f"embeddings={bad}"],
                            "not UTF-8"),
             "stopwords": (b"the\n" + not_utf8, label + ["--set", f"stopwords={bad}"], "not UTF-8"),
@@ -887,7 +899,8 @@ class TestMalformedArtifacts:
         records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
         change(records[1])
         bad = write_jsonl(tmp_path / "p.jsonl", records)
-        argv = ["train", "--config", str(cfg), "--paths-file", str(bad), "--out-checkpoint", str(tmp_path / "m.ckpt")]
+        argv = ["train", "--config", str(cfg), "--paths-file", str(bad), "--out-checkpoint", str(tmp_path / "m.ckpt"),
+                "--log", str(tmp_path / "loss_log.csv")]
         self.assert_exit_2(capsys, argv, f"{bad}:2: {reason}")
 
 
@@ -964,6 +977,7 @@ class TestStages:
         ckpt = tmp_path / "model.ckpt"
         vectors = tmp_path / "vectors.jsonl"
         clusters = tmp_path / "clusters.jsonl"
+        centroids = tmp_path / "centroids.jsonl"
         labels = tmp_path / "labels.jsonl"
         scores = tmp_path / "scores.csv"
         log = tmp_path / "loss.csv"
@@ -981,10 +995,13 @@ class TestStages:
         dim = len(vec_records[0]["vector"])
         assert all(len(r["vector"]) == dim for r in vec_records)
 
-        assert run("cluster", "--vectors", str(vectors), "--set", "k_clusters=2", "--out", str(clusters)) == 0
-        assert Path(str(clusters) + ".centroids.jsonl").exists()
+        argv = ["--vectors", str(vectors), "--set", "k_clusters=2", "--out", str(clusters), "--centroids", str(centroids)]
+        assert run("cluster", *argv) == 0
         cluster_records = [json.loads(line) for line in clusters.read_text(encoding="utf-8").splitlines()]
         assert sorted({r["cluster"] for r in cluster_records}) == [0, 1]
+        centroid_records = [json.loads(line) for line in centroids.read_text(encoding="utf-8").splitlines()]
+        assert [r["cluster"] for r in centroid_records] == [0, 1]
+        assert all(len(r["centroid"]) == dim for r in centroid_records)
 
         assert run(
             "label", "--config", str(cfg),
@@ -1135,7 +1152,8 @@ class TestTrainCheckpoint:
     def train(self, tiny_setup, trained, ckpt: Path, *overrides: str) -> int:
         root, cfg = tiny_setup
         paths, _ = trained
-        argv = ["train", "--config", str(cfg), "--paths-file", str(paths), "--out-checkpoint", str(ckpt)]
+        argv = ["train", "--config", str(cfg), "--paths-file", str(paths), "--out-checkpoint", str(ckpt),
+                "--log", str(ckpt.with_name("loss_log.csv"))]
         for item in overrides:
             argv += ["--set", item]
         return run(*argv)
@@ -1158,7 +1176,8 @@ class TestTrainCheckpoint:
         records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
         single = write_jsonl(tmp_path / "paths.jsonl", records + [{**records[0], "pair": ["Alone", "Single"]}])
         ckpt = tmp_path / "model.ckpt"
-        argv = ["train", "--config", str(cfg), "--paths-file", str(single), "--out-checkpoint", str(ckpt)]
+        argv = ["train", "--config", str(cfg), "--paths-file", str(single), "--out-checkpoint", str(ckpt),
+                "--log", str(tmp_path / "loss_log.csv")]
         assert run(*argv, "--set", setting) == 2
         assert message in capsys.readouterr().err
         assert not ckpt.exists()
@@ -1176,7 +1195,7 @@ class TestTrainCheckpoint:
         monkeypatch.setattr(cli, "write_checkpoint", lambda path, *args: written.append(path) or write(path, *args))
         assert self.train(tiny_setup, trained, ckpt, "epochs=3") == 0
         assert written == [str(ckpt)]
-        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loss_log.csv", "model.ckpt"]
 
     def test_reloaded_parameters_equal_the_trained_ones_bit_for_bit(self, tiny_setup, trained, tmp_path, monkeypatch):
         results, train = [], cli.modeling.train
@@ -1208,6 +1227,31 @@ class TestTrainCheckpoint:
         assert "epoch 2" in capsys.readouterr().err
         assert ckpt.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the step overflows
+    def test_step_to_non_finite_parameters_keeps_previous_checkpoint(self, tiny_setup, trained, tmp_path, capsys):
+        """No loss is computed after the last step, so a step that makes a
+        parameter non-finite is caught by the check that ends training: exit
+        3 naming the epoch and the tensor, the previous files left as they
+        were, and `cure pipeline` failing at train rather than at encode."""
+        _, cfg = tiny_setup
+        # 100 pairs in one batch: the summed gradient has an entry past 1, which the step overflows.
+        assert run("synth", "--relations", "4", "--pairs", "25", "--sentences", "3", "--out-dir", str(tmp_path)) == 0
+        corpus = ["--config", str(cfg), "--set", f"corpus={tmp_path / 'corpus.jsonl'}"]
+        paths = tmp_path / "paths.jsonl"
+        assert run("extract-paths", *corpus, "--out", str(paths)) == 0
+        ckpt = tmp_path / "model.ckpt"
+        shutil.copy(trained[1], ckpt)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        overflow = [f"--set={o}" for o in ("learning_rate=1.79e308", "epochs=1", "batch_size=1000")]
+        argv = ["--paths-file", str(paths), "--out-checkpoint", str(ckpt), "--log", str(tmp_path / "loss_log.csv")]
+        assert run("train", *corpus, *overflow, *argv) == 3
+        assert re.search(r"numeric error: epoch 1: parameter '[\w.]+' holds a non-finite value", capsys.readouterr().err)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        out = tmp_path / "out"
+        assert run("pipeline", *corpus, *overflow, "--set", f"out_dir={out}") == 3
+        assert "numeric error: stage 'train' failed: epoch 1: parameter" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -1446,7 +1490,7 @@ def parsed(monkeypatch) -> Counter:
     return names
 
 
-REUSED = {  # the artifacts whose values later pipeline stages take from earlier ones, and their readers
+STAGE_VALUE_READERS = {  # each artifact whose value its stage returns, and the reader that parses it from the file
     "paths.jsonl": artifacts.read_path_instances, "vectors.jsonl": artifacts.read_vectors,
     "clusters.jsonl": artifacts.read_clusters, "labels.jsonl": artifacts.read_labels,
 }
@@ -1467,7 +1511,7 @@ def test_stage_values_are_what_their_files_read_back(tiny_setup, tmp_path):
         "paths.jsonl": instances, "vectors.jsonl": relation_vectors, "clusters.jsonl": assignments,
         "labels.jsonl": cli.stage_label(assignments, instances, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords, labels),
     }
-    for name, read in REUSED.items():
+    for name, read in STAGE_VALUE_READERS.items():
         assert _typed(made[name]) == _typed(read(tmp_path / name)), name
 
 
@@ -1512,7 +1556,9 @@ class TestClusterStage:
         vectors = write_jsonl(tmp_path / "v.jsonl", [{"pair": [f"s{i}", "o"], "vector": v.tolist()} for i, v in enumerate(signed)])
         assert "-0.0" in vectors.read_text(encoding="utf-8")
         clusters = tmp_path / "c.jsonl"
-        assert run("cluster", "--vectors", str(vectors), "--set", "k_clusters=4", "--out", str(clusters)) == 0
+        argv = ["--vectors", str(vectors), "--set", "k_clusters=4", "--out", str(clusters),
+                "--centroids", str(tmp_path / "centroids.jsonl")]
+        assert run("cluster", *argv) == 0
         got: dict[int, set[int]] = {}
         for pair, cluster_id in artifacts.read_clusters(clusters).items():
             got.setdefault(cluster_id, set()).add(int(pair[0][1:]))
@@ -1590,18 +1636,6 @@ class TestPipeline:
         assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={tmp_path}") == 0
         assert parsed == {"corpus.jsonl": 1, "gold.jsonl": 1}
 
-    def test_written_values_are_dropped_when_the_run_ends(self, tiny_setup, tmp_path, parsed):
-        """After a run returns, and after one raises, a reader parses the files it wrote."""
-        _, cfg = tiny_setup
-        assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={tmp_path / 'ok'}") == 0
-        with pytest.raises(ValidationError, match="no pair has at least 99 paths"):
-            run_pipeline(load_config(str(cfg), [f"out_dir={tmp_path / 'failed'}", "min_paths=99"]))
-        parsed.clear()
-        for name, read in REUSED.items():
-            read(tmp_path / "ok" / name)
-        artifacts.read_path_instances(tmp_path / "failed" / "paths.jsonl")
-        assert parsed == {**dict.fromkeys(REUSED, 1), "paths.jsonl": 2}
-
     def test_invalid_model_key_exits_before_any_stage_writes(self, tiny_setup, tmp_path, capsys):
         root, cfg = tiny_setup
         out = tmp_path / "out"
@@ -1649,13 +1683,33 @@ class TestPipeline:
         assert "error: stage 'train' failed: no pair has at least 99 paths" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_failed_run_leaves_no_manifest_beside_its_artifacts(self, tiny_setup, tmp_path, capsys):
+        """A run that fails in a stage deletes the previous run's manifest,
+        whose hashes no longer describe the files the failed run rewrote."""
+        _, cfg = tiny_setup
+        out = ["--config", str(cfg), "--set", f"out_dir={tmp_path}"]
+        assert run("pipeline", *out) == 0
+        assert (tmp_path / "manifest.json").exists()
+        assert run("pipeline", *out, "--set", "min_paths=99") == 2
+        assert "error: stage 'train' failed" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_run_refused_before_any_stage_leaves_the_previous_run_whole(self, tiny_setup, tmp_path, capsys):
+        _, cfg = tiny_setup
+        out = ["--config", str(cfg), "--set", f"out_dir={tmp_path}"]
+        assert run("pipeline", *out) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run("pipeline", *out, "--set", f"corpus={tmp_path / 'missing.jsonl'}") == 2
+        assert "pipeline: config 'corpus' does not name a file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 REQUIRED_FILE_FLAGS = {
     "synth": ["--out-dir"],
     "extract-paths": ["--out"],
-    "train": ["--paths-file", "--out-checkpoint"],
+    "train": ["--paths-file", "--out-checkpoint", "--log"],
     "encode": ["--checkpoint", "--paths-file", "--out"],
-    "cluster": ["--vectors", "--out"],
+    "cluster": ["--vectors", "--out", "--centroids"],
     "label": ["--clusters", "--paths-file", "--out"],
     "evaluate": ["--clusters", "--labels", "--out"],
 }

@@ -76,30 +76,27 @@ class TestToyEmbeddings:
 
 class TestGenerate:
     def test_counting(self, tmp_path):
-        result = generate(1, 1, 2, seed=5, out_dir=tmp_path)
-        assert result.record_count == 2
-        assert result.pair_count == 1
-        assert len(parse_corpus(result.corpus_path)) == 2
-        gold = [json.loads(line) for line in result.gold_path.read_text(encoding="utf-8").splitlines()]
+        assert generate(1, 1, 2, seed=5, out_dir=tmp_path) == (2, 1)
+        assert len(parse_corpus(tmp_path / "corpus.jsonl")) == 2
+        gold = [json.loads(line) for line in (tmp_path / "gold.jsonl").read_text(encoding="utf-8").splitlines()]
         assert len(gold) == 1
 
     def test_same_seed_is_byte_identical(self, tmp_path):
-        a = generate(3, 4, 2, seed=9, out_dir=tmp_path / "a")
-        b = generate(3, 4, 2, seed=9, out_dir=tmp_path / "b")
-        for pa, pb in [(a.corpus_path, b.corpus_path), (a.gold_path, b.gold_path), (a.embeddings_path, b.embeddings_path)]:
-            assert pa.read_bytes() == pb.read_bytes()
+        generate(3, 4, 2, seed=9, out_dir=tmp_path / "a")
+        generate(3, 4, 2, seed=9, out_dir=tmp_path / "b")
+        for name in ("corpus.jsonl", "gold.jsonl", "embeddings.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_different_seed_differs(self, tmp_path):
-        a = generate(2, 4, 2, seed=1, out_dir=tmp_path / "a")
-        b = generate(2, 4, 2, seed=2, out_dir=tmp_path / "b")
-        assert a.corpus_path.read_bytes() != b.corpus_path.read_bytes()
+        generate(2, 4, 2, seed=1, out_dir=tmp_path / "a")
+        generate(2, 4, 2, seed=2, out_dir=tmp_path / "b")
+        assert (tmp_path / "a" / "corpus.jsonl").read_bytes() != (tmp_path / "b" / "corpus.jsonl").read_bytes()
 
     def test_full_size_output_validates(self, tmp_path):
         """300 records at the acceptance scale, all passing corpus validation
         and all carrying their relation's trigger on the extracted path."""
-        result = generate(4, 25, 3, seed=13, out_dir=tmp_path)
-        assert result.record_count == 300
-        sentences = parse_corpus(result.corpus_path)
+        assert generate(4, 25, 3, seed=13, out_dir=tmp_path) == (300, 100)
+        sentences = parse_corpus(tmp_path / "corpus.jsonl")
         assert len(sentences) == 300
         triggers = {rel.name: rel.trigger for rel in BUILTIN_RELATIONS}
         for sentence in sentences:
@@ -107,21 +104,21 @@ class TestGenerate:
             assert triggers[relation] in shortest_path(sentence).words
 
     def test_pairs_globally_unique(self, tmp_path):
-        result = generate(4, 10, 2, seed=3, out_dir=tmp_path)
-        gold = [json.loads(line) for line in result.gold_path.read_text(encoding="utf-8").splitlines()]
+        generate(4, 10, 2, seed=3, out_dir=tmp_path)
+        gold = [json.loads(line) for line in (tmp_path / "gold.jsonl").read_text(encoding="utf-8").splitlines()]
         pairs = [tuple(g["pair"]) for g in gold]
         assert len(pairs) == len(set(pairs))
 
     def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch):
         """A write that dies partway, of the corpus, the gold file or the
         embeddings, leaves the earlier files byte-identical and no temporary behind."""
-        first = generate(2, 3, 2, seed=1, out_dir=tmp_path)
+        generate(2, 3, 2, seed=1, out_dir=tmp_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         fail_writes_halfway(monkeypatch)
         for write in (
             lambda: generate(2, 3, 2, seed=2, out_dir=tmp_path),
-            lambda: write_gold(first.gold_path, {("a", "b"): ["r"]}),
-            lambda: write_embeddings(first.embeddings_path, {"w": np.ones(2)}),
+            lambda: write_gold(tmp_path / "gold.jsonl", {("a", "b"): ["r"]}),
+            lambda: write_embeddings(tmp_path / "embeddings.txt", {"w": np.ones(2)}),
         ):
             with pytest.raises(WriteFailed):
                 write()
