@@ -150,7 +150,7 @@ def stage_encode(checkpoint_path: str, paths: str | Instances, out_path: str) ->
         if key not in shared:
             vector = modeling.infer_relation_vector(path_ids, encodings)
             if not np.all(np.isfinite(vector)):
-                raise NumericError(f"pair {group.pair}: non-finite relation vector")
+                raise NumericError(f"pair {reprlib.repr(group.pair)}: non-finite relation vector")
             vector.flags.writeable = False
             shared[key] = vector
         vectors[group.pair] = shared[key]

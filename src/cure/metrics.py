@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import reprlib
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -59,7 +60,7 @@ def prf1(
     """
     missing = [item for item in predicted if item not in gold]
     if missing:
-        raise ValidationError(f"items without gold relations: {sorted(map(str, missing))[:5]}")
+        raise ValidationError(f"items without gold relations: {reprlib.repr(sorted(missing))}")
 
     gold_counts = Counter(r for item in predicted for r in gold[item])
     predictions = Counter(predicted.values())

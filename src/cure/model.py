@@ -206,7 +206,7 @@ def read_checkpoint(path: str | Path) -> tuple[ModelParams, tuple[Vocab, Vocab, 
         return ModelConfig(**meta["config"]), tuple(Vocab(string_array(meta["vocab"], key)) for key in _VOCAB_KEYS)
 
     with reading(path, "checkpoint", "rb") as fh:
-        header = fh.readline().decode("utf-8").rstrip("\n")
+        header = fh.readline(len(CHECKPOINT_HEADER) + 1).decode("utf-8").rstrip("\n")
         if header != CHECKPOINT_HEADER:
             raise ValidationError(f"{path}: bad checkpoint header {reprlib.repr(header)}, expected {CHECKPOINT_HEADER!r}")
         cfg, vocabs = parse_line(fh.readline().decode("utf-8"), f"{path}:2", "checkpoint metadata", parse)
@@ -441,23 +441,23 @@ def train(
     cap the encoder inputs at max_input_paths (random subsample), sum losses
     over each batch of size m, clip the global gradient norm, and step. All
     randomness flows from cfg.seed, so identical inputs give bitwise
-    identical parameters. A non-finite example loss or gradient norm is a
-    NumericError naming the epoch and pair, and a non-finite parameter after
-    the last step one naming the epoch and tensor. on_epoch, if given, is
-    called after every epoch with its number (from 1), mean loss and the
-    parameters.
+    identical parameters. A NumericError names the epoch and, shortened by
+    reprlib, what failed: a non-finite example loss its pair, a non-finite
+    gradient norm the pairs of its batch; a non-finite parameter after the
+    last step names the tensor. on_epoch, if given, is called after every
+    epoch with its number (from 1), mean loss and the parameters.
     """
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(cfg, n_words, n_deps, n_pos, rng)
     grads = params.zeros_like()
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(groups))
         example_losses: list[float] = []
         for start in range(0, len(order), cfg.batch_size):
-            for gi in order[start : start + cfg.batch_size]:
+            batch = order[start : start + cfg.batch_size]
+            for gi in batch:
                 pair, paths = groups[int(gi)]
-                where = f"epoch {epoch + 1}, pair {pair}"
                 u = int(rng.integers(len(paths)))
                 inputs = [p for i, p in enumerate(paths) if i != u]
                 if len(inputs) > cfg.max_input_paths:
@@ -465,17 +465,14 @@ def train(
                     inputs = [inputs[i] for i in keep]
                 loss = _path_prediction_loss(params, inputs, paths[u], grads)
                 if not math.isfinite(loss):
-                    raise NumericError(f"{where}: non-finite example loss")
+                    raise NumericError(f"epoch {epoch}, pair {reprlib.repr(pair)}: non-finite example loss")
                 example_losses.append(loss)
-            _apply_batch(params, grads, cfg.learning_rate, where)
+            if not math.isfinite(ad.clip_gradients(grads.flat)):
+                pairs = [groups[int(gi)][0] for gi in batch]
+                raise NumericError(f"epoch {epoch}, pairs {reprlib.repr(pairs)}: non-finite gradient norm")
+            ad.sgd_step(params.flat, grads.flat, cfg.learning_rate)
         if on_epoch is not None:
-            on_epoch(epoch + 1, fmean(example_losses), params)
+            on_epoch(epoch, fmean(example_losses), params)
     # No loss is computed after the last step, so nothing above has seen its result.
     _require_finite(params, f"epoch {cfg.epochs}")
     return params
-
-
-def _apply_batch(params: ModelParams, grads: ModelParams, learning_rate: float, where: str) -> None:
-    if not math.isfinite(ad.clip_gradients(grads.flat)):
-        raise NumericError(f"{where}: non-finite gradient norm")
-    ad.sgd_step(params.flat, grads.flat, learning_rate)

@@ -13,9 +13,6 @@ from typing import Iterable, Sequence
 
 from .corpus import EntitySpan, ParsedSentence, pair_key
 
-PAD = "<PAD>"
-UNK = "<UNK>"
-
 # Tag categories used to pick a representative token out of a multi-token
 # entity span, in preference order. "compound" is deliberately absent.
 SUBJECT_DEPS = frozenset({"nsubj", "nsubjpass", "csubj"})

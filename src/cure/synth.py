@@ -10,6 +10,7 @@ The tests check that each template instantiates to a valid sentence.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -205,9 +206,8 @@ def toy_embeddings(relations: tuple[RelationTemplate, ...]) -> dict[str, np.ndar
             vectors[rel.name] = 0.9 * unit(axis) + 0.436 * unit(EMBED_DIM - 1 - axis)
         axis += 1
     for word in _CONTENT_WORDS:
-        if word not in vectors:
-            vectors[word] = unit(axis)
-            axis += 1
+        vectors[word] = unit(axis)
+        axis += 1
     return vectors
 
 
@@ -226,13 +226,13 @@ def generate(
     with replacement. Identical arguments give byte-identical files.
     """
     if not 1 <= relations <= len(BUILTIN_RELATIONS):
-        raise ValidationError(f"relations must be in [1, {len(BUILTIN_RELATIONS)}]")
+        raise ValidationError(f"--relations must be in [1, {len(BUILTIN_RELATIONS)}], got {reprlib.repr(relations)}")
     if pairs_per_relation < 1:
-        raise ValidationError("pairs_per_relation must be at least 1")
+        raise ValidationError(f"--pairs must be at least 1, got {reprlib.repr(pairs_per_relation)}")
     if sentences_per_pair < 2:
-        raise ValidationError("sentences_per_pair must be at least 2")
+        raise ValidationError(f"--sentences must be at least 2, got {reprlib.repr(sentences_per_pair)}")
     if seed < 0:
-        raise ValidationError("seed must be at least 0")
+        raise ValidationError(f"--seed must be at least 0, got {reprlib.repr(seed)}")
 
     chosen = BUILTIN_RELATIONS[:relations]
     rng = np.random.default_rng(seed)

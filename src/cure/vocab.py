@@ -12,9 +12,11 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import ValidationError, reading, write_atomic
-from .paths import PAD, UNK, SspTriple
+from .paths import SspTriple
 
+PAD = "<PAD>"
 PAD_ID = 0
+UNK = "<UNK>"
 UNK_ID = 1
 
 

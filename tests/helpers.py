@@ -26,7 +26,8 @@ from cure.autodiff import CellWeights, sigmoid
 from cure.corpus import EntitySpan, ParsedSentence, Token
 from cure.errors import ValidationError
 from cure.model import ModelParams, PathIds, _embed, _path_prediction_loss, _position_ids, encode_blocks
-from cure.paths import PAD, SspTriple
+from cure.paths import SspTriple
+from cure.vocab import PAD
 
 
 def make_reagan_sentence() -> ParsedSentence:

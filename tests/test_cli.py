@@ -162,7 +162,16 @@ class TestExitCodes:
 
     def test_synth_with_a_negative_seed_is_2(self, tmp_path, capsys):
         assert run("synth", "--seed", "-1", "--out-dir", str(tmp_path / "synth")) == 2
-        assert "error: seed must be at least 0" in capsys.readouterr().err
+        assert "error: --seed must be at least 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "synth").exists()
+
+    @pytest.mark.parametrize("flag, value, bound", [
+        ("--relations", "0", "must be in [1, 4]"), ("--relations", "5", "must be in [1, 4]"),
+        ("--pairs", "0", "must be at least 1"), ("--sentences", "1", "must be at least 2"),
+    ], ids=["relations 0", "relations 5", "pairs 0", "sentences 1"])
+    def test_synth_names_the_flag_out_of_bounds(self, tmp_path, capsys, flag, value, bound):
+        assert run("synth", flag, value, "--out-dir", str(tmp_path / "synth")) == 2
+        assert f"error: {flag} {bound}, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "synth").exists()
 
     def test_missing_checkpoint_is_2(self, tmp_path, capsys):
@@ -291,23 +300,50 @@ class TestExitCodes:
         assert code == 3
         assert f"parameter {name!r} holds a non-finite value" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_relation_vector_is_3(self, trained, tmp_path, capsys):
+    @staticmethod
+    def nan_vector_checkpoint(ckpt: Path, bad: Path) -> Path:
         """Finite parameters whose LSTM pre-activation is inf - inf: with
         all-ones embeddings, input weights of 1e308 and recurrent weights of
         -1e308, the forward LSTM's input term is +inf at every step and, once
         its state is positive, its recurrent term -inf. Every vector is NaN."""
-        paths, ckpt = trained
         params, vocabs = read_checkpoint(ckpt)
         for table in (params.word_emb, params.dep_emb, params.pos_emb):
             table[...] = 1.0
         params.enc_fwd.U[...] = 1e308
         params.enc_fwd.W[...] = -1e308
-        bad = tmp_path / "model.ckpt"
         write_checkpoint(bad, params, vocabs)
-        out = tmp_path / "v.jsonl"
+        return bad
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_relation_vector_is_3(self, trained, tmp_path, capsys):
+        paths, ckpt = trained
+        bad, out = self.nan_vector_checkpoint(ckpt, tmp_path / "model.ckpt"), tmp_path / "v.jsonl"
         assert run("encode", "--checkpoint", str(bad), "--paths-file", str(paths), "--out", str(out)) == 3
         assert re.search(r"numeric error: pair \('\w+', '\w+'\): non-finite relation vector", capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_relation_vector_of_a_long_pair_is_shortened(self, trained, tmp_path, capsys):
+        paths, ckpt = trained
+        records = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()]
+        long = write_jsonl(tmp_path / "p.jsonl", [{**rec, "pair": ["x" * 5000, rec["pair"][1]]} for rec in records])
+        bad = self.nan_vector_checkpoint(ckpt, tmp_path / "model.ckpt")
+        assert run("encode", "--checkpoint", str(bad), "--paths-file", str(long), "--out", str(tmp_path / "v")) == 3
+        err = capsys.readouterr().err.rstrip("\n")
+        assert len(err.encode()) < 300 and "\n" not in err and "non-finite relation vector" in err, err[:400]
+
+    def test_pair_without_gold_is_shortened_in_the_error(self, tiny_setup, tmp_path, capsys):
+        """evaluate refuses a clustered pair that gold lacks, quoting it shortened."""
+        root, cfg = tiny_setup
+        gold = [json.loads(line) for line in (root / "gold.jsonl").read_text(encoding="utf-8").splitlines()]
+        pairs = [rec["pair"] for rec in gold] + [["x" * 5000, "o"]]
+        clusters = write_jsonl(tmp_path / "c.jsonl", [{"cluster": 0, "pair": pair} for pair in pairs])
+        labels = write_jsonl(tmp_path / "l.jsonl", [{"cluster": 0, "labels": [[gold[0]["relations"][0], 1.0]]}])
+        out = tmp_path / "s.csv"
+        argv = ["evaluate", "--config", str(cfg), "--clusters", str(clusters), "--labels", str(labels), "--out", str(out)]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.rstrip("\n")
+        assert len(err.encode()) < 300 and "\n" not in err and "items without gold relations" in err, err[:400]
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the distance overflows
@@ -701,6 +737,18 @@ class TestMalformedArtifacts:
     def test_v2_checkpoint(self, trained, tmp_path, capsys):
         """The v2 layout (per-tensor text blocks after the meta line) is refused by its header."""
         self.assert_header_refused(trained, tmp_path, capsys, "CURE-MODEL v2")
+
+    def test_newline_free_file_is_refused_by_its_first_bytes(self, trained, tmp_path, capsys):
+        """The header is read as at most its own length and a newline, so a
+        20 MB file without a newline is refused without being read whole."""
+        argv = self.encode_argv(trained, tmp_path, b"x" * (20 * 2**20))
+        tracemalloc.start()
+        try:
+            self.assert_exit_2(capsys, argv, str(tmp_path / "model.ckpt"), "bad checkpoint header")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(data=st.data())

@@ -10,8 +10,8 @@ import pytest
 
 from cure import artifacts
 from cure.model import ModelConfig, ModelParams, read_checkpoint, write_checkpoint
-from cure.paths import PAD, UNK, SspTriple
-from cure.vocab import Vocab
+from cure.paths import SspTriple
+from cure.vocab import PAD, UNK, Vocab
 
 MB = 2**20
 

@@ -25,8 +25,8 @@ from cure.model import (
     train,
     write_checkpoint,
 )
-from cure.paths import PAD, UNK, PairGroup, SspTriple
-from cure.vocab import UNK_ID, Vocab
+from cure.paths import PairGroup, SspTriple
+from cure.vocab import PAD, UNK, UNK_ID, Vocab
 
 from helpers import (
     WriteFailed,
@@ -430,13 +430,27 @@ class TestTrain:
         assert len({inputs for inputs, _ in runs[0]}) > 1
 
     def test_nonfinite_gradient_norm_names_epoch_and_pair(self, monkeypatch):
-        def clip(grad, max_norm=ad.GRAD_CLIP_NORM):
-            return math.inf
-
-        monkeypatch.setattr(ad, "clip_gradients", clip)
+        """The norm belongs to the whole batch, which at batch_size 2 holds both pairs."""
+        monkeypatch.setattr(ad, "clip_gradients", lambda grad, max_norm=ad.GRAD_CLIP_NORM: math.inf)
         cfg = tiny_config()
-        with pytest.raises(NumericError, match=r"epoch 1, pair \('[A-D]', '[A-D]'\): non-finite gradient norm"):
+        assert cfg.batch_size == 2
+        with pytest.raises(NumericError) as err:
             train(self.groups(cfg), cfg, 10, 5, 5)
+        assert str(err.value) in (
+            "epoch 1, pairs [('A', 'B'), ('C', 'D')]: non-finite gradient norm",
+            "epoch 1, pairs [('C', 'D'), ('A', 'B')]: non-finite gradient norm",
+        )
+
+    @pytest.mark.parametrize("failure", ["example loss", "gradient norm"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_long_pair_name_is_shortened_in_the_error(self, monkeypatch, failure):
+        cfg = tiny_config(epochs=2, batch_size=1, learning_rate=1e308)
+        if failure == "gradient norm":
+            monkeypatch.setattr(ad, "clip_gradients", lambda grad, max_norm=ad.GRAD_CLIP_NORM: math.inf)
+        groups = [(("x" * 5000, "o" * 5000), paths) for _, paths in self.groups(cfg)]
+        with pytest.raises(NumericError, match=f"non-finite {failure}$") as err:
+            train(groups, cfg, 10, 5, 5)
+        assert str(err.value).startswith("epoch ") and len(str(err.value)) < 200, str(err.value)[:300]
 
 
 class TestInference:

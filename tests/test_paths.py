@@ -5,12 +5,8 @@ from hypothesis import strategies as st
 
 from cure.corpus import EntitySpan, ParsedSentence, Token, validate_sentence
 from cure.errors import ValidationError
-from cure.paths import (
-    PAD,
-    SspTriple,
-    representative_token,
-    shortest_path,
-)
+from cure.paths import SspTriple, representative_token, shortest_path
+from cure.vocab import PAD
 
 from helpers import bfs_tree_path, make_reagan_sentence, pad_or_truncate, random_tree_sentence
 

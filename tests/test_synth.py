@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -126,12 +127,14 @@ class TestGenerate:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_argument_validation(self, tmp_path):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=re.escape("--relations must be in [1, 4], got 5")):
             generate(5, 1, 2, 0, tmp_path)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="--pairs must be at least 1, got 0"):
             generate(1, 0, 2, 0, tmp_path)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="--sentences must be at least 2, got 1"):
             generate(1, 1, 1, 0, tmp_path)
+        with pytest.raises(ValidationError, match="--seed must be at least 0, got -1"):
+            generate(1, 1, 2, -1, tmp_path)
         # 24 names cap the pairs at 24 * 23 / 2 = 276: 4 x 69 fit, 4 x 70 do not.
         with pytest.raises(ValidationError, match="too many pairs requested for a 24-name pool"):
             generate(4, 70, 2, 0, tmp_path)

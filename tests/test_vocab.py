@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cure.errors import ValidationError
-from cure.paths import PAD, UNK, SspTriple
-from cure.vocab import PAD_ID, UNK_ID, Vocab, build_vocab, load_pretrained
+from cure.paths import SspTriple
+from cure.vocab import PAD, PAD_ID, UNK, UNK_ID, Vocab, build_vocab, load_pretrained
 
 
 def path_of(*words):
