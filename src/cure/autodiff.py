@@ -7,12 +7,20 @@ input) and `b`; one step then takes one matmul with each over every
 sequence of the batch. The encoder's forward and backward LSTMs run as one
 recurrence: each direction's products are those it would compute alone, so
 the results are bit-identical to two single-direction runs, and the gates'
-elementwise math runs once per step for both. A GRU stacks its update,
-reset and candidate gates (z, r, h) the same way, except that here `W` acts
-on the input and `U` on the hidden state; the candidate's `U` rows multiply
-the reset-gated state, so they run as a second matmul. Each backward pass
-reuses the activations its forward pass cached, and adds its weight
-gradients into caller-owned arrays, so a batch's gradients accumulate with +=.
+elementwise math runs once per step for both. Each step loop holds only
+what depends on the previous step; the backward pass computes the factors
+that do not, for all steps at once. A forward pass run without history
+keeps one step of cell states and gates, for a caller that needs only the
+hidden states.
+
+A GRU stacks its update, reset and candidate gates (z, r, h) the same way,
+except that here `W` acts on the input and `U` on the hidden state; the
+candidate's `U` rows multiply the reset-gated state, so they run as a second
+matmul. The decoder steps its GRU in model, where each step's input is
+computed from the last state; the weight gradients, which follow from all
+steps at once, are here. Each backward pass reuses the activations its
+forward pass cached, and adds its weight gradients into caller-owned
+arrays, so a batch's gradients accumulate with +=.
 
 Also here: softmax cross entropy, global-norm gradient clipping and the SGD
 step.
@@ -56,13 +64,15 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class BiLstmCache:
     """Activations of one bidirectional forward pass, as its backward pass
     needs them. Each step's units are one flat row of m = B (h0 + h1):
-    direction 0's batch (B, h0), then direction 1's (B, h1)."""
+    direction 0's batch (B, h0), then direction 1's (B, h1). A pass run
+    without history keeps one step of cs, gates and tanh_c, the last, and
+    serves no backward pass."""
 
     xs: np.ndarray  # (T, B, d) inputs, in input order
     hs: np.ndarray  # (T + 1, m) hidden states, each direction's in its own step order; hs[0] = 0
-    cs: np.ndarray  # (T + 1, m) cell states, cs[0] = 0
-    gates: np.ndarray  # (T, 4, m) o, f, i after the sigmoid, candidate after tanh
-    tanh_c: np.ndarray  # (T, m)
+    cs: np.ndarray  # (T + 1, m) cell states, cs[0] = 0; without history (1, m)
+    gates: np.ndarray  # (T, 4, m) o, f, i after the sigmoid, candidate after tanh; without history (1, 4, m)
+    tanh_c: np.ndarray  # (T, m); without history (1, m)
     cut: int  # B h0, where direction 1's units start
 
     def by_direction(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -71,40 +81,48 @@ class BiLstmCache:
         return rows[..., : self.cut].reshape(shape), rows[..., self.cut :].reshape(shape)
 
 
-def bilstm_forward(cells: tuple[CellWeights, CellWeights], xs: np.ndarray) -> BiLstmCache:
+def bilstm_forward(cells: tuple[CellWeights, CellWeights], xs: np.ndarray, history: bool = True) -> BiLstmCache:
     """Run a forward-in-time LSTM (cells[0]) and a backward-in-time one
     (cells[1]) over xs (T, B, d) from zero state, one step of both at a
-    time. Their hidden states are cache.by_direction(cache.hs[1:])."""
+    time. Their hidden states are cache.by_direction(cache.hs[1:]). With
+    history False, every step overwrites one step's cell state, gates and
+    tanh(c) in place, for a caller that needs only the hidden states; the
+    products and their results are the same."""
     steps, batch, _ = xs.shape
     m = batch * sum(cell.W.shape[1] for cell in cells)  # the gates' math runs on flat rows: the cheapest numpy calls
+    kept = steps if history else 1
     cache = BiLstmCache(
-        xs, np.zeros((steps + 1, m)), np.zeros((steps + 1, m)), np.empty((steps, 4, m)), np.empty((steps, m)),
-        batch * cells[0].W.shape[1],
+        xs, np.zeros((steps + 1, m)), np.zeros((steps + 1 if history else 1, m)), np.empty((kept, 4, m)),
+        np.empty((kept, m)), batch * cells[0].W.shape[1],
     )
-    hs, cs, tanh_c, gates = cache.hs, cache.cs, cache.tanh_c, cache.gates.reshape(steps, 4 * m)
+    hs, cs, tanh_c, gates = cache.hs, cache.cs, cache.tanh_c, cache.gates.reshape(kept, 4 * m)
     pre, ic = np.empty((4, m)), np.empty(m)  # z + b gate-major, and i * candidate
     # Each product is the one a single-direction LSTM step computes, with the
     # same shapes and memory layout, so it rounds exactly as that step's. The
     # inputs are projected per step, not as one (T * B)-row product: at
     # encode's batch of a few hundred paths that product takes the BLAS's
     # threaded path, about 2x slower on a 2-CPU host (310 against 167 us).
-    zs = [np.empty((batch, 4 * cell.W.shape[1])) for cell in cells]
-    directions = list(zip(
-        [(cell.U.T, cell.W.T, cell.b.reshape(4, 1, -1)) for cell in cells], zs,
-        [z.reshape(batch, 4, -1).transpose(1, 0, 2) for z in zs], cache.by_direction(pre), cache.by_direction(hs),
-    ))
+    (u0, w0, b0), (u1, w1, b1) = ((cell.U.T, cell.W.T, cell.b.reshape(4, 1, -1)) for cell in cells)
+    z0, z1 = (np.empty((batch, 4 * cell.W.shape[1])) for cell in cells)
+    z0_by_gate, z1_by_gate = (z.reshape(batch, 4, -1).transpose(1, 0, 2) for z in (z0, z1))
+    pre0, pre1 = cache.by_direction(pre)
+    h0, h1 = cache.by_direction(hs)
     pre = pre.reshape(4 * m)
-    for t in range(steps):
-        for ((u_t, w_t, b), z, z_by_gate, pre_k, h_k), x in zip(directions, (xs[t], xs[steps - 1 - t])):
-            x.dot(u_t, out=z)
-            z += h_k[t].dot(w_t)
-            np.add(z_by_gate, b, out=pre_k)
-        g = gates[t]
+    # The row of step t's cell state, gates and tanh(c), and of the cell state it writes.
+    rows = [(t, t + 1) for t in range(steps)] if history else [(0, 0)] * steps
+    for t, (k, k_next) in enumerate(rows):
+        xs[t].dot(u0, out=z0)
+        z0 += h0[t].dot(w0)
+        np.add(z0_by_gate, b0, out=pre0)
+        xs[steps - 1 - t].dot(u1, out=z1)
+        z1 += h1[t].dot(w1)
+        np.add(z1_by_gate, b1, out=pre1)
+        g = gates[k]
         sigmoid(pre[: 3 * m], out=g[: 3 * m])
         np.tanh(pre[3 * m :], out=g[3 * m :])
-        c = np.multiply(g[m : 2 * m], cs[t], out=cs[t + 1])
+        c = np.multiply(g[m : 2 * m], cs[k], out=cs[k_next])
         c += np.multiply(g[2 * m : 3 * m], g[3 * m :], out=ic)
-        np.multiply(g[:m], np.tanh(c, out=tanh_c[t]), out=hs[t + 1])
+        np.multiply(g[:m], np.tanh(c, out=tanh_c[k]), out=hs[t + 1])
     return cache
 
 
@@ -112,8 +130,9 @@ def bilstm_backward(
     cells: tuple[CellWeights, CellWeights], grads: tuple[CellWeights, CellWeights], cache: BiLstmCache, d_hs: np.ndarray
 ) -> np.ndarray:
     """Backpropagate d_hs (T, m), the loss gradient on the output states,
-    laid out as cache.hs[1:]. Adds each cell's weight gradients into grads
-    and returns the input gradient (T, B, d)."""
+    laid out as cache.hs[1:], through a forward pass run with history. Adds
+    each cell's weight gradients into grads and returns the input gradient
+    (T, B, d)."""
     steps, batch, d = cache.xs.shape
     m = cache.hs.shape[1]
     o, f, i, cand = cache.gates.transpose(1, 0, 2)
@@ -121,23 +140,29 @@ def bilstm_backward(
     # Per-step factors that do not depend on the recurrence, for all steps at
     # once: of o from dh, then of f, i and c from dc.
     d_c_from_h = o * (1.0 - tanh_c * tanh_c)
-    factors = np.stack([tanh_c * o * (1.0 - o), cs[:-1] * f * (1.0 - f), cand * i * (1.0 - i), i * (1.0 - cand * cand)])
+    factors = np.empty((4, steps, m))
+    np.multiply(tanh_c * o, 1.0 - o, out=factors[0])
+    np.multiply(cs[:-1] * f, 1.0 - f, out=factors[1])
+    np.multiply(cand * i, 1.0 - i, out=factors[2])
+    np.multiply(i, 1.0 - cand * cand, out=factors[3])
 
     d_pre = [np.empty((steps, batch, 4 * cell.W.shape[1])) for cell in cells]
     d_gates, dh, dc = np.empty((4, m)), np.zeros(m), np.zeros(m)
-    directions = list(zip(
-        cells, d_pre, [dp.reshape(steps, batch, 4, -1).transpose(0, 2, 1, 3) for dp in d_pre],
-        cache.by_direction(d_gates), cache.by_direction(dh),
-    ))
+    w0, w1 = (cell.W for cell in cells)
+    dp0, dp1 = d_pre
+    dp0_by_gate, dp1_by_gate = (dp.reshape(steps, batch, 4, -1).transpose(0, 2, 1, 3) for dp in d_pre)
+    d_gates0, d_gates1 = cache.by_direction(d_gates)
+    dh0, dh1 = cache.by_direction(dh)
     for t in range(steps - 1, -1, -1):
         dh += d_hs[t]
         dc += dh * d_c_from_h[t]
         np.multiply(dh, factors[0, t], out=d_gates[0])
         np.multiply(dc, factors[1:, t], out=d_gates[1:])
         dc *= f[t]
-        for cell, dp, dp_by_gate, d_gates_k, dh_k in directions:
-            dp_by_gate[t] = d_gates_k
-            dp[t].dot(cell.W, out=dh_k)
+        dp0_by_gate[t] = d_gates0
+        dp0[t].dot(w0, out=dh0)
+        dp1_by_gate[t] = d_gates1
+        dp1[t].dot(w1, out=dh1)
 
     d_xs = []
     inputs = (cache.xs, cache.xs[::-1])
@@ -151,42 +176,9 @@ def bilstm_backward(
 
 
 # ---------------------------------------------------------------------------
-# GRU, one step at a time (the decoder computes each step's input from the last state)
+# GRU weight gradients (the decoder's steps are in model: each step's input
+# comes from the attention over the last state)
 # ---------------------------------------------------------------------------
-
-
-def gru_step(
-    p: CellWeights, x: np.ndarray, h_prev: np.ndarray, h: np.ndarray, zr: np.ndarray, cand: np.ndarray
-) -> None:
-    """New state h = z * h_prev + (1 - z) * tanh(W_h x + U_h (r * h_prev) + b_h),
-    written into h, with the activations gru_step_backward needs: z|r into
-    zr and the candidate into cand."""
-    g = h_prev.shape[0]
-    xw = p.W.dot(x)
-    xw += p.b
-    sigmoid(np.add(xw[: 2 * g], p.U[: 2 * g].dot(h_prev), out=zr), out=zr)
-    np.tanh(np.add(xw[2 * g :], p.U[2 * g :].dot(zr[g:] * h_prev), out=cand), out=cand)
-    np.multiply(zr[:g], h_prev, out=h)
-    h += (1.0 - zr[:g]) * cand
-
-
-def gru_step_backward(
-    p: CellWeights, h_prev: np.ndarray, zr: np.ndarray, cand: np.ndarray, dh: np.ndarray, d_pre: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of one step from dh: writes the pre-activation gradient (3g,
-    z|r|h rows) into d_pre, returns the input's and the previous state's.
-
-    The weight gradients follow from the pre-activation gradients of all
-    steps at once; see gru_weight_grads.
-    """
-    g = h_prev.shape[0]
-    z, r = zr[:g], zr[g:]
-    np.multiply(dh * (1.0 - z), 1.0 - cand * cand, out=d_pre[2 * g :])
-    d_rh = p.U[2 * g :].T.dot(d_pre[2 * g :])
-    np.multiply(dh * (h_prev - cand) * z, 1.0 - z, out=d_pre[:g])
-    np.multiply(d_rh * h_prev * r, 1.0 - r, out=d_pre[g : 2 * g])
-    d_h_prev = dh * z + d_rh * r + p.U[: 2 * g].T.dot(d_pre[: 2 * g])
-    return p.W.T.dot(d_pre), d_h_prev
 
 
 def gru_weight_grads(

@@ -65,7 +65,7 @@ def validate_sentence(sentence: ParsedSentence) -> None:
         if i == roots[0]:
             continue
         if not 0 <= tok.head < n:
-            raise error(f"token {i} head {tok.head} out of range")
+            raise error(f"token {i} head {reprlib.repr(tok.head)} out of range")
 
     # Every token must reach the root; a cycle shows up as a walk longer than n.
     for i in range(n):
@@ -123,6 +123,11 @@ def sentence_to_record(sentence: ParsedSentence) -> dict:
 # type, an integer too large for a float.
 RECORD_ERRORS = (KeyError, TypeError, IndexError, ValueError, OverflowError)
 
+# Such an error's repr, shortened in the middle past 120 characters: one raised
+# outside cure (numpy's "could not convert string to float: '...'") can quote an input whole.
+_RECORD_ERROR_REPR = reprlib.Repr()
+_RECORD_ERROR_REPR.maxother = 120
+
 
 def integer(value: Any, name: str) -> int:
     """value, which must be a JSON integer: a float (1.7 or 1.0) or a bool,
@@ -163,8 +168,8 @@ def parse_line(line: str, where: str, what: str, parse: Callable[[Any], T]) -> T
     JSON, or whose value parse() cannot read, is a ValidationError naming
     `where` (`<file>:<line>`): `<where>: invalid JSON (...)`, `<where>:
     malformed <what> (...)` for a missing key, a wrong type, a number too
-    large for a float or a non-finite one, or `<where>: ` before a
-    ValidationError's text."""
+    large for a float or a non-finite one, its text shortened, or `<where>: `
+    before a ValidationError's text."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -176,7 +181,7 @@ def parse_line(line: str, where: str, what: str, parse: Callable[[Any], T]) -> T
     try:
         return parse(record)
     except RECORD_ERRORS as exc:
-        raise ValidationError(f"{where}: malformed {what} ({exc!r})") from exc
+        raise ValidationError(f"{where}: malformed {what} ({_RECORD_ERROR_REPR.repr(exc)})") from exc
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 

@@ -15,10 +15,15 @@ GRU state. No ground-truth word is fed back in.
 Training predicts one held-out path of a pair from the pair's remaining
 paths, with cross entropy averaged over the target's unpadded length. The
 forward and backward passes are written out by hand (see autodiff): all
-input paths of an example run through the encoder as one batch, with both
+input paths of an example run through the encoder as one batch, taken by
+index from its pair's id table (built once, before the epochs), with both
 LSTM directions stepped together, and the decoder runs only the target's
 unpadded steps, since later steps never reach the loss, writing each step
-into preallocated rows.
+into preallocated rows. Each step loop holds only the calls that depend on
+the previous step, yet computes every product and elementwise product a
+single step would, so results are bit-identical to one GRU kernel call per
+step (tests/helpers.py). Encoding keeps no forward history beyond the
+hidden states.
 
 Also here: the config, each integer key bounded below beside its default,
 and the checkpoint file, which holds the config, the vocabularies and the
@@ -266,10 +271,12 @@ def _fit(ids: tuple[int, ...], n_l: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _position_ids(paths: Sequence[PathIds]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Word, dependency and POS ids, each (n_l, len(paths))."""
-    return tuple(
-        np.array([getattr(p, key) for p in paths], dtype=np.intp).T for key in ("word_ids", "dep_ids", "pos_ids")
+def id_table(paths: Sequence[PathIds]) -> np.ndarray:
+    """Word, dependency and POS ids of paths, (3, len(paths), n_l): what
+    encode_blocks takes. A selection of its paths, in any order, is
+    table.take(index, axis=1)."""
+    return np.array(
+        [[p.word_ids for p in paths], [p.dep_ids for p in paths], [p.pos_ids for p in paths]], dtype=np.intp
     )
 
 
@@ -278,27 +285,29 @@ def _embed(params: ModelParams, ids: tuple[np.ndarray, np.ndarray, np.ndarray]) 
     return np.concatenate([params.word_emb[words], params.dep_emb[deps], params.pos_emb[poss]], axis=2)
 
 
-def encode_blocks(params: ModelParams, paths: Sequence[PathIds]) -> tuple[np.ndarray, tuple]:
-    """Per-position concatenated forward/backward LSTM states of every path,
-    (len(paths), n_l, n_h + n_h2), all paths run as one batch through both
-    directions at once, and what encoder_backward needs: the word,
-    dependency and POS ids, each (n_l, len(paths)), and the LSTM cache."""
-    ids = _position_ids(paths)
-    lstm = ad.bilstm_forward((params.enc_fwd, params.enc_bwd), _embed(params, ids))
+def encode_blocks(params: ModelParams, table: np.ndarray, history: bool = True) -> tuple[np.ndarray, tuple]:
+    """Per-position concatenated forward/backward LSTM states of every path
+    of an id_table, (len(paths), n_l, n_h + n_h2), all paths run as one batch
+    through both directions at once, and what encoder_backward needs: the
+    word, dependency and POS ids, each (n_l, len(paths)), and the LSTM
+    cache, which keeps the whole forward history only when history is True."""
+    ids = tuple(table.transpose(0, 2, 1))
+    lstm = ad.bilstm_forward((params.enc_fwd, params.enc_bwd), _embed(params, ids), history)
     forward, backward = lstm.by_direction(lstm.hs[1:])
     blocks = np.concatenate([forward, backward[::-1]], axis=2).transpose(1, 0, 2)
     return blocks, (ids, lstm)
 
 
-def encoder_backward(params: ModelParams, grads: ModelParams, cache: tuple, d_blocks: np.ndarray) -> None:
-    """Backpropagate d_blocks (len(paths), n_l, n_h + n_h2) through an
-    encode_blocks run, adding the LSTM and embedding gradients into grads."""
+def encoder_backward(params: ModelParams, grads: ModelParams, cache: tuple, d_summed: np.ndarray) -> None:
+    """Backpropagate d_summed (n_l, n_h + n_h2), the gradient on the sum of
+    an encode_blocks run's blocks over its paths (so on each path's blocks),
+    adding the LSTM and embedding gradients into grads."""
     cfg = params.cfg
     (words, deps, poss), lstm = cache
-    d_states = d_blocks.transpose(1, 0, 2)
     d_hs = np.empty(lstm.tanh_c.shape)  # laid out as the LSTM states
-    for rows, own in zip(lstm.by_direction(d_hs), (d_states[..., : cfg.n_h], d_states[::-1, :, cfg.n_h :])):
-        rows[...] = own
+    forward, backward = lstm.by_direction(d_hs)
+    forward[...] = d_summed[:, None, : cfg.n_h]  # broadcast over the paths
+    backward[...] = d_summed[::-1, None, cfg.n_h :]
     d_xs = ad.bilstm_backward((params.enc_fwd, params.enc_bwd), (grads.enc_fwd, grads.enc_bwd), lstm, d_hs)
     np.add.at(grads.word_emb, words, d_xs[..., : cfg.d_w])
     np.add.at(grads.dep_emb, deps, d_xs[..., cfg.d_w : cfg.d_w + cfg.d_d])
@@ -306,7 +315,8 @@ def encoder_backward(params: ModelParams, grads: ModelParams, cache: tuple, d_bl
 
 
 def encode_distinct(params: ModelParams, paths: Sequence[PathIds]) -> dict[PathIds, np.ndarray]:
-    """The encoding of each distinct path among paths, all run as one batch.
+    """The encoding of each distinct path among paths, all run as one batch
+    that keeps no forward history.
 
     A row of a batched matmul can round differently with the batch's size,
     so encoding every path of a stage in one call is what makes identical
@@ -315,7 +325,8 @@ def encode_distinct(params: ModelParams, paths: Sequence[PathIds]) -> dict[PathI
     distinct = list(dict.fromkeys(paths))
     if not distinct:
         return {}
-    return dict(zip(distinct, encode_blocks(params, distinct)[0].reshape(len(distinct), -1)))
+    blocks = encode_blocks(params, id_table(distinct), history=False)[0]
+    return dict(zip(distinct, blocks.reshape(len(distinct), -1)))
 
 
 def infer_relation_vector(paths: Sequence[PathIds], encodings: Mapping[PathIds, np.ndarray]) -> np.ndarray:
@@ -348,7 +359,10 @@ class DecoderPass:
 
 def decode_path(params: ModelParams, blocks: np.ndarray, n: int) -> DecoderPass:
     """Word logits for the first n steps, attending over the relation-vector
-    blocks (n_l, n_h + n_h2)."""
+    blocks (n_l, n_h + n_h2). Each step's input depends on the last state,
+    so the GRU steps one at a time, on weight slices and scratch rows bound
+    before the loop: z|r = sigmoid(W_zr x + b_zr + U_zr h_prev), candidate =
+    tanh(W_h x + b_h + U_h (r * h_prev)), h = z * h_prev + (1 - z) * candidate."""
     cfg = params.cfg
     g, bd = cfg.n_g, cfg.block_dim
     weights = np.empty((n, cfg.n_l))
@@ -357,29 +371,46 @@ def decode_path(params: ModelParams, blocks: np.ndarray, n: int) -> DecoderPass:
     hs = np.zeros((n + 1, g))
     zrs = np.empty((n, 2 * g))
     cands = np.empty((n, g))
-    scores = np.empty(cfg.n_l)
+    scores, xw, reset, blend = np.empty(cfg.n_l), np.empty(3 * g), np.empty(g), np.empty(g)
+    xw_zr, xw_h = xw[: 2 * g], xw[2 * g :]
+    attn_w, attn_b, ctx_w = params.attn_w, params.attn_b, params.ctx_w
+    w, u_zr, u_h, b = params.dec.W, params.dec.U[: 2 * g], params.dec.U[2 * g :], params.dec.b
     for t in range(n):
-        np.add(params.attn_w.dot(hs[t]), params.attn_b, out=scores)
+        h_prev, zr, cand = hs[t], zrs[t], cands[t]
+        np.add(attn_w.dot(h_prev), attn_b, out=scores)
         scores -= scores.max()
         e = np.exp(scores, out=weights[t])
         e /= e.sum()
         e.dot(blocks, out=joined[t, :bd])
         if t:
             joined[t, bd:] = contexts[t - 1]
-        params.ctx_w.dot(joined[t], out=contexts[t])
-        ad.gru_step(params.dec, contexts[t], hs[t], hs[t + 1], zrs[t], cands[t])
+        w.dot(ctx_w.dot(joined[t], out=contexts[t]), out=xw)
+        xw += b
+        ad.sigmoid(np.add(xw_zr, u_zr.dot(h_prev), out=zr), out=zr)
+        z = zr[:g]
+        np.tanh(np.add(xw_h, u_h.dot(np.multiply(zr[g:], h_prev, out=reset)), out=cand), out=cand)
+        h = np.multiply(z, h_prev, out=hs[t + 1])
+        h += np.multiply(np.subtract(1.0, z, out=blend), cand, out=blend)
     logits = hs[1:] @ params.out_w.T + params.out_b
     return DecoderPass(blocks, weights, joined, contexts, hs, zrs, cands, logits)
 
 
 def decoder_backward(params: ModelParams, grads: ModelParams, run: DecoderPass, d_logits: np.ndarray) -> np.ndarray:
     """Backpropagate d_logits (n, n_words) through a decoder run: adds the
-    decoder's weight gradients into grads, returns the blocks' gradient."""
+    decoder's weight gradients into grads, returns the blocks' gradient.
+
+    The factors of the GRU's pre-activation gradients that do not depend on
+    the recurrence (1 - z, 1 - candidate^2, h_prev - candidate, 1 - r) are
+    computed for all steps before the loop; each step multiplies its state
+    gradient by them left to right, dh first, as one step alone would."""
     g, bd = params.cfg.n_g, params.cfg.block_dim
     n = d_logits.shape[0]
     grads.out_w += d_logits.T @ run.hs[1:]
     grads.out_b += d_logits.sum(axis=0)
     d_h_out = d_logits @ params.out_w
+    h_prevs, zs, rs = run.hs[:-1], run.zrs[:, :g], run.zrs[:, g:]
+    one_minus_z, one_minus_r = 1.0 - zs, 1.0 - rs
+    one_minus_cand2, h_minus_cand = 1.0 - run.cands * run.cands, h_prevs - run.cands
     d_gru = np.empty((n, 3 * g))
     d_ctx = np.empty((n, g))
     d_joined = np.empty((n, bd + g))
@@ -387,20 +418,35 @@ def decoder_backward(params: ModelParams, grads: ModelParams, run: DecoderPass, 
     d_scores = np.empty((n, params.cfg.n_l))
     dh = np.zeros(g)
     d_ctx_next = np.zeros(g)  # reaches context t through step t + 1's joined input
+    w_t, u_zr_t, u_h_t = params.dec.W.T, params.dec.U[: 2 * g].T, params.dec.U[2 * g :].T
+    attn_w, ctx_w, blocks, weights = params.attn_w, params.ctx_w, run.blocks, run.weights
     for t in range(n - 1, -1, -1):
         dh += d_h_out[t]
-        d_x, dh = ad.gru_step_backward(params.dec, run.hs[t], run.zrs[t], run.cands[t], dh, d_gru[t])
-        np.add(d_x, d_ctx_next, out=d_ctx[t]).dot(params.ctx_w, out=d_joined[t])
+        d_pre, z, r, h_prev = d_gru[t], zs[t], rs[t], h_prevs[t]
+        d_z, d_r, d_cand = d_pre[:g], d_pre[g : 2 * g], d_pre[2 * g :]
+        np.multiply(dh, one_minus_z[t], out=d_cand)
+        d_cand *= one_minus_cand2[t]
+        d_rh = u_h_t.dot(d_cand)
+        np.multiply(dh, h_minus_cand[t], out=d_z)
+        d_z *= z
+        d_z *= one_minus_z[t]
+        np.multiply(d_rh, h_prev, out=d_r)
+        d_r *= r
+        d_r *= one_minus_r[t]
+        dh *= z  # the previous state's gradient: dh z + d_rh r + U_zr^T d_zr
+        dh += np.multiply(d_rh, r, out=d_rh)
+        dh += u_zr_t.dot(d_pre[: 2 * g])
+        np.add(w_t.dot(d_pre), d_ctx_next, out=d_ctx[t]).dot(ctx_w, out=d_joined[t])
         d_ctx_next = d_joined[t, bd:]
-        a = run.weights[t]
-        d_a = run.blocks.dot(d_focus[t])
+        a = weights[t]
+        d_a = blocks.dot(d_focus[t])
         d_a -= a.dot(d_a)
-        dh += np.multiply(a, d_a, out=d_scores[t]).dot(params.attn_w)
-    ad.gru_weight_grads(grads.dec, d_gru, run.contexts, run.hs[:-1], run.zrs)
+        dh += np.multiply(a, d_a, out=d_scores[t]).dot(attn_w)
+    ad.gru_weight_grads(grads.dec, d_gru, run.contexts, h_prevs, run.zrs)
     grads.ctx_w += d_ctx.T @ run.joined
-    grads.attn_w += d_scores.T @ run.hs[:-1]
+    grads.attn_w += d_scores.T @ h_prevs
     grads.attn_b += d_scores.sum(axis=0)
-    return run.weights.T @ d_focus
+    return weights.T @ d_focus
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +455,18 @@ def decoder_backward(params: ModelParams, grads: ModelParams, run: DecoderPass, 
 
 
 def _path_prediction_loss(
-    params: ModelParams, inputs: Sequence[PathIds], target: PathIds, grads: ModelParams | None = None
+    params: ModelParams, inputs: np.ndarray, target: PathIds, grads: ModelParams | None = None
 ) -> float:
     """Mean cross entropy of the target's unpadded words, decoded from the sum
-    of the inputs' encodings; with grads, also adds the loss gradient into grads."""
+    of the encodings of inputs, an id_table; with grads, also adds the loss
+    gradient into grads."""
     blocks, cache = encode_blocks(params, inputs)
     n = target.true_length
     run = decode_path(params, blocks.sum(axis=0), n)
     losses, d_logits = ad.softmax_cross_entropy(run.logits, target.word_ids[:n])
     loss = float(losses.sum()) / n
     if grads is not None:
-        d_summed = decoder_backward(params, grads, run, d_logits / n)
-        encoder_backward(params, grads, cache, np.broadcast_to(d_summed, blocks.shape))
+        encoder_backward(params, grads, cache, decoder_backward(params, grads, run, d_logits / n))
     return loss
 
 
@@ -450,6 +496,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     params = ModelParams(cfg, n_words, n_deps, n_pos, rng)
     grads = params.zeros_like()
+    tables = [id_table(paths) for _, paths in groups]
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(groups))
@@ -459,11 +506,11 @@ def train(
             for gi in batch:
                 pair, paths = groups[int(gi)]
                 u = int(rng.integers(len(paths)))
-                inputs = [p for i, p in enumerate(paths) if i != u]
-                if len(inputs) > cfg.max_input_paths:
-                    keep = sorted(rng.choice(len(inputs), size=cfg.max_input_paths, replace=False).tolist())
-                    inputs = [inputs[i] for i in keep]
-                loss = _path_prediction_loss(params, inputs, paths[u], grads)
+                index = [i for i in range(len(paths)) if i != u]
+                if len(index) > cfg.max_input_paths:
+                    keep = sorted(rng.choice(len(index), size=cfg.max_input_paths, replace=False).tolist())
+                    index = [index[i] for i in keep]
+                loss = _path_prediction_loss(params, tables[gi].take(index, axis=1), paths[u], grads)
                 if not math.isfinite(loss):
                     raise NumericError(f"epoch {epoch}, pair {reprlib.repr(pair)}: non-finite example loss")
                 example_losses.append(loss)

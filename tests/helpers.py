@@ -6,10 +6,12 @@ recurrent cells, Decimal arithmetic for label scoring, from-scratch
 agglomeration for clustering (in floats, and in 80-digit Decimal for
 ties in real arithmetic), and a pair double-loop for the rand index.
 The single-direction LSTM passes that the fused bidirectional ones
-replaced are kept here as their reference, one run per direction. The
-entry points that only tests call (encoding one path, the loss of one
-held-out path) live here too, and so does the string-level padding that
-`model.paths_to_ids` is checked against.
+replaced are kept here as their reference, one run per direction, and so
+are the GRU step kernels and the decoder loops built on them, as the
+reference for the decoder loops in `model`. The entry points that only
+tests call (encoding one path, the loss of one held-out path) live here
+too, and so does the string-level padding that `model.paths_to_ids` is
+checked against.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from cure.autodiff import CellWeights, sigmoid
+from cure.autodiff import CellWeights, gru_weight_grads, sigmoid
 from cure.corpus import EntitySpan, ParsedSentence, Token
 from cure.errors import ValidationError
-from cure.model import ModelParams, PathIds, _embed, _path_prediction_loss, _position_ids, encode_blocks
+from cure.model import ModelParams, PathIds, _embed, _path_prediction_loss, encode_blocks, id_table
 from cure.paths import SspTriple
 from cure.vocab import PAD
 
@@ -237,7 +239,7 @@ def reference_encoder(
     single-direction LSTM run per direction (the backward one over the
     time-reversed inputs); returns the blocks (len(paths), n_l, n_h + n_h2)."""
     cfg = params.cfg
-    ids = _position_ids(paths)
+    ids = tuple(np.array([getattr(p, key) for p in paths], dtype=np.intp).T for key in PathIds._fields[:3])
     xs = _embed(params, ids)
     forward, fwd_cache = lstm_forward(params.enc_fwd, xs)
     backward, bwd_cache = lstm_forward(params.enc_bwd, xs[::-1])
@@ -249,6 +251,90 @@ def reference_encoder(
     ):
         np.add.at(table, tag_ids, cols)
     return np.concatenate([forward, backward[::-1]], axis=2).transpose(1, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# GRU step kernels and the decoder loops built on them: the reference for
+# model.decode_path and model.decoder_backward
+# ---------------------------------------------------------------------------
+
+
+def gru_step(
+    p: CellWeights, x: np.ndarray, h_prev: np.ndarray, h: np.ndarray, zr: np.ndarray, cand: np.ndarray
+) -> None:
+    """New state h = z * h_prev + (1 - z) * tanh(W_h x + U_h (r * h_prev) + b_h),
+    written into h, with the activations gru_step_backward needs: z|r into
+    zr and the candidate into cand."""
+    g = h_prev.shape[0]
+    xw = p.W.dot(x)
+    xw += p.b
+    sigmoid(np.add(xw[: 2 * g], p.U[: 2 * g].dot(h_prev), out=zr), out=zr)
+    np.tanh(np.add(xw[2 * g :], p.U[2 * g :].dot(zr[g:] * h_prev), out=cand), out=cand)
+    np.multiply(zr[:g], h_prev, out=h)
+    h += (1.0 - zr[:g]) * cand
+
+
+def gru_step_backward(
+    p: CellWeights, h_prev: np.ndarray, zr: np.ndarray, cand: np.ndarray, dh: np.ndarray, d_pre: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of one step from dh: writes the pre-activation gradient (3g,
+    z|r|h rows) into d_pre, returns the input's and the previous state's.
+    The weight gradients follow from the pre-activation gradients of all
+    steps at once (autodiff.gru_weight_grads)."""
+    g = h_prev.shape[0]
+    z, r = zr[:g], zr[g:]
+    np.multiply(dh * (1.0 - z), 1.0 - cand * cand, out=d_pre[2 * g :])
+    d_rh = p.U[2 * g :].T.dot(d_pre[2 * g :])
+    np.multiply(dh * (h_prev - cand) * z, 1.0 - z, out=d_pre[:g])
+    np.multiply(d_rh * h_prev * r, 1.0 - r, out=d_pre[g : 2 * g])
+    d_h_prev = dh * z + d_rh * r + p.U[: 2 * g].T.dot(d_pre[: 2 * g])
+    return p.W.T.dot(d_pre), d_h_prev
+
+
+def reference_decoder(
+    params: ModelParams, blocks: np.ndarray, n: int, d_logits: np.ndarray, grads: ModelParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The logits of decoding n steps from blocks (n_l, n_h + n_h2), and the
+    blocks' gradient from d_logits (n, n_words), one gru_step and one
+    gru_step_backward call per step; adds the decoder's weight gradients
+    into grads."""
+    cfg = params.cfg
+    g, bd = cfg.n_g, cfg.block_dim
+    weights, joined = np.empty((n, cfg.n_l)), np.zeros((n, bd + g))
+    contexts, hs, zrs, cands = np.empty((n, g)), np.zeros((n + 1, g)), np.empty((n, 2 * g)), np.empty((n, g))
+    scores = np.empty(cfg.n_l)
+    for t in range(n):
+        np.add(params.attn_w.dot(hs[t]), params.attn_b, out=scores)
+        scores -= scores.max()
+        e = np.exp(scores, out=weights[t])
+        e /= e.sum()
+        e.dot(blocks, out=joined[t, :bd])
+        if t:
+            joined[t, bd:] = contexts[t - 1]
+        params.ctx_w.dot(joined[t], out=contexts[t])
+        gru_step(params.dec, contexts[t], hs[t], hs[t + 1], zrs[t], cands[t])
+    logits = hs[1:] @ params.out_w.T + params.out_b
+
+    grads.out_w += d_logits.T @ hs[1:]
+    grads.out_b += d_logits.sum(axis=0)
+    d_h_out = d_logits @ params.out_w
+    d_gru, d_ctx, d_joined = np.empty((n, 3 * g)), np.empty((n, g)), np.empty((n, bd + g))
+    d_focus, d_scores = d_joined[:, :bd], np.empty((n, cfg.n_l))
+    dh, d_ctx_next = np.zeros(g), np.zeros(g)
+    for t in range(n - 1, -1, -1):
+        dh += d_h_out[t]
+        d_x, dh = gru_step_backward(params.dec, hs[t], zrs[t], cands[t], dh, d_gru[t])
+        np.add(d_x, d_ctx_next, out=d_ctx[t]).dot(params.ctx_w, out=d_joined[t])
+        d_ctx_next = d_joined[t, bd:]
+        a = weights[t]
+        d_a = blocks.dot(d_focus[t])
+        d_a -= a.dot(d_a)
+        dh += np.multiply(a, d_a, out=d_scores[t]).dot(params.attn_w)
+    gru_weight_grads(grads.dec, d_gru, contexts, hs[:-1], zrs)
+    grads.ctx_w += d_ctx.T @ joined
+    grads.attn_w += d_scores.T @ hs[:-1]
+    grads.attn_b += d_scores.sum(axis=0)
+    return logits, weights.T @ d_focus
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +382,7 @@ def pad_or_truncate(path: SspTriple, n_l: int) -> PaddedPath:
 
 def encode_path(params: ModelParams, path: PathIds) -> np.ndarray:
     """Fixed-size encoding of one path: all position blocks concatenated."""
-    return encode_blocks(params, [path])[0].reshape(-1)
+    return encode_blocks(params, id_table([path]))[0].reshape(-1)
 
 
 def training_loss(
@@ -309,9 +395,8 @@ def training_loss(
         raise ValidationError("training needs a group with at least 2 paths")
     if not 0 <= held_out < len(group):
         raise ValidationError(f"held-out index {held_out} out of range")
-    target = group[held_out]
-    inputs = [p for i, p in enumerate(group) if i != held_out]
-    return _path_prediction_loss(params, inputs, target, grads)
+    inputs = id_table([p for i, p in enumerate(group) if i != held_out])
+    return _path_prediction_loss(params, inputs, group[held_out], grads)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,15 @@ import cure.autodiff as ad
 import graph_oracle as g
 from cure.errors import NumericError, ValidationError
 
-from helpers import lstm_backward, lstm_forward, max_rel_error, scalar_gru_step, scalar_lstm_step
+from helpers import (
+    gru_step as gru_step_into,
+    gru_step_backward,
+    lstm_backward,
+    lstm_forward,
+    max_rel_error,
+    scalar_gru_step,
+    scalar_lstm_step,
+)
 
 
 def rand_value(rng, *shape, name=""):
@@ -47,7 +55,7 @@ def gru_step(cell: ad.CellWeights, x: np.ndarray, h_prev: np.ndarray):
     """The fused GRU step's outputs (h, z|r, candidate) in fresh arrays."""
     g = h_prev.shape[0]
     h, zr, cand = np.empty(g), np.empty(2 * g), np.empty(g)
-    ad.gru_step(cell, x, h_prev, h, zr, cand)
+    gru_step_into(cell, x, h_prev, h, zr, cand)
     return h, zr, cand
 
 
@@ -291,7 +299,8 @@ class TestLstmStep:
 
 
 class TestGruStep:
-    """The fused GRU step kernel and the graph oracle's step."""
+    """The fused GRU step kernel (in helpers, the reference for the decoder's
+    loops in model) and the graph oracle's step."""
 
     def test_update_gate_identity(self):
         """Forcing z to 1 keeps the previous hidden state unchanged."""
@@ -349,7 +358,7 @@ class TestGruStep:
 
         h, zr, cand = gru_step(fused, x, h0)
         d_pre = np.empty(12)
-        d_x, d_h0 = ad.gru_step_backward(fused, h0, zr, cand, 2.0 * h, d_pre)
+        d_x, d_h0 = gru_step_backward(fused, h0, zr, cand, 2.0 * h, d_pre)
         grad = zero_cell_like(fused)
         ad.gru_weight_grads(grad, d_pre[None], x[None], h0[None], zr[None])
         arrays = {"W": fused.W, "U": fused.U, "b": fused.b, "x": x, "h0": h0}

@@ -238,8 +238,9 @@ class TestExitCodes:
         assert len(err.rstrip("\n")) < 200 and "\n" not in err.rstrip("\n"), err[:300]
         assert "top_n" in err, err
 
-    @pytest.mark.parametrize("case", ["config method", "pipeline corpus", "corpus sentence id", "vectors pair twice",
-                                      "checkpoint header", "embeddings token twice", "embeddings token without values",
+    @pytest.mark.parametrize("case", ["config method", "pipeline corpus", "corpus sentence id", "corpus token head",
+                                      "vectors pair twice", "vectors string value", "checkpoint header",
+                                      "embeddings token twice", "embeddings token without values",
                                       "embeddings bad value"])
     def test_long_input_value_is_shortened_in_the_error(self, tiny_setup, tmp_path, capsys, case):
         """A value an error quotes from a setting or an input file is shortened,
@@ -248,10 +249,14 @@ class TestExitCodes:
         long, bad, empty, out = "x" * 50_000, tmp_path / "bad", tmp_path / "empty", str(tmp_path / "out")
         empty.write_text("", encoding="utf-8")
         record = json.loads((root / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        huge_heads = [{**token, "head": -1 if token["head"] == -1 else 10**400} for token in record["tokens"]]
+        huge_heads = {**record, "tokens": huge_heads}
         record["tokens"][0]["head"] = 99
         bad.write_text({
             "corpus sentence id": json.dumps({**record, "id": long}) + "\n",
+            "corpus token head": json.dumps(huge_heads) + "\n",
             "vectors pair twice": 2 * (json.dumps({"pair": [long, "o"], "vector": [1.0]}) + "\n"),
+            "vectors string value": json.dumps({"pair": ["s", "o"], "vector": [long]}) + "\n",
             "checkpoint header": "C" * 100_000 + "\n",
             "embeddings token twice": f"{long} 1\n{long} 2\n",
             "embeddings token without values": f"{long}\n",
@@ -263,8 +268,11 @@ class TestExitCodes:
             "pipeline corpus": (["pipeline", "--set", f"corpus={long}", "--set", "embeddings=e", "--set", "gold=g",
                                  "--set", f"out_dir={out}"], "corpus"),
             "corpus sentence id": (["extract-paths", "--set", f"corpus={bad}"], str(bad)),
+            "corpus token head": (["extract-paths", "--set", f"corpus={bad}"], "head 1000"),
             "vectors pair twice": (["cluster", "--vectors", str(bad), "--centroids", str(tmp_path / "centroids.jsonl")],
                                    str(bad)),
+            "vectors string value": (["cluster", "--vectors", str(bad), "--centroids", str(tmp_path / "centroids.jsonl")],
+                                     "could not convert string to float"),
             "checkpoint header": (["encode", "--checkpoint", str(bad), "--paths-file", str(empty)], str(bad)),
             "embeddings token twice": (label, str(bad)),
             "embeddings token without values": (label, str(bad)),

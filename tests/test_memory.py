@@ -1,6 +1,7 @@
-"""Artifact writers and readers hold about one record in memory: each peak
-here is what tracemalloc sees while one write or read runs, over inputs made
-before it started. Also: no writer hashes what it writes."""
+"""Artifact writers and readers hold about one record in memory, and
+encoding holds no forward history: each peak here is what tracemalloc sees
+while one write, read or encode runs, over inputs made before it started.
+Also: no writer hashes what it writes."""
 
 import hashlib
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from cure import artifacts
-from cure.model import ModelConfig, ModelParams, read_checkpoint, write_checkpoint
+from cure.model import ModelConfig, ModelParams, PathIds, encode_distinct, read_checkpoint, write_checkpoint
 from cure.paths import SspTriple
 from cure.vocab import PAD, UNK, Vocab
 
@@ -78,6 +79,24 @@ def test_read_checkpoint_reads_into_the_new_parameter_buffer(tmp_path):
     write_checkpoint(path, params, vocabs)
     assert traced_peak(lambda: read.append(read_checkpoint(path))) <= 1.35 * params.flat.nbytes
     assert read[0][0].flat.tobytes() == params.flat.tobytes()
+
+
+def test_encode_keeps_one_step_of_lstm_history():
+    """encode_distinct needs only the LSTM's hidden states: of its cell
+    states, gates and tanh(c) it keeps one step, not n_l. With all of them
+    kept (10 steps of 6 rows the size of the hidden states) the peak is
+    about 9.6 times the encodings; without, about 4.1."""
+    cfg = ModelConfig()
+    rng = np.random.default_rng(3)
+    params = ModelParams(cfg, 200, 20, 20, rng)
+    paths = list(dict.fromkeys(
+        PathIds(tuple(int(v) for v in rng.integers(200, size=cfg.n_l)), (2,) * cfg.n_l, (3,) * cfg.n_l, cfg.n_l)
+        for _ in range(300)
+    ))
+    encoded = []
+    peak = traced_peak(lambda: encoded.append(encode_distinct(params, paths)))
+    assert len(encoded[0]) == len(paths)
+    assert peak <= 6 * len(paths) * cfg.n_l * cfg.block_dim * 8
 
 
 def test_no_writer_hashes(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from cure.model import (
     encode_blocks,
     encoder_backward,
     encode_distinct,
+    id_table,
     infer_relation_vector,
     paths_to_ids,
     read_checkpoint,
@@ -34,6 +35,7 @@ from helpers import (
     fail_writes_halfway,
     max_rel_error,
     pad_or_truncate,
+    reference_decoder,
     reference_encoder,
     scalar_gru_step,
     scalar_lstm_step,
@@ -146,7 +148,7 @@ class TestEncode:
         cfg = tiny_config(n_l=3, n_h=2, n_h2=2)
         params = make_params(cfg)
         assert encode_path(params, ids_path(cfg, [1, 2, 3])).shape == (12,)
-        blocks, _ = encode_blocks(params, [ids_path(cfg, [1, 2, 3])] * 5)
+        blocks, _ = encode_blocks(params, id_table([ids_path(cfg, [1, 2, 3])] * 5))
         assert blocks.shape == (5, 3, 4)
 
     def test_matches_scalar_oracle(self):
@@ -154,12 +156,27 @@ class TestEncode:
         params = make_params(cfg, seed=21)
         path = ids_path(cfg, [3, 1, 7], dep_ids=[2, 3, 1], pos_ids=[4, 2, 0])
         other = ids_path(cfg, [5, 0, 2], dep_ids=[1, 1, 4], pos_ids=[3, 3, 1])
-        blocks, _ = encode_blocks(params, [path, other])
+        blocks, _ = encode_blocks(params, id_table([path, other]))
         for got, p in zip(blocks, [path, other]):
             expected = scalar_encode_blocks(params, p)
             assert np.allclose(got, expected, rtol=1e-12)
         flat = encode_path(params, path)
         assert np.allclose(flat, [v for blk in scalar_encode_blocks(params, path) for v in blk], rtol=1e-12)
+
+
+def random_params(cfg, rng: np.random.Generator) -> ModelParams:
+    """Parameters over 30 words, 8 tags and 8 POS tags, drawn from rng
+    uniformly in +-0.5, biases too, which start at zero."""
+    params = make_params(cfg, n_words=30, n_deps=8, n_pos=8)
+    params.flat[...] = rng.uniform(-0.5, 0.5, params.flat.size)
+    return params
+
+
+def random_paths(cfg, rng: np.random.Generator, count: int) -> list[PathIds]:
+    return [
+        PathIds(*(tuple(int(v) for v in rng.integers(n, size=cfg.n_l)) for n in (30, 8, 8)), cfg.n_l)
+        for _ in range(count)
+    ]
 
 
 class TestBidirectionalEncoder:
@@ -168,18 +185,13 @@ class TestBidirectionalEncoder:
 
     def run_both(self, cfg, batch: int, seed: int):
         rng = np.random.default_rng(seed)
-        sizes = dict(n_words=30, n_deps=8, n_pos=8)
-        params = make_params(cfg, **sizes, seed=seed)
-        params.flat[...] = rng.uniform(-0.5, 0.5, params.flat.size)  # biases too, which start at zero
-        paths = [
-            PathIds(*(tuple(int(v) for v in rng.integers(n, size=cfg.n_l)) for n in sizes.values()), cfg.n_l)
-            for _ in range(batch)
-        ]
-        d_blocks = rng.uniform(-1, 1, (batch, cfg.n_l, cfg.block_dim))
+        params = random_params(cfg, rng)
+        paths = random_paths(cfg, rng, batch)
+        d_summed = rng.uniform(-1, 1, (cfg.n_l, cfg.block_dim))  # the gradient on the sum of the paths' blocks
         fused, reference = params.zeros_like(), params.zeros_like()
-        blocks, cache = encode_blocks(params, paths)
-        encoder_backward(params, fused, cache, d_blocks)
-        expected = reference_encoder(params, paths, d_blocks, reference)
+        blocks, cache = encode_blocks(params, id_table(paths))
+        encoder_backward(params, fused, cache, d_summed)
+        expected = reference_encoder(params, paths, np.broadcast_to(d_summed, blocks.shape), reference)
         return blocks, expected, fused.arrays(), reference.arrays()
 
     @pytest.mark.parametrize("n_h, n_h2, batch", [(16, 16, 1), (16, 16, 2), (16, 16, 184), (3, 5, 3)])
@@ -191,6 +203,42 @@ class TestBidirectionalEncoder:
         assert np.array_equal(blocks, expected)
         for name, grad in fused.items():
             assert np.array_equal(grad, reference[name]), name
+
+    @pytest.mark.parametrize("batch", [1, 3, 184])
+    def test_encode_without_history_is_bit_for_bit(self, batch):
+        """encode_distinct keeps one step of the LSTM's cell states and gates
+        (see test_memory), and gives the states of a run that keeps them all."""
+        cfg = tiny_config(n_h=16, n_h2=16, n_g=8, n_l=6, d_w=24, d_d=8, d_p=8)
+        rng = np.random.default_rng(batch)
+        params = random_params(cfg, rng)
+        paths = list(dict.fromkeys(random_paths(cfg, rng, batch)))
+        blocks, _ = encode_blocks(params, id_table(paths))
+        encodings = encode_distinct(params, paths)
+        for path, block in zip(paths, blocks):
+            assert np.array_equal(encodings[path], block.reshape(-1))
+
+
+class TestDecoderLoops:
+    """decode_path and decoder_backward, whose GRU steps run on weights and
+    factors bound before their loops, against one gru_step and one
+    gru_step_backward call per step (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("steps", [1, 3, 6])
+    @pytest.mark.parametrize("n_g", [8, 48])
+    def test_bit_for_bit(self, steps, n_g):
+        cfg = tiny_config(n_h=16, n_h2=16, n_g=n_g, n_l=6, d_w=24, d_d=8, d_p=8)
+        rng = np.random.default_rng(steps)
+        params = random_params(cfg, rng)
+        blocks = rng.uniform(-1, 1, (cfg.n_l, cfg.block_dim))
+        d_logits = rng.uniform(-1, 1, (steps, params.n_words))
+        looped, reference = params.zeros_like(), params.zeros_like()
+        run = decode_path(params, blocks, steps)
+        d_blocks = mdl.decoder_backward(params, looped, run, d_logits)
+        logits, expected = reference_decoder(params, blocks, steps, d_logits, reference)
+        assert np.array_equal(run.logits, logits)
+        assert np.array_equal(d_blocks, expected)
+        for name, grad in looped.arrays().items():
+            assert np.array_equal(grad, reference.arrays()[name]), name
 
 
 class TestAggregate:
@@ -264,7 +312,7 @@ class TestTrainingLoss:
         params = make_params(cfg, n_words=8, seed=41)
         group = [ids_path(cfg, [1, 2, 3]), ids_path(cfg, [4, 0, 0], true_length=1)]
         loss = training_loss(params, group, held_out=1)
-        blocks = encode_blocks(params, [group[0]])[0][0]
+        blocks = encode_blocks(params, id_table([group[0]]))[0][0]
         step0 = decode_path(params, blocks, 1).logits
         direct, _ = ad.softmax_cross_entropy(step0, [4])
         assert math.isclose(loss, float(direct[0]), rel_tol=1e-12)
@@ -414,7 +462,8 @@ class TestTrain:
         real, examples = mdl._path_prediction_loss, []
 
         def recorded(params, inputs, target, grads=None):
-            examples.append((tuple(paths.index(p) for p in inputs), paths.index(target)))
+            # inputs is an id table; path i's first word is i + 1
+            examples.append((tuple(int(word) - 1 for word in inputs[0, :, 0]), paths.index(target)))
             return real(params, inputs, target, grads)
 
         monkeypatch.setattr(mdl, "_path_prediction_loss", recorded)
