@@ -121,7 +121,7 @@ def stage_train(cfg: RunConfig, paths: str | Instances, checkpoint_path: str, lo
     instances = _given(paths, read_path_instances)
     groups = group_pairs(instances, min_paths=cfg.min_paths)
     if not groups:
-        raise ValidationError(f"no pair has at least {cfg.min_paths} paths; nothing to train on")
+        raise ValidationError(f"no pair has at least {reprlib.repr(cfg.min_paths)} paths; nothing to train on")
     vocabs = build_vocab((t for _, t in instances), min_freq=cfg.min_freq)
     prepared = [(g.pair, paths_to_ids(g, vocabs, cfg.n_l)) for g in groups]
     losses: list[float] = []
@@ -228,14 +228,14 @@ def stage_evaluate(
     relation_names = sorted({r for rels in gold.values() for r in rels})
     missing = [r for r in relation_names if r not in vectors]
     if missing:
-        raise ValidationError(f"gold relation names without embedding vectors: {missing}")
+        raise ValidationError(f"gold relation names without embedding vectors: {reprlib.repr(missing)}")
     gold_vectors = [(name, vectors[name]) for name in relation_names]
     cluster_relation = {cluster_id: match_to_gold(label, gold_vectors, vectors) for cluster_id, label in labels.items()}
 
     predicted_relation: dict[tuple[str, str], str] = {}
     for pair, cluster_id in assignments.items():
         if cluster_id not in cluster_relation:
-            raise ValidationError(f"cluster {cluster_id} has no label record")
+            raise ValidationError(f"cluster {reprlib.repr(cluster_id)} has no label record")
         predicted_relation[pair] = cluster_relation[cluster_id]
 
     scores = metrics.prf1(predicted_relation, gold)  # refuses a pair that gold lacks
@@ -405,16 +405,24 @@ def cmd_pipeline(args) -> None:
     print(f"pipeline complete; artifacts in {out}")
 
 
+def _say(kind: str, message) -> None:
+    """One stderr line: a line break that the message quotes from an input is escaped."""
+    print(f"{kind}: {message}".replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with warnings.catch_warnings():  # a warning is one line, without the source it came from
-            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        # A warning is one line, without the source it came from. numpy's
+        # floating-point warnings are off: a non-finite result is refused, as
+        # one error, by the check or the writer that meets it.
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.showwarning = lambda message, *_: _say("warning", message)
             args.func(args)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say("error", exc)
         return 2
     except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+        _say("numeric error", exc)
         return 3
     return 0

@@ -40,6 +40,7 @@ the t-th merge (counting from 0) creates cluster id n + t.
 from __future__ import annotations
 
 import heapq
+import reprlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -229,7 +230,7 @@ def cut(dendrogram: Dendrogram, k: int) -> list[Cluster]:
     average their members scaled by one power of two: the sum cannot overflow."""
     n = dendrogram.n
     if not 1 <= k <= n:
-        raise ValidationError(f"k must be in [1, {n}], got {k}")
+        raise ValidationError(f"k must be in [1, {n}], got {reprlib.repr(k)}")
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
     for step, merge in enumerate(dendrogram.merges[: n - k]):
         members[n + step] = sorted(members.pop(merge.a) + members.pop(merge.b))

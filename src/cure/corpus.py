@@ -80,7 +80,7 @@ def validate_sentence(sentence: ParsedSentence) -> None:
         if span.start >= span.end:
             raise error(f"empty span for {name}")
         if span.start < 0 or span.end > n:
-            raise error(f"{name} span ({span.start},{span.end}) out of range")
+            raise error(f"{name} span ({reprlib.repr(span.start)},{reprlib.repr(span.end)}) out of range")
         if not span.canonical:
             raise error(f"{name} canonical key is empty")
     s, o = sentence.subject, sentence.object

@@ -81,6 +81,11 @@ class ModelConfig:
                     raise ValidationError(f"config {key.name} must be at least {least}, got {reprlib.repr(value)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(f"config learning_rate must be finite and positive, got {self.learning_rate}")
+        # Before any array is sized from these keys: numpy cannot index past intp.
+        count = sum(math.prod(shape) for shape in parameter_shapes(self, 0, 0, 0).values())
+        if 8 * count > np.iinfo(np.intp).max:
+            raise ValidationError(f"config needs {reprlib.repr(count)} parameters besides the vocabularies, "
+                                  "more than numpy can allocate")
 
     @property
     def block_dim(self) -> int:

@@ -115,7 +115,7 @@ class TestValidation:
     def test_head_out_of_range(self):
         record = self.base_record()
         record["tokens"][3]["head"] = 42
-        self.check_raises(record, "out of range")
+        self.check_raises(record, "token 3 head 42 out of range")
 
     def test_empty_canonical(self):
         record = self.base_record()

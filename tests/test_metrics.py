@@ -107,7 +107,7 @@ class TestPrf1:
         assert [s.relation for s in scores] == ["r"]
 
     def test_missing_gold_entry(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="items without gold relations"):
             prf1({"a": "r"}, {})
 
     def test_scores_stay_in_unit_interval(self):

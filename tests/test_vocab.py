@@ -1,3 +1,6 @@
+import re
+import reprlib
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,10 @@ class TestVocab:
             Vocab(("a", "b"))
 
 
+LONG = "x" * 5000
+QUOTED = re.escape(reprlib.repr(LONG))  # how an error quotes it: shortened
+
+
 class TestLoadPretrained:
     def write(self, tmp_path, text):
         path = tmp_path / "vecs.txt"
@@ -97,9 +104,13 @@ class TestLoadPretrained:
             load_pretrained(self.write(tmp_path, "a 1 2 3 4\nb 0 0 1\n"))
 
     def test_duplicate_token(self, tmp_path):
-        with pytest.raises(ValidationError, match="duplicate"):
-            load_pretrained(self.write(tmp_path, "a 1 2\na 3 4\n"))
+        with pytest.raises(ValidationError, match=rf"vecs\.txt:2: duplicate token {QUOTED}$"):
+            load_pretrained(self.write(tmp_path, f"{LONG} 1 2\n{LONG} 3 4\n"))
+
+    def test_token_without_values(self, tmp_path):
+        with pytest.raises(ValidationError, match=rf"vecs\.txt:2: no vector values for token {QUOTED}$"):
+            load_pretrained(self.write(tmp_path, f"a 1\n{LONG}\n"))
 
     def test_unparseable_value(self, tmp_path):
-        with pytest.raises(ValidationError, match=r"vecs\.txt:1: unparseable"):
-            load_pretrained(self.write(tmp_path, "a 1 two\n"))
+        with pytest.raises(ValidationError, match=rf"vecs\.txt:1: unparseable vector value {QUOTED}$"):
+            load_pretrained(self.write(tmp_path, f"a 1 {LONG}\n"))
