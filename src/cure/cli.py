@@ -422,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         _say("error", exc)
         return 2
+    except MemoryError as exc:  # a size that numpy cannot allocate
+        _say("error", f"memory ran out: {exc}".removesuffix(": "))
+        return 2
     except NumericError as exc:
         _say("numeric error", exc)
         return 3
