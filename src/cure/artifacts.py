@@ -1,10 +1,10 @@
 """The files the pipeline stages hand each other, each writer next to its reader.
 
 corpus.jsonl (read by corpus.parse_corpus), paths.jsonl, vectors.jsonl,
-cluster assignments, centroids, labels, gold, scores.csv and loss_log.csv
-(README "File formats"). Every writer streams its file one encoded line
-at a time through errors.write_atomic, so that it holds about one record's
-text in memory besides its input. Every JSON Lines file is read through
+cluster assignments, centroids, labels, gold, scores.csv, loss_log.csv and
+the pipeline's manifest.json (README "File formats"). Every writer streams
+its file one encoded line at a time through errors.write_atomic, so that
+it holds about one record's text in memory besides its input. Every JSON Lines file is read through
 corpus.read_jsonl, so an error names `<file>:<line>`, and a reader refuses
 a file that lists one pair, or one cluster, twice. `cure pipeline` reads
 none of the files its stages write: each stage hands its value to the next
@@ -264,3 +264,8 @@ def write_scores(path: str | Path, scores: Sequence[RelationScore], rand_index: 
 def write_loss_log(path: str | Path, losses: Sequence[float]) -> None:
     rows = (f"{epoch},{loss!r}\n" for epoch, loss in enumerate(losses, start=1))
     _write(path, chain(["epoch,loss\n"], rows))
+
+
+# -- manifest.json: the seed, and each stage's output hashes and timings -------------
+def write_manifest(path: str | Path, manifest: dict) -> None:
+    _write(path, [json.dumps(manifest, indent=2, allow_nan=False) + "\n"])

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import json
 import os
 import reprlib
 import sys
@@ -27,7 +26,7 @@ import numpy as np
 from . import __version__, artifacts, cluster as clustering, metrics, model as modeling, synth
 from .artifacts import Pair, read_path_instances
 from .corpus import parse_corpus
-from .errors import CureError, NumericError, ValidationError, reading, write_atomic, writing
+from .errors import CureError, NumericError, ValidationError, reading, writing
 from .labeling import candidate_set, cw_label, load_stopwords, match_to_gold, wvs_label
 from .model import ModelConfig, PathIds, integer_key, paths_to_ids, read_checkpoint, write_checkpoint
 from .paths import SspTriple, extract_instances, group_pairs
@@ -295,7 +294,7 @@ def run_pipeline(cfg: RunConfig) -> Path:
         labels,
     )
     run("evaluate", [scores], stage_evaluate, assignments, cluster_labels, cfg.gold, cfg.embeddings, scores)
-    write_atomic(out / "manifest.json", [(json.dumps(manifest, indent=2, allow_nan=False) + "\n").encode("utf-8")])
+    artifacts.write_manifest(out / "manifest.json", manifest)
     return out
 
 

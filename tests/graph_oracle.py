@@ -43,9 +43,6 @@ class Value:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def __repr__(self) -> str:
-        return f"Value(name={self.name!r}, shape={self.shape})"
-
 
 def _require_same_shape(a: Value, b: Value, op: str) -> None:
     if a.shape != b.shape:

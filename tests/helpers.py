@@ -11,7 +11,8 @@ are the GRU step kernels and the decoder loops built on them, as the
 reference for the decoder loops in `model`. The entry points that only
 tests call (encoding one path, the loss of one held-out path) live here
 too, and so does the string-level padding that `model.paths_to_ids` is
-checked against.
+checked against. WRITERS lists every artifact writer, with what it
+writes, for the tests of the file contracts.
 """
 
 from __future__ import annotations
@@ -24,12 +25,16 @@ from typing import Sequence
 
 import numpy as np
 
+from cure import artifacts
 from cure.autodiff import CellWeights, gru_weight_grads, sigmoid
 from cure.corpus import EntitySpan, ParsedSentence, Token
 from cure.errors import ValidationError
-from cure.model import ModelParams, PathIds, _embed, _path_prediction_loss, encode_blocks, id_table
+from cure.metrics import RelationScore
+from cure.model import (
+    ModelConfig, ModelParams, PathIds, _embed, _path_prediction_loss, encode_blocks, id_table, write_checkpoint,
+)
 from cure.paths import SspTriple
-from cure.vocab import PAD
+from cure.vocab import PAD, UNK, Vocab, write_embeddings
 
 
 def make_reagan_sentence() -> ParsedSentence:
@@ -120,6 +125,18 @@ def _scalar_gate(W, U, b, h, x, act) -> list[float]:
         for k in range(len(x)):
             s += float(U[r][k]) * x[k]
         out.append(act(s))
+    return out
+
+
+def gate_dict(cell: CellWeights, gates: Sequence[str]) -> dict:
+    """A cell's fused rows as the per-gate nested lists the scalar oracles take."""
+    size = cell.b.shape[0] // len(gates)
+    out = {}
+    for k, gate in enumerate(gates):
+        rows = slice(k * size, (k + 1) * size)
+        out[f"W_{gate}"] = cell.W[rows].tolist()
+        out[f"U_{gate}"] = cell.U[rows].tolist()
+        out[f"b_{gate}"] = cell.b[rows].tolist()
     return out
 
 
@@ -541,6 +558,35 @@ def fail_writes_halfway(monkeypatch) -> None:
         return fh
 
     monkeypatch.setattr("builtins.open", failing_open)
+
+
+_PATH = SspTriple(("founded", "by"), ("nsubj", "prep"), ("VBN", "IN"))
+_ONES = np.ones(2)
+_RNG = np.random.default_rng(1)
+_TINY = ModelConfig(n_h=1, n_h2=1, n_g=1, n_l=2, d_w=1, d_d=1, d_p=1)
+_VOCABS = (Vocab((PAD, UNK, "w")), Vocab((PAD, UNK)), Vocab((PAD, UNK)))
+
+
+# Every write_* function of cure.artifacts, cure.vocab and cure.model: its
+# file name, and two argument tuples (after the path) that give the file
+# different bytes. Each row is held to the file contracts: a write that dies
+# halfway leaves the previous file, and no writer hashes what it writes.
+WRITERS = {
+    artifacts.write_corpus: ("corpus.jsonl", ([make_reagan_sentence()],), ([make_reagan_sentence()] * 2,)),
+    artifacts.write_paths: ("paths.jsonl", ([(("a", "b"), _PATH)],), ([(("a", "b"), _PATH), (("c", "d"), _PATH)],)),
+    artifacts.write_vectors: (  # two pairs share one vector object, as encode writes them
+        "vectors.jsonl", ({("a", "b"): _ONES},), ({("a", "b"): _ONES, ("c", "d"): np.full(2, 1 / 7), ("e", "f"): _ONES},),
+    ),
+    artifacts.write_clusters: ("clusters.jsonl", ({("a", "b"): 0},), ({("a", "b"): 0, ("c", "d"): 1},)),
+    artifacts.write_centroids: ("centroids.jsonl", ({0: np.ones(2)},), ({0: np.ones(2), 1: np.zeros(2)},)),
+    artifacts.write_labels: ("labels.jsonl", ({0: [("founder", 0.5)]},), ({0: [("born", 0.25)], 1: []},)),
+    artifacts.write_gold: ("gold.jsonl", ({("a", "b"): ["founder"]},), ({("a", "b"): ["founder", "born"]},)),
+    artifacts.write_scores: ("scores.csv", ([], 1.0), ([RelationScore("founder", 1.0, 0.5, 2 / 3)], 0.5)),
+    artifacts.write_loss_log: ("loss_log.csv", ([0.5],), ([0.5, 0.25],)),
+    artifacts.write_manifest: ("manifest.json", ({"seed": 1, "stages": []},), ({"seed": 2, "stages": []},)),
+    write_embeddings: ("embeddings.txt", ({"w": np.ones(2)},), ({"w": np.ones(2), "v": np.zeros(2)},)),
+    write_checkpoint: ("model.ckpt", (ModelParams(_TINY, 3, 2, 2, None), _VOCABS), (ModelParams(_TINY, 3, 2, 2, _RNG), _VOCABS)),
+}
 
 
 # ---------------------------------------------------------------------------

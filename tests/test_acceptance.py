@@ -58,6 +58,13 @@ ACCEPT_CONFIG = dict(
     seed=ACCEPT_SEED,
 )
 
+# The gradient suite's stated configuration (hidden 4/4, decoder 8, path
+# length 5), also used for the zero-parameter loss.
+SMALL_CONFIG = ModelConfig(
+    n_h=4, n_h2=4, n_g=8, n_l=5, d_w=6, d_d=3, d_p=3,
+    max_input_paths=8, learning_rate=0.1, epochs=1, batch_size=1, seed=7,
+)
+
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -119,11 +126,7 @@ def test_gradient_suite_end_to_end():
     configuration: hidden 4/4, decoder 8, path length 5, vocab 20, two
     encoder input paths."""
     started = time.perf_counter()
-    cfg = ModelConfig(
-        n_h=4, n_h2=4, n_g=8, n_l=5, d_w=6, d_d=3, d_p=3,
-        max_input_paths=8, learning_rate=0.1, epochs=1, batch_size=1, seed=7,
-    )
-    params = ModelParams(cfg, n_words=20, n_deps=6, n_pos=6, rng=np.random.default_rng(71))
+    params = ModelParams(SMALL_CONFIG, n_words=20, n_deps=6, n_pos=6, rng=np.random.default_rng(71))
     group = [
         PathIds((3, 11, 7, 2, 15), (2, 4, 1, 3, 0), (1, 2, 3, 4, 0), 5),
         PathIds((3, 9, 7, 5, 15), (1, 2, 4, 3, 0), (2, 1, 3, 4, 0), 5),
@@ -148,11 +151,7 @@ def test_gradient_suite_end_to_end():
 
 
 def test_zero_parameter_loss_is_log_vocab():
-    cfg = ModelConfig(
-        n_h=4, n_h2=4, n_g=8, n_l=5, d_w=6, d_d=3, d_p=3,
-        max_input_paths=8, learning_rate=0.1, epochs=1, batch_size=1, seed=7,
-    )
-    params = ModelParams(cfg, n_words=20, n_deps=6, n_pos=6, rng=np.random.default_rng(72))
+    params = ModelParams(SMALL_CONFIG, n_words=20, n_deps=6, n_pos=6, rng=np.random.default_rng(72))
     params.flat[...] = 0.0
     group = [PathIds((1, 2, 3, 4, 5), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1), 5)] * 2
     loss = training_loss(params, group, held_out=1)

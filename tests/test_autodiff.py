@@ -11,6 +11,7 @@ import graph_oracle as g
 from cure.errors import NumericError, ValidationError
 
 from helpers import (
+    gate_dict,
     gru_step as gru_step_into,
     gru_step_backward,
     lstm_backward,
@@ -33,18 +34,6 @@ def rand_cell(rng, hidden: int, input_dim: int, n_gates: int, lstm: bool) -> ad.
         U=rng.uniform(-1, 1, (n_gates * hidden, u_cols)),
         b=rng.uniform(-1, 1, n_gates * hidden),
     )
-
-
-def gate_dict(cell: ad.CellWeights, gates) -> dict:
-    """Per-gate nested lists, as the scalar oracles take them."""
-    size = cell.b.shape[0] // len(gates)
-    out = {}
-    for k, gate in enumerate(gates):
-        rows = slice(k * size, (k + 1) * size)
-        out[f"W_{gate}"] = cell.W[rows].tolist()
-        out[f"U_{gate}"] = cell.U[rows].tolist()
-        out[f"b_{gate}"] = cell.b[rows].tolist()
-    return out
 
 
 def zero_cell_like(cell: ad.CellWeights) -> ad.CellWeights:

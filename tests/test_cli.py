@@ -22,14 +22,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cure import artifacts, autodiff, cli, corpus
+from cure import artifacts, autodiff, cli, corpus, model, vocab
 from cure.cli import RunConfig, load_config, main, run_pipeline, stage_cluster
 from cure.errors import NumericError, ValidationError
 from cure.model import ModelConfig, ModelParams, parameter_shapes, paths_to_ids, read_checkpoint
 from cure.paths import SspTriple, group_pairs
 from cure.vocab import load_pretrained, write_embeddings
 
-from helpers import WriteFailed, brute_force_agglomeration, fail_writes_halfway
+from helpers import WRITERS, WriteFailed, brute_force_agglomeration, fail_writes_halfway
 
 
 def run(*argv) -> int:
@@ -235,23 +235,27 @@ class TestExitCodes:
         assert path.read_text(encoding="utf-8") == "before\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
-    @pytest.mark.parametrize("name", ["paths", "vectors"])
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, name):
-        """A streamed write that dies partway leaves the old file byte-identical and no temporary behind."""
-        path = tmp_path / f"{name}.jsonl"
-        write = {
-            "paths": lambda n: artifacts.write_paths(path, [(("s", f"o{i}"), SspTriple(("w",), ("d",), ("p",)))
-                                                            for i in range(n)]),
-            "vectors": lambda n: artifacts.write_vectors(path, {("s", f"o{i}"): np.full(3, i / 7) for i in range(n)}),
-        }[name]
-        write(2)
+    @pytest.mark.parametrize("write, name, first, second",
+                             [pytest.param(write, *row, id=row[0].split(".")[0]) for write, row in WRITERS.items()])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, write, name, first, second):
+        """A write that dies halfway leaves the previous bytes and no temporary behind."""
+        path = tmp_path / name
+        write(path, *first)
         before = path.read_bytes()
         fail_writes_halfway(monkeypatch)
         with pytest.raises(WriteFailed):
-            write(3)
+            write(path, *second)
         monkeypatch.undo()
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        write(path, *second)
+        assert path.read_bytes() != before  # the failed write would have changed the file
+
+    def test_every_writer_has_a_row(self):
+        """So that a new writer is held to the contracts above and test_memory.test_no_writer_hashes."""
+        defined = {f"{m.__name__}.{name}" for m in (artifacts, model, vocab) for name, f in vars(m).items()
+                   if name.startswith("write_") and f.__module__ == m.__name__}
+        assert defined == {f"{write.__module__}.{write.__name__}" for write in WRITERS}
 
 
 class TestMalformedArtifacts:
@@ -326,55 +330,6 @@ class TestStages:
         for rec in records:
             assert set(rec) == {"pair", "words", "deps", "poss"}
             assert len(rec["words"]) == len(rec["deps"]) == len(rec["poss"])
-
-    def test_train_encode_cluster_label_evaluate(self, tiny_setup, tmp_path):
-        root, cfg = tiny_setup
-        paths = tmp_path / "paths.jsonl"
-        ckpt = tmp_path / "model.ckpt"
-        vectors = tmp_path / "vectors.jsonl"
-        clusters = tmp_path / "clusters.jsonl"
-        centroids = tmp_path / "centroids.jsonl"
-        labels = tmp_path / "labels.jsonl"
-        scores = tmp_path / "scores.csv"
-        log = tmp_path / "loss.csv"
-
-        assert run("extract-paths", "--config", str(cfg), "--out", str(paths)) == 0
-        assert run("train", "--config", str(cfg), "--paths-file", str(paths), "--out-checkpoint", str(ckpt), "--log", str(log)) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["loss.csv", "model.ckpt", "paths.jsonl"]
-        log_lines = log.read_text().strip().splitlines()
-        assert log_lines[0] == "epoch,loss"
-        assert len(log_lines) == 3  # header + 2 epochs
-
-        assert run("encode", "--checkpoint", str(ckpt), "--paths-file", str(paths), "--out", str(vectors)) == 0
-        vec_records = [json.loads(line) for line in vectors.read_text(encoding="utf-8").splitlines()]
-        assert len(vec_records) == 6  # 6 pairs
-        dim = len(vec_records[0]["vector"])
-        assert all(len(r["vector"]) == dim for r in vec_records)
-
-        argv = ["--vectors", str(vectors), "--set", "k_clusters=2", "--out", str(clusters), "--centroids", str(centroids)]
-        assert run("cluster", *argv) == 0
-        cluster_records = [json.loads(line) for line in clusters.read_text(encoding="utf-8").splitlines()]
-        assert sorted({r["cluster"] for r in cluster_records}) == [0, 1]
-        centroid_records = [json.loads(line) for line in centroids.read_text(encoding="utf-8").splitlines()]
-        assert [r["cluster"] for r in centroid_records] == [0, 1]
-        assert all(len(r["centroid"]) == dim for r in centroid_records)
-
-        assert run(
-            "label", "--config", str(cfg),
-            "--clusters", str(clusters), "--paths-file", str(paths), "--out", str(labels),
-        ) == 0
-        label_records = [json.loads(line) for line in labels.read_text(encoding="utf-8").splitlines()]
-        assert len(label_records) == 2
-        for rec in label_records:
-            assert rec["labels"], "every cluster must carry at least one label word"
-
-        assert run(
-            "evaluate", "--config", str(cfg),
-            "--clusters", str(clusters), "--labels", str(labels), "--out", str(scores),
-        ) == 0
-        lines = scores.read_text().strip().splitlines()
-        assert lines[0] == "relation,recall,precision,f1"
-        assert lines[-1].startswith("rand_index,")
 
     def test_cw_label_method(self, tiny_setup, tmp_path):
         root, cfg = tiny_setup
@@ -1340,18 +1295,6 @@ class TestClusterStage:
             "k": k, "last_kept_merge_distance": kept, "first_undone_merge_distance": undone,
         }
 
-    def test_failed_write_keeps_previous_clusters(self, tmp_path, monkeypatch):
-        """A write that dies partway leaves the old assignments byte-identical and no temporary behind."""
-        self.cluster(tmp_path, 3)
-        clusters = tmp_path / "c.jsonl"
-        before = clusters.read_bytes()
-        fail_writes_halfway(monkeypatch)
-        with pytest.raises(WriteFailed):
-            self.cluster(tmp_path, 1)
-        monkeypatch.undo()
-        assert clusters.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.jsonl", "centroids.jsonl", "v.jsonl"]
-
     def test_duplicate_heavy_vectors_cluster_as_the_brute_force_oracle_does(self, tmp_path):
         """100 lines of 28 distinct vectors, as encode writes them when most
         pairs' paths are equal; one vector is written both with 0.0 and with
@@ -1423,7 +1366,8 @@ class TestPipeline:
             assert (root / "out_a" / name).read_bytes() == (root / "out_b" / name).read_bytes(), name
 
     def test_stages_run_one_at_a_time_give_the_pipeline_bytes(self, tiny_setup, tmp_path):
-        """README's six stage commands write the same bytes as `cure pipeline` from one config."""
+        """README's six stage commands write the same bytes as `cure pipeline`
+        from one config, each stage only its own files, in their formats."""
         root, cfg = tiny_setup
         assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={tmp_path / 'pipeline'}") == 0
         one = tmp_path / "stages"
@@ -1439,8 +1383,23 @@ class TestPipeline:
             ["evaluate", *c, "--clusters", clusters, "--labels", labels, "--out", scores],
         ):
             assert run(*argv) == 0, argv[0]
+            if argv[0] == "train":
+                assert sorted(p.name for p in one.iterdir()) == ["loss_log.csv", "model.ckpt", "paths.jsonl"]
         for name in PIPELINE_ARTIFACTS:
             assert (one / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name
+
+        def lines(name: str) -> list:
+            text = (one / name).read_text(encoding="utf-8").splitlines()
+            return [json.loads(line) for line in text] if name.endswith(".jsonl") else text
+
+        assert lines("loss_log.csv")[0] == "epoch,loss" and len(lines("loss_log.csv")) == 3  # header + 2 epochs
+        assert len(lines("vectors.jsonl")) == 6  # 6 pairs
+        (size,) = {len(r["vector"]) for r in lines("vectors.jsonl")}
+        assert sorted({r["cluster"] for r in lines("clusters.jsonl")}) == [0, 1]
+        assert [(r["cluster"], len(r["centroid"])) for r in lines("centroids.jsonl")] == [(0, size), (1, size)]
+        assert [r["cluster"] for r in lines("labels.jsonl") if r["labels"]] == [0, 1]  # each with a label word
+        assert lines("scores.csv")[0] == "relation,recall,precision,f1"
+        assert lines("scores.csv")[-1].startswith("rand_index,")
 
     def test_no_artifact_the_run_wrote_is_parsed(self, tiny_setup, tmp_path, parsed):
         """Of the JSON Lines files, a pipeline run parses its inputs, once each, and nothing it wrote."""

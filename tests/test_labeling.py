@@ -139,22 +139,6 @@ class TestCwLabel:
             assert counts[cw_label(counts)[0][0]] == max(counts.values())
 
 
-class TestWvsVsCwContrast:
-    def test_generic_frequent_word_loses_to_distinctive_trigger(self):
-        """A generic word with top count wins CW, while the distinctive
-        trigger word (unlike everything else in vector space) wins WVS."""
-        vectors = toy_vectors(
-            {
-                "help": [0.0, 0.0, 1.0, 0.0],
-                "states": [0.0, 0.3, 0.954, 0.0],  # close to "help"
-                "capital": [1.0, 0.0, 0.0, 0.0],  # orthogonal to both
-            }
-        )
-        counts = {"help": 5, "states": 4, "capital": 3}
-        assert cw_label(counts)[0][0] == "help"
-        assert wvs_label(counts, vectors)[0][0] == "capital"
-
-
 class TestMatchToGold:
     def gold(self):
         return [

@@ -14,6 +14,8 @@ from cure.model import ModelConfig, ModelParams, PathIds, encode_distinct, read_
 from cure.paths import SspTriple
 from cure.vocab import PAD, UNK, Vocab
 
+from helpers import WRITERS
+
 MB = 2**20
 
 
@@ -103,15 +105,10 @@ def test_no_writer_hashes(tmp_path, monkeypatch):
     def refused(*args):
         raise AssertionError("a writer hashed what it wrote")
 
-    monkeypatch.setattr(artifacts.hashlib, "sha256", refused)
-    artifacts.write_paths(tmp_path / "paths.jsonl", path_instances(3))
-    artifacts.write_vectors(tmp_path / "vectors.jsonl", shared_vectors(5, 2))
-    artifacts.write_clusters(tmp_path / "clusters.jsonl", {("a", "b"): 0, ("c", "d"): 1})
-    artifacts.write_centroids(tmp_path / "centroids.jsonl", {0: np.ones(3)})
-    artifacts.write_labels(tmp_path / "labels.jsonl", {0: [("founder", 0.5)], 1: [("born", 0.25)]})
-    artifacts.write_gold(tmp_path / "gold.jsonl", {("a", "b"): ["founder"]})
-    artifacts.write_scores(tmp_path / "scores.csv", [], 1.0)
-    artifacts.write_loss_log(tmp_path / "loss.csv", [0.5])
+    monkeypatch.setattr(hashlib, "sha256", refused)
+    for write, (name, first, second) in WRITERS.items():
+        write(tmp_path / name, *first)
+        write(tmp_path / name, *second)
 
 
 def test_file_sha256_reads_in_chunks(tmp_path, monkeypatch):

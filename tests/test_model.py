@@ -30,9 +30,8 @@ from cure.paths import PairGroup, SspTriple
 from cure.vocab import PAD, UNK, UNK_ID, Vocab
 
 from helpers import (
-    WriteFailed,
     encode_path,
-    fail_writes_halfway,
+    gate_dict,
     max_rel_error,
     pad_or_truncate,
     reference_decoder,
@@ -72,13 +71,6 @@ def ids_path(cfg, word_ids, dep_ids=None, pos_ids=None, true_length=None):
     )
 
 
-def cell_dict(params: ModelParams, prefix: str) -> dict:
-    """One cell's per-gate tensors, by checkpoint name without the prefix."""
-    return {
-        name.split(".")[-1]: arr.tolist() for name, arr in params.arrays().items() if name.startswith(prefix + ".")
-    }
-
-
 def scalar_encode_blocks(params: ModelParams, path: PathIds) -> list[list[float]]:
     """Oracle: embeddings + forward/backward scalar LSTMs, blocks concatenated."""
     cfg = params.cfg
@@ -87,7 +79,7 @@ def scalar_encode_blocks(params: ModelParams, path: PathIds) -> list[list[float]
         xs.append(
             list(params.word_emb[w]) + list(params.dep_emb[d]) + list(params.pos_emb[p])
         )
-    fwd_p, bwd_p = cell_dict(params, "enc_fwd"), cell_dict(params, "enc_bwd")
+    fwd_p, bwd_p = gate_dict(params.enc_fwd, ad.LSTM_GATES), gate_dict(params.enc_bwd, ad.LSTM_GATES)
     forward = []
     h, c = [0.0] * cfg.n_h, [0.0] * cfg.n_h
     for x in xs:
@@ -107,7 +99,7 @@ def scalar_decode_logits(params: ModelParams, blocks: list[list[float]]) -> list
     blend them by softmax weight, project with the previous context, step
     the GRU, and read logits off the output layer."""
     cfg = params.cfg
-    gru_p = cell_dict(params, "dec")
+    gru_p = gate_dict(params.dec, ad.GRU_GATES)
     h = [0.0] * cfg.n_g
     ctx_prev = [0.0] * cfg.n_g
     logits = []
@@ -575,19 +567,6 @@ class TestCheckpoint:
         monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size - change))
         with pytest.raises(ValidationError, match="the file changed while it was read"):
             read_checkpoint(path)
-
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
-        """A write that dies partway leaves the old file byte-identical and no temporary behind."""
-        params, path = self.params(), tmp_path / "model.ckpt"
-        write_checkpoint(path, params, self.VOCABS)
-        before = path.read_bytes()
-        params.flat[...] = 0.0
-        fail_writes_halfway(monkeypatch)
-        with pytest.raises(WriteFailed):
-            write_checkpoint(path, params, self.VOCABS)
-        monkeypatch.undo()
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 _SYMBOLS = st.sampled_from(["a", "b", "c", "unseen", PAD, UNK])
