@@ -1,11 +1,14 @@
 """Command-line entry point: wires the config to the stages.
 
-Subcommands: synth, extract-paths, train, encode, cluster, label, evaluate,
-and pipeline (which chains extract-paths through evaluate and writes a
-manifest). Settings come only from the config, a flat "key = value" file
-and --set overrides, which win over file values; flags name the files a
-stage reads and writes, whose formats artifacts.py owns. Exit codes: 0
-success, 2 validation error, 3 runtime/numeric error.
+Subcommands: synth, the six stage commands extract-paths, train, encode,
+cluster, label and evaluate, and pipeline (which chains them and writes a
+manifest). STAGES holds each stage command once: its file flags and their
+names in a pipeline's out_dir, the config keys it requires and those that
+name input files, and its summary line. Settings come only from the
+config, a flat "key = value" file and --set overrides, which win over file
+values; flags name the files a stage reads and writes, whose formats
+artifacts.py owns. Exit codes: 0 success, 2 validation error, 3
+runtime/numeric error.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import time
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -96,7 +99,7 @@ def _require(cfg: RunConfig, keys: Sequence[str], command: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Stage implementations (shared by subcommands and `pipeline`)
+# The stages, and STAGES: one row per stage command, which `pipeline` chains
 # ---------------------------------------------------------------------------
 
 Instances = list[tuple[Pair, SspTriple]]
@@ -180,13 +183,8 @@ def stage_cluster(
 
 
 def stage_label(
-    clusters: str | dict[Pair, int],
-    paths: str | Instances,
-    embeddings_file: str,
-    method: str,
-    top_n: int,
-    stopwords_path: str,
-    out_path: str,
+    clusters: str | dict[Pair, int], paths: str | Instances, embeddings_file: str, method: str, top_n: int,
+    stopwords_path: str, out_path: str,
 ) -> Labels:
     assignments = _given(clusters, artifacts.read_clusters)
     instances = _given(paths, read_path_instances)
@@ -213,11 +211,7 @@ def stage_label(
 
 
 def stage_evaluate(
-    clusters: str | dict[Pair, int],
-    labels: str | Labels,
-    gold_file: str,
-    embeddings_file: str,
-    out_path: str,
+    clusters: str | dict[Pair, int], labels: str | Labels, gold_file: str, embeddings_file: str, out_path: str,
 ) -> tuple[float, list[metrics.RelationScore]]:
     assignments = _given(clusters, artifacts.read_clusters)
     labels = _given(labels, artifacts.read_labels)
@@ -243,8 +237,73 @@ def stage_evaluate(
     return ri, scores
 
 
+class Stage(NamedTuple):
+    """A stage command: its help, its input and then output file flags, each
+    with the file's name in a pipeline's out_dir, run(cfg, *files), which
+    calls the stage_* function by its module-global name at call time, and
+    the summary the command prints from the result and the output paths.
+    A file is a path or, in `cure pipeline`, an earlier stage's value."""
+
+    help: str
+    inputs: dict[str, str]
+    outputs: dict[str, str]
+    run: Callable[..., object]
+    summary: Callable[..., str]
+    keys: Callable[[RunConfig], tuple[str, ...]] = lambda cfg: ()  # the config keys the command requires
+    files: tuple[str, ...] = ()  # the config keys that name input files
+    value: str = ""  # the output whose value the stage returns, which later pipeline stages take
+    config: bool = True  # False: no --config or --set
+
+
+STAGES = {  # in pipeline order
+    "extract-paths": Stage(
+        "extract entity-pair shortest paths from the config's corpus", {}, {"--out": "paths.jsonl"},
+        lambda cfg, out: stage_extract(cfg.corpus, out),
+        lambda instances, out: f"extracted {len(instances)} paths to {out}",
+        keys=lambda cfg: ("corpus",), files=("corpus",), value="paths.jsonl",
+    ),
+    "train": Stage(
+        "train the path-prediction encoder-decoder",
+        {"--paths-file": "paths.jsonl"}, {"--out-checkpoint": "model.ckpt", "--log": "loss_log.csv"},
+        lambda cfg, *files: stage_train(cfg, *files),
+        lambda losses, *_: f"trained {len(losses)} epochs; first loss {losses[0]:.4f}, last loss {losses[-1]:.4f}"
+        if losses else "trained 0 epochs; wrote initialized parameters",
+    ),
+    "encode": Stage(
+        "relation vectors for every entity pair (the model config is in the checkpoint)",
+        {"--checkpoint": "model.ckpt", "--paths-file": "paths.jsonl"}, {"--out": "vectors.jsonl"},
+        lambda cfg, *files: stage_encode(*files), lambda vectors, out: f"encoded {len(vectors)} pairs to {out}",
+        value="vectors.jsonl", config=False,
+    ),
+    "cluster": Stage(
+        "agglomerative clustering of relation vectors",
+        {"--vectors": "vectors.jsonl"}, {"--out": "clusters.jsonl", "--centroids": "centroids.jsonl"},
+        lambda cfg, vectors, *outputs: stage_cluster(vectors, cfg.k_clusters, *outputs),
+        lambda result, out, _: f"cut dendrogram into {result[1]['k']} clusters; assignments in {out}",
+        value="clusters.jsonl",
+    ),
+    "label": Stage(
+        "relation words for each cluster", {"--clusters": "clusters.jsonl", "--paths-file": "paths.jsonl"},
+        {"--out": "labels.jsonl"},
+        lambda cfg, clusters, paths, out: stage_label(clusters, paths, cfg.embeddings, cfg.method, cfg.top_n,
+                                                      cfg.stopwords, out),
+        lambda labels, out: f"labeled {len(labels)} clusters to {out}",
+        keys=lambda cfg: ("embeddings",) if cfg.method == "wvs" else (), files=("embeddings", "stopwords"),
+        value="labels.jsonl",
+    ),
+    "evaluate": Stage(
+        "score clusters against a gold relation file",
+        {"--clusters": "clusters.jsonl", "--labels": "labels.jsonl"}, {"--out": "scores.csv"},
+        lambda cfg, clusters, labels, out: stage_evaluate(clusters, labels, cfg.gold, cfg.embeddings, out),
+        lambda result, _: "\n".join([*(f"{s.relation}: recall {s.recall:.3f} precision {s.precision:.3f} f1 {s.f1:.3f}"
+                                       for s in result[1]), f"rand_index: {result[0]:.4f}"]),
+        keys=lambda cfg: ("gold", "embeddings"), files=("gold", "embeddings"),
+    ),
+}
+
+
 def run_pipeline(cfg: RunConfig) -> Path:
-    """extract-paths > train > encode > cluster > label > evaluate.
+    """STAGES in order: extract-paths > train > encode > cluster > label > evaluate.
 
     Every stage artifact lands in cfg.out_dir. Each stage passes the value
     it made to the stages after it, except the checkpoint: encode reads
@@ -254,9 +313,9 @@ def run_pipeline(cfg: RunConfig) -> Path:
     files are hashed for it alone. A run that fails after its input checks
     leaves no manifest.json.
     """
-    _require(cfg, ["corpus", "embeddings", "gold", "out_dir"], "pipeline")
-    for key in ("corpus", "embeddings", "gold", "stopwords"):  # stopwords may be empty: the packaged list
-        named = getattr(cfg, key)
+    _require(cfg, [*dict.fromkeys(key for stage in STAGES.values() for key in stage.keys(cfg)), "out_dir"], "pipeline")
+    for key in dict.fromkeys(key for stage in STAGES.values() for key in stage.files):
+        named = getattr(cfg, key)  # stopwords may be empty: the packaged list
         if named and not os.path.isfile(named):  # False, not an OSError, for a name too long
             raise ValidationError(f"pipeline: config {key!r} does not name a file: {reprlib.repr(named)}")
     out = Path(cfg.out_dir)
@@ -264,36 +323,25 @@ def run_pipeline(cfg: RunConfig) -> Path:
         out.mkdir(parents=True, exist_ok=True)
         (out / "manifest.json").unlink(missing_ok=True)  # the previous run's, which this run's artifacts replace
 
-    names = ("paths.jsonl", "model.ckpt", "loss_log.csv", "vectors.jsonl", "clusters.jsonl", "centroids.jsonl",
-             "labels.jsonl", "scores.csv")
-    paths, ckpt, log, vectors, clusters, centroids, labels, scores = (str(out / name) for name in names)
+    values: dict[str, object] = {}  # output file name -> the value its stage made
     manifest = {"seed": cfg.seed, "stages": []}
-
-    def run(name: str, outputs: list[str], stage: Callable[..., V], *args) -> V:
+    for name, stage in STAGES.items():
+        files = [values.get(file, str(out / file)) for file in stage.inputs.values()]
         started = time.perf_counter()
         try:
-            result = stage(*args)
+            result = stage.run(cfg, *files, *(str(out / file) for file in stage.outputs.values()))
         except CureError as exc:
             raise type(exc)(f"stage {name!r} failed: {exc}") from exc
-        manifest["stages"].append({
+        entry = {
             "name": name,
             "seconds": round(time.perf_counter() - started, 3),
-            "outputs": {Path(p).name: artifacts.file_sha256(p).hex() for p in outputs},
-        })
-        return result
-
-    instances = run("extract-paths", [paths], stage_extract, cfg.corpus, paths)
-    run("train", [ckpt, log], stage_train, cfg, instances, ckpt, log)
-    relation_vectors = run("encode", [vectors], stage_encode, ckpt, instances, vectors)
-    assignments, cut = run(
-        "cluster", [clusters, centroids], stage_cluster, relation_vectors, cfg.k_clusters, clusters, centroids,
-    )
-    manifest["stages"][-1]["cut"] = cut
-    cluster_labels = run(
-        "label", [labels], stage_label, assignments, instances, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords,
-        labels,
-    )
-    run("evaluate", [scores], stage_evaluate, assignments, cluster_labels, cfg.gold, cfg.embeddings, scores)
+            "outputs": {file: artifacts.file_sha256(out / file).hex() for file in stage.outputs.values()},
+        }
+        if name == "cluster":
+            result, entry["cut"] = result
+        if stage.value:
+            values[stage.value] = result
+        manifest["stages"].append(entry)
     artifacts.write_manifest(out / "manifest.json", manifest)
     return out
 
@@ -303,15 +351,11 @@ def run_pipeline(cfg: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _config_epilog() -> str:
-    return "\n".join(["config keys and defaults:", *(f"  {key} = {value!r}" for key, value in _DEFAULTS.items())])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cure",
         description="Unsupervised relation extraction over dependency-parsed text.",
-        epilog=_config_epilog(),
+        epilog="\n".join(["config keys and defaults:", *(f"  {key} = {value!r}" for key, value in _DEFAULTS.items())]),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"cure {__version__}")
@@ -334,22 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sentences", type=int, default=3)
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--out-dir", required=True)  # after the integer flags, where synth's usage line has it
-    command("extract-paths", cmd_extract, "extract entity-pair shortest paths from the config's corpus", "--out")
-    command("train", cmd_train, "train the path-prediction encoder-decoder", "--paths-file", "--out-checkpoint", "--log")
-    command("encode", cmd_encode, "relation vectors for every entity pair (the model config is in the checkpoint)",
-            "--checkpoint", "--paths-file", "--out", config=False)
-    command("cluster", cmd_cluster, "agglomerative clustering of relation vectors", "--vectors", "--out", "--centroids")
-    command("label", cmd_label, "relation words for each cluster", "--clusters", "--paths-file", "--out")
-    command("evaluate", cmd_evaluate, "score clusters against a gold relation file", "--clusters", "--labels", "--out")
+    for name, stage in STAGES.items():
+        command(name, cmd_stage, stage.help, *stage.inputs, *stage.outputs, config=stage.config)
     command("pipeline", cmd_pipeline, "run all stages end to end")
     return parser
-
-
-def _cfg(args, *required: str) -> RunConfig:
-    """The command's config, with every key it requires set."""
-    cfg = load_config(args.config, args.set)
-    _require(cfg, required, args.command)
-    return cfg
 
 
 def cmd_synth(args) -> None:
@@ -357,50 +389,17 @@ def cmd_synth(args) -> None:
     print(f"wrote {records} records, {pairs} pairs to {args.out_dir}")
 
 
-def cmd_extract(args) -> None:
-    cfg = _cfg(args, "corpus")
-    instances = stage_extract(cfg.corpus, args.out)
-    print(f"extracted {len(instances)} paths to {args.out}")
-
-
-def cmd_train(args) -> None:
-    cfg = _cfg(args)
-    losses = stage_train(cfg, args.paths_file, args.out_checkpoint, args.log)
-    if losses:
-        print(f"trained {cfg.epochs} epochs; first loss {losses[0]:.4f}, last loss {losses[-1]:.4f}")
-    else:
-        print("trained 0 epochs; wrote initialized parameters")
-
-
-def cmd_encode(args) -> None:
-    vectors = stage_encode(args.checkpoint, args.paths_file, args.out)
-    print(f"encoded {len(vectors)} pairs to {args.out}")
-
-
-def cmd_cluster(args) -> None:
-    cfg = _cfg(args)
-    _, cut = stage_cluster(args.vectors, cfg.k_clusters, args.out, args.centroids)
-    print(f"cut dendrogram into {cut['k']} clusters; assignments in {args.out}")
-
-
-def cmd_label(args) -> None:
-    cfg = _cfg(args)
-    _require(cfg, ["embeddings"] if cfg.method == "wvs" else [], args.command)
-    labels = stage_label(args.clusters, args.paths_file, cfg.embeddings, cfg.method, cfg.top_n, cfg.stopwords, args.out)
-    print(f"labeled {len(labels)} clusters to {args.out}")
-
-
-def cmd_evaluate(args) -> None:
-    cfg = _cfg(args, "gold", "embeddings")
-    ri, scores = stage_evaluate(args.clusters, args.labels, cfg.gold, cfg.embeddings, args.out)
-    for s in scores:
-        print(f"{s.relation}: recall {s.recall:.3f} precision {s.precision:.3f} f1 {s.f1:.3f}")
-    print(f"rand_index: {ri:.4f}")
+def cmd_stage(args) -> None:
+    """A stage command: its config with the keys it requires, the stage on its flags' files, its summary."""
+    stage = STAGES[args.command]
+    cfg = load_config(args.config, args.set) if stage.config else None
+    _require(cfg, stage.keys(cfg), args.command)
+    files = [getattr(args, flag.removeprefix("--").replace("-", "_")) for flag in [*stage.inputs, *stage.outputs]]
+    print(stage.summary(stage.run(cfg, *files), *files[len(stage.inputs):]))
 
 
 def cmd_pipeline(args) -> None:
-    cfg = _cfg(args)
-    out = run_pipeline(cfg)
+    out = run_pipeline(load_config(args.config, args.set))
     print(f"pipeline complete; artifacts in {out}")
 
 

@@ -67,14 +67,19 @@ def validate_sentence(sentence: ParsedSentence) -> None:
         if not 0 <= tok.head < n:
             raise error(f"token {i} head {reprlib.repr(tok.head)} out of range")
 
-    # Every token must reach the root; a cycle shows up as a walk longer than n.
+    # Every token must reach the root. The walk from token i marks each token
+    # it visits with i and stops at the first marked one, so every token is
+    # walked once: one marked by an earlier walk, or the root, reaches the
+    # root, and one marked by this walk closes a cycle.
+    walked_by = [-1] * n
+    walked_by[roots[0]] = n
     for i in range(n):
-        cur, steps = i, 0
-        while sentence.tokens[cur].head != -1:
+        cur = i
+        while walked_by[cur] == -1:
+            walked_by[cur] = i
             cur = sentence.tokens[cur].head
-            steps += 1
-            if steps > n:
-                raise error(f"cyclic head links at token {i}")
+        if walked_by[cur] == i:
+            raise error(f"cyclic head links at token {i}")
 
     for name, span in (("subject", sentence.subject), ("object", sentence.object)):
         if span.start >= span.end:

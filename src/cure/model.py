@@ -4,7 +4,9 @@ Encoding: each path position embeds its word, dependency tag, and POS tag,
 the concatenation feeds a forward and a backward LSTM, and the two hidden
 states per position are concatenated. A path's encoding is the
 concatenation of all position states; a pair's relation vector is the
-elementwise sum over its paths' encodings.
+elementwise mean of its paths' encodings, so it does not grow with the
+pair's sentence count, while training decodes from the sum of its input
+paths' encodings.
 
 Decoding: at every step, attention scores over the per-position blocks of
 the relation vector are computed from the previous GRU state; the
@@ -335,11 +337,14 @@ def encode_distinct(params: ModelParams, paths: Sequence[PathIds]) -> dict[PathI
 
 
 def infer_relation_vector(paths: Sequence[PathIds], encodings: Mapping[PathIds, np.ndarray]) -> np.ndarray:
-    """Relation vector of a pair: the elementwise sum of all its paths'
-    encodings (nothing held out), in path order (see encode_distinct)."""
+    """Relation vector of a pair: the mean of all its paths' encodings
+    (nothing held out), summed in path order (see encode_distinct) and
+    divided once by their count, so that it does not grow with the pair's
+    sentence count."""
     out = encodings[paths[0]].copy()  # an encoding is a view that other pairs share
     for p in paths[1:]:
         out += encodings[p]
+    out /= len(paths)
     return out
 
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,45 @@ def test_planted_relation_recovery(pipeline_runs):
     predicted = {tuple(rec["pair"]): rec["cluster"] for rec in _jsonl(out_a / "clusters.jsonl")}
     ri = metrics.rand_index(predicted, {pair: gold[pair] for pair in predicted})
     _report("planted-relation-recovery", ri >= 0.85, f"rand index {ri:.4f}")
+
+
+@pytest.fixture(scope="module")
+def varied_counts(tmp_path_factory) -> Path:
+    """A `cure synth --sentences 6` corpus in which each pair keeps its first
+    1, 2, 3 or 6 sentences, drawn per pair by a seeded generator; the gold
+    file and embeddings are synth's, since every pair keeps a sentence."""
+    data = tmp_path_factory.mktemp("varied") / "data"
+    generate(4, 25, 6, seed=ACCEPT_SEED, out_dir=data)
+    rng = np.random.default_rng(ACCEPT_SEED)
+    keep: dict[tuple[str, str], int] = {}
+    seen: Counter = Counter()
+    lines = []
+    for rec in _jsonl(data / "corpus.jsonl"):
+        pair = (rec["subject"]["canonical"], rec["object"]["canonical"])
+        if pair not in keep:
+            keep[pair] = int(rng.choice([1, 2, 3, 6]))
+        seen[pair] += 1
+        if seen[pair] <= keep[pair]:
+            lines.append(json.dumps(rec) + "\n")
+    assert sorted(set(keep.values())) == [1, 2, 3, 6] and set(seen.values()) == {6}
+    (data / "corpus.jsonl").write_text("".join(lines), encoding="utf-8")
+    return data
+
+
+@pytest.mark.parametrize("epochs", [30, 0])
+def test_planted_relation_recovery_with_varied_sentence_counts(varied_counts, tmp_path, epochs):
+    """A pair's relation vector does not grow with its sentence count: with
+    1 to 6 sentences per pair, clusters cut at k=4 still recover the planted
+    relations (rand index >= 0.85), trained and untrained."""
+    data = varied_counts
+    out = run_pipeline(RunConfig(
+        corpus=str(data / "corpus.jsonl"), embeddings=str(data / "embeddings.txt"), gold=str(data / "gold.jsonl"),
+        out_dir=str(tmp_path), **{**ACCEPT_CONFIG, "epochs": epochs},
+    ))
+    gold = {tuple(rec["pair"]): rec["relations"][0] for rec in _jsonl(data / "gold.jsonl")}
+    predicted = {tuple(rec["pair"]): rec["cluster"] for rec in _jsonl(out / "clusters.jsonl")}
+    ri = metrics.rand_index(predicted, gold)
+    _report(f"planted-relation-recovery-varied-counts-{epochs}-epochs", ri >= 0.85, f"rand index {ri:.4f}")
 
 
 def test_labeling_recovery(pipeline_runs):

@@ -392,7 +392,8 @@ class TestStages:
 
     def test_identical_paths_encode_identically_in_pairs_of_any_size(self, trained, tmp_path):
         """One path shared by pairs of 1 to 8 paths: every pair's vector is the
-        sum of its paths' own vectors, in the pair's (sorted) path order, bit for bit."""
+        sum of its paths' own vectors, in the pair's (sorted) path order,
+        divided by the pair's size, bit for bit."""
         paths, ckpt = trained
         pool = [json.loads(line) for line in paths.read_text(encoding="utf-8").splitlines()][:9]
         shared, others = pool[0], pool[1:]
@@ -412,7 +413,7 @@ class TestStages:
             expected = own[order[0]]
             for i in order[1:]:
                 expected = expected + own[i]
-            assert np.array_equal(vectors[(f"S{size}", f"O{size}")], expected), size
+            assert np.array_equal(vectors[(f"S{size}", f"O{size}")], expected / size), size
 
 
     def test_encode_computes_each_distinct_path_sequence_once(self, trained, tmp_path, monkeypatch):
@@ -652,21 +653,26 @@ class TestVectorsReader:
 # The input sweep: every file a stage command reads, under a short name, and
 # every --set override, damaged and run through each command that reads it.
 # Every run keeps the exit-code contract (README "Exit codes").
-SWEEP = {  # each stage command: its argv on the sweep directory, writing into out/, and the inputs swept through it
-    "extract-paths": ("--config run.cfg --out out/paths.jsonl", "corpus.jsonl run.cfg"),
-    "train": ("--config run.cfg --paths-file paths.jsonl --out-checkpoint out/model.ckpt --log out/loss_log.csv",
-              "paths.jsonl"),  # not the config: epochs = 10**20 would train for ever
-    "encode": ("--checkpoint model.ckpt --paths-file paths.jsonl --out out/vectors.jsonl", "paths.jsonl model.ckpt"),
-    "cluster": ("--config run.cfg --vectors vectors.jsonl --out out/clusters.jsonl --centroids out/centroids.jsonl",
-                "vectors.jsonl run.cfg"),
-    "label": ("--config run.cfg --clusters clusters.jsonl --paths-file paths.jsonl --out out/labels.jsonl",
-              "clusters.jsonl embeddings.txt stopwords.txt run.cfg"),
-    "evaluate": ("--config run.cfg --clusters clusters.jsonl --labels labels.jsonl --out out/scores.csv",
-                 "clusters.jsonl labels.jsonl gold.jsonl run.cfg"),
+def stage_argv(command: str, config: str | Path, inputs: str | Path, outputs: str | Path) -> list[str]:
+    """A stage command's argv (STAGES): the config, if the command takes one,
+    and each file flag naming the file's out_dir name under inputs or outputs."""
+    stage = cli.STAGES[command]
+    files = [(flag, Path(inputs) / name) for flag, name in stage.inputs.items()]
+    files += [(flag, Path(outputs) / name) for flag, name in stage.outputs.items()]
+    return [command, *["--config", str(config)] * stage.config, *(arg for flag, path in files for arg in (flag, str(path)))]
+
+
+SWEEP = {  # each stage command and the inputs swept through it; it writes into out/
+    "extract-paths": "corpus.jsonl run.cfg",
+    "train": "paths.jsonl",  # not the config: epochs = 10**20 would train for ever
+    "encode": "paths.jsonl model.ckpt",
+    "cluster": "vectors.jsonl run.cfg",
+    "label": "clusters.jsonl embeddings.txt stopwords.txt run.cfg",
+    "evaluate": "clusters.jsonl labels.jsonl gold.jsonl run.cfg",
 }
-SWEPT = [(name, command) for command, (_, names) in SWEEP.items() for name in names.split()]
+SWEPT = [(name, command) for command, names in SWEEP.items() for name in names.split()]
 VALUES = ["x" * 5000, 10**400, 10**20, -1, 1e308, None, [], {}, True, "", 0.5, "a\nb"]  # for a JSON leaf or a --set
-FILE_KEYS = ("corpus", "embeddings", "gold", "stopwords")  # an error names a file whole
+FILE_KEYS = {key for stage in cli.STAGES.values() for key in stage.files}  # an error names a file whole
 
 
 @pytest.fixture(scope="module")
@@ -693,7 +699,7 @@ def _run_in_sweep(work: Path, command: str, *extra: str) -> tuple[int, str]:
     bytes once a file name that extra sets with --set is left out, and after
     a non-zero exit every output as it was and no other file in out/.
     Returns the exit code and the stderr line."""
-    argv = [command, *SWEEP[command][0].split(), *extra]
+    argv = [*stage_argv(command, "run.cfg", "", "out"), *extra]
     outputs = {Path(arg).name for arg in argv if arg.startswith("out/")}
     for path in (work / "out").iterdir():
         path.unlink()
@@ -796,7 +802,7 @@ class TestInputSweep:
             _run_in_sweep(sweep, command)
 
     @pytest.mark.parametrize("swept, command", [s for s in SWEPT if s[0].endswith((".jsonl", ".ckpt"))] + [
-        ("--set", command) for command in SWEEP if command != "encode"  # encode takes no config
+        ("--set", command) for command in SWEEP if cli.STAGES[command].config
     ])
     def test_replaced_value_keeps_the_exit_contract(self, sweep, swept, command):
         """Each leaf of a file's first JSON record (a checkpoint's meta line),
@@ -1257,10 +1263,10 @@ def parsed(monkeypatch) -> Counter:
     return names
 
 
-STAGE_VALUE_READERS = {  # each artifact whose value its stage returns, and the reader that parses it from the file
-    "paths.jsonl": artifacts.read_path_instances, "vectors.jsonl": artifacts.read_vectors,
-    "clusters.jsonl": artifacts.read_clusters, "labels.jsonl": artifacts.read_labels,
-}
+STAGE_VALUE_READERS = dict(zip(  # each artifact whose value its stage returns, and the reader that parses it from the file
+    (stage.value for stage in cli.STAGES.values() if stage.value),
+    [artifacts.read_path_instances, artifacts.read_vectors, artifacts.read_clusters, artifacts.read_labels], strict=True,
+))
 
 
 def test_stage_values_are_what_their_files_read_back(tiny_setup, tmp_path):
@@ -1323,10 +1329,7 @@ class TestClusterStage:
         assert sorted(map(sorted, got.values())) == sorted(map(sorted, members.values()))
 
 
-PIPELINE_ARTIFACTS = (
-    "paths.jsonl", "model.ckpt", "loss_log.csv", "vectors.jsonl", "clusters.jsonl", "centroids.jsonl",
-    "labels.jsonl", "scores.csv",
-)
+PIPELINE_ARTIFACTS = tuple(name for stage in cli.STAGES.values() for name in stage.outputs.values())
 
 
 class TestPipeline:
@@ -1372,18 +1375,9 @@ class TestPipeline:
         assert run("pipeline", "--config", str(cfg), "--set", f"out_dir={tmp_path / 'pipeline'}") == 0
         one = tmp_path / "stages"
         one.mkdir()
-        c = ["--config", str(cfg)]
-        paths, ckpt, log, vectors, clusters, centroids, labels, scores = (str(one / n) for n in PIPELINE_ARTIFACTS)
-        for argv in (
-            ["extract-paths", *c, "--out", paths],
-            ["train", *c, "--paths-file", paths, "--out-checkpoint", ckpt, "--log", log],
-            ["encode", "--checkpoint", ckpt, "--paths-file", paths, "--out", vectors],
-            ["cluster", *c, "--vectors", vectors, "--out", clusters, "--centroids", centroids],
-            ["label", *c, "--clusters", clusters, "--paths-file", paths, "--out", labels],
-            ["evaluate", *c, "--clusters", clusters, "--labels", labels, "--out", scores],
-        ):
-            assert run(*argv) == 0, argv[0]
-            if argv[0] == "train":
+        for command in cli.STAGES:
+            assert run(*stage_argv(command, cfg, one, one)) == 0, command
+            if command == "train":
                 assert sorted(p.name for p in one.iterdir()) == ["loss_log.csv", "model.ckpt", "paths.jsonl"]
         for name in PIPELINE_ARTIFACTS:
             assert (one / name).read_bytes() == (tmp_path / "pipeline" / name).read_bytes(), name
@@ -1400,6 +1394,17 @@ class TestPipeline:
         assert [r["cluster"] for r in lines("labels.jsonl") if r["labels"]] == [0, 1]  # each with a label word
         assert lines("scores.csv")[0] == "relation,recall,precision,f1"
         assert lines("scores.csv")[-1].startswith("rand_index,")
+
+    def test_each_stage_function_runs_once_in_order(self, tiny_setup, tmp_path, monkeypatch):
+        """The pipeline calls each cli.stage_* through its module-global name,
+        once, in order: bench/spans.py times the stages by replacing those names."""
+        _, cfg = tiny_setup
+        names = ["stage_extract", "stage_train", "stage_encode", "stage_cluster", "stage_label", "stage_evaluate"]
+        calls = []
+        for name in names:
+            monkeypatch.setattr(cli, name, lambda *args, name=name, stage=getattr(cli, name): calls.append(name) or stage(*args))
+        run_pipeline(load_config(str(cfg), [f"out_dir={tmp_path}"]))
+        assert calls == names
 
     def test_no_artifact_the_run_wrote_is_parsed(self, tiny_setup, tmp_path, parsed):
         """Of the JSON Lines files, a pipeline run parses its inputs, once each, and nothing it wrote."""
@@ -1475,15 +1480,7 @@ class TestPipeline:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
-REQUIRED_FILE_FLAGS = {
-    "synth": ["--out-dir"],
-    "extract-paths": ["--out"],
-    "train": ["--paths-file", "--out-checkpoint", "--log"],
-    "encode": ["--checkpoint", "--paths-file", "--out"],
-    "cluster": ["--vectors", "--out", "--centroids"],
-    "label": ["--clusters", "--paths-file", "--out"],
-    "evaluate": ["--clusters", "--labels", "--out"],
-}
+REQUIRED_FILE_FLAGS = {"synth": ["--out-dir"], **{c: [*s.inputs, *s.outputs] for c, s in cli.STAGES.items()}}
 
 
 @pytest.mark.parametrize("command, flag", [(c, flag) for c, flags in REQUIRED_FILE_FLAGS.items() for flag in flags])
@@ -1496,6 +1493,155 @@ def test_leaving_out_a_file_flag_exits_2(command, flag, tmp_path, capsys):
     assert exited.value.code == 2
     assert f"the following arguments are required: {flag}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+HELP = {  # `cure --help` and every subcommand's, at 80 columns
+    "cure": """\
+usage: cure [-h] [--version]
+            {synth,extract-paths,train,encode,cluster,label,evaluate,pipeline}
+            ...
+
+Unsupervised relation extraction over dependency-parsed text.
+
+positional arguments:
+  {synth,extract-paths,train,encode,cluster,label,evaluate,pipeline}
+    synth               generate a synthetic corpus with planted relations
+    extract-paths       extract entity-pair shortest paths from the config's
+                        corpus
+    train               train the path-prediction encoder-decoder
+    encode              relation vectors for every entity pair (the model
+                        config is in the checkpoint)
+    cluster             agglomerative clustering of relation vectors
+    label               relation words for each cluster
+    evaluate            score clusters against a gold relation file
+    pipeline            run all stages end to end
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+
+config keys and defaults:
+  n_h = 32
+  n_h2 = 32
+  n_g = 64
+  n_l = 10
+  d_w = 50
+  d_d = 16
+  d_p = 16
+  max_input_paths = 8
+  learning_rate = 0.05
+  epochs = 10
+  batch_size = 8
+  seed = 13
+  corpus = ''
+  embeddings = ''
+  gold = ''
+  out_dir = ''
+  stopwords = ''
+  method = 'wvs'
+  top_n = 3
+  k_clusters = 4
+  min_paths = 2
+  min_freq = 2
+""",
+    "cure synth": """\
+usage: cure synth [-h] [--relations RELATIONS] [--pairs PAIRS]
+                  [--sentences SENTENCES] [--seed SEED] --out-dir OUT_DIR
+
+options:
+  -h, --help            show this help message and exit
+  --relations RELATIONS
+  --pairs PAIRS
+  --sentences SENTENCES
+  --seed SEED
+  --out-dir OUT_DIR
+""",
+    "cure extract-paths": """\
+usage: cure extract-paths [-h] [--config CONFIG] [--set KEY=VALUE] --out OUT
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  flat key = value config file
+  --set KEY=VALUE  override a config key
+  --out OUT
+""",
+    "cure train": """\
+usage: cure train [-h] [--config CONFIG] [--set KEY=VALUE] --paths-file
+                  PATHS_FILE --out-checkpoint OUT_CHECKPOINT --log LOG
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       flat key = value config file
+  --set KEY=VALUE       override a config key
+  --paths-file PATHS_FILE
+  --out-checkpoint OUT_CHECKPOINT
+  --log LOG
+""",
+    "cure encode": """\
+usage: cure encode [-h] --checkpoint CHECKPOINT --paths-file PATHS_FILE --out
+                   OUT
+
+options:
+  -h, --help            show this help message and exit
+  --checkpoint CHECKPOINT
+  --paths-file PATHS_FILE
+  --out OUT
+""",
+    "cure cluster": """\
+usage: cure cluster [-h] [--config CONFIG] [--set KEY=VALUE] --vectors VECTORS
+                    --out OUT --centroids CENTROIDS
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       flat key = value config file
+  --set KEY=VALUE       override a config key
+  --vectors VECTORS
+  --out OUT
+  --centroids CENTROIDS
+""",
+    "cure label": """\
+usage: cure label [-h] [--config CONFIG] [--set KEY=VALUE] --clusters CLUSTERS
+                  --paths-file PATHS_FILE --out OUT
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       flat key = value config file
+  --set KEY=VALUE       override a config key
+  --clusters CLUSTERS
+  --paths-file PATHS_FILE
+  --out OUT
+""",
+    "cure evaluate": """\
+usage: cure evaluate [-h] [--config CONFIG] [--set KEY=VALUE] --clusters
+                     CLUSTERS --labels LABELS --out OUT
+
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG      flat key = value config file
+  --set KEY=VALUE      override a config key
+  --clusters CLUSTERS
+  --labels LABELS
+  --out OUT
+""",
+    "cure pipeline": """\
+usage: cure pipeline [-h] [--config CONFIG] [--set KEY=VALUE]
+
+options:
+  -h, --help       show this help message and exit
+  --config CONFIG  flat key = value config file
+  --set KEY=VALUE  override a config key
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_text(command, monkeypatch, capsys):
+    """Each --help, whole: the usage line, the flags in order, the help lines
+    and the config keys with their defaults."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal's width
+    with pytest.raises(SystemExit) as exited:
+        run(*command.split()[1:], "--help")
+    assert (exited.value.code, capsys.readouterr().out) == (0, HELP[command])
 
 
 def test_every_readme_command_parses():

@@ -234,20 +234,20 @@ class TestDecoderLoops:
 
 
 class TestAggregate:
-    """A pair's relation vector sums its path encodings (infer_relation_vector)."""
+    """A pair's relation vector is the mean of its path encodings (infer_relation_vector)."""
 
     @staticmethod
     def aggregate(vs: list[np.ndarray]) -> np.ndarray:
         encodings = {i: v for i, v in enumerate(vs)}
-        summed = infer_relation_vector(list(encodings), encodings)
+        mean = infer_relation_vector(list(encodings), encodings)
         assert all(np.array_equal(encodings[i], v) for i, v in enumerate(vs))  # the encodings stay as they were
-        return summed
+        return mean
 
     def test_single_input_identity(self):
         v = np.array([1.0, -2.0, 3.0])
-        summed = self.aggregate([v])
-        assert np.array_equal(summed, v)
-        assert summed is not v
+        mean = self.aggregate([v])
+        assert np.array_equal(mean, v)
+        assert mean is not v
 
     def test_additive_inverse(self):
         v = np.array([1.0, -2.0, 3.0])
