@@ -41,7 +41,9 @@ GRU_GATES = ("z", "r", "h")
 
 @dataclass
 class CellWeights:
-    """One recurrent cell's fused weights (or their gradients), gate blocks stacked by row."""
+    """One recurrent cell's fused weights (or their gradients), gate blocks
+    stacked by row. A dataclass, not a NamedTuple: gradients accumulate
+    through grad.W += ..., which a tuple's read-only fields refuse."""
 
     W: np.ndarray
     U: np.ndarray

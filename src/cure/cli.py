@@ -41,7 +41,8 @@ class RunConfig(ModelConfig):
     """Every config key: the model and training keys of ModelConfig, then the
     inputs, outputs and the clustering, labeling and vocabulary settings.
     Every value is checked when the config is built, so that a bad one
-    exits before any stage writes a file."""
+    exits before any stage writes a file. A dataclass, as ModelConfig is:
+    each integer key's least value is field metadata."""
 
     corpus: str = ""
     embeddings: str = ""
@@ -125,7 +126,7 @@ def stage_train(cfg: RunConfig, paths: str | Instances, checkpoint_path: str, lo
     if not groups:
         raise ValidationError(f"no pair has at least {reprlib.repr(cfg.min_paths)} paths; nothing to train on")
     vocabs = build_vocab((t for _, t in instances), min_freq=cfg.min_freq)
-    prepared = [(g.pair, paths_to_ids(g, vocabs, cfg.n_l)) for g in groups]
+    prepared = [(pair, paths_to_ids(paths, vocabs, cfg.n_l)) for pair, paths in groups]
     losses: list[float] = []
     params = modeling.train(prepared, cfg, *map(len, vocabs), on_epoch=lambda _, loss, __: losses.append(loss))
     # Written once, after training: a run that fails or is interrupted leaves
@@ -140,22 +141,22 @@ def stage_encode(checkpoint_path: str, paths: str | Instances, out_path: str) ->
     vectors are read-only, since pairs share them."""
     params, vocabs = read_checkpoint(checkpoint_path)
     groups = group_pairs(_given(paths, read_path_instances), min_paths=1)
-    ids = [paths_to_ids(group, vocabs, params.cfg.n_l) for group in groups]
+    ids = [paths_to_ids(paths, vocabs, params.cfg.n_l) for _, paths in groups]
     encodings = modeling.encode_distinct(params, [p for path_ids in ids for p in path_ids])
     # Pairs with the same path-id sequence have bit-identical vectors (the
     # sum runs in path order), so each sequence's vector is computed once and
     # shared, and write_vectors formats it once.
     shared: dict[tuple[PathIds, ...], np.ndarray] = {}
     vectors = {}
-    for group, path_ids in zip(groups, ids):
+    for (pair, _), path_ids in zip(groups, ids):
         key = tuple(path_ids)
         if key not in shared:
             vector = modeling.infer_relation_vector(path_ids, encodings)
             if not np.all(np.isfinite(vector)):
-                raise NumericError(f"pair {reprlib.repr(group.pair)}: non-finite relation vector")
+                raise NumericError(f"pair {reprlib.repr(pair)}: non-finite relation vector")
             vector.flags.writeable = False
             shared[key] = vector
-        vectors[group.pair] = shared[key]
+        vectors[pair] = shared[key]
     artifacts.write_vectors(out_path, vectors)
     return vectors
 

@@ -57,6 +57,9 @@ _NO_ID = np.iinfo(np.intp).max  # above every cluster id: never the least among 
 
 @dataclass(frozen=True)
 class Merge:
+    """Clusters a and b joined at distance. Not a NamedTuple: bench/spans.py counts merges
+    by wrapping Merge.__init__, and a tuple's object.__init__ refuses the fields passed on."""
+
     a: int
     b: int
     distance: float

@@ -8,6 +8,12 @@ Also here: the reader every JSON Lines input goes through (corpus, paths,
 vectors, cluster assignments, labels, gold, a checkpoint's meta line), and
 the checks that a field is a JSON integer, a string, a finite number or an
 array of strings.
+
+Immutable records (a token, a sentence, a span, a path, a path's ids, a
+relation's score, a synth template) are NamedTuples, not frozen dataclasses:
+a NamedTuple is about half the cost to build, and it hashes, compares and
+sorts field by field in C. The two frozen dataclasses, cluster.Merge and
+vocab.Vocab, say why they are not.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, TypeVar
 
@@ -25,8 +30,7 @@ T = TypeVar("T")
 
 
 class Token(NamedTuple):
-    """One token of a sentence: a tuple, not a dataclass, because a corpus
-    holds one per word and a tuple is about half the cost to build."""
+    """One token of a sentence (an immutable record, see above)."""
 
     text: str
     pos: str
@@ -34,15 +38,13 @@ class Token(NamedTuple):
     head: int
 
 
-@dataclass(frozen=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
     start: int
     end: int  # exclusive
     canonical: str
 
 
-@dataclass(frozen=True)
-class ParsedSentence:
+class ParsedSentence(NamedTuple):
     id: str
     tokens: tuple[Token, ...]
     subject: EntitySpan

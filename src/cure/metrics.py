@@ -5,8 +5,7 @@ from __future__ import annotations
 import reprlib
 import warnings
 from collections import Counter
-from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -33,8 +32,7 @@ def rand_index(predicted: Mapping[Hashable, Hashable], gold: Mapping[Hashable, H
     return agreements / total
 
 
-@dataclass(frozen=True)
-class RelationScore:
+class RelationScore(NamedTuple):
     relation: str
     recall: float
     precision: float

@@ -41,7 +41,6 @@ import os
 import reprlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from statistics import fmean
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -49,7 +48,7 @@ import numpy as np
 from . import autodiff as ad
 from .corpus import parse_line, string_array
 from .errors import NumericError, ValidationError, reading, write_atomic
-from .paths import PairGroup
+from .paths import SspTriple
 from .vocab import PAD_ID, Vocab
 
 
@@ -60,6 +59,8 @@ def integer_key(default: int, least: int = 1):
 
 @dataclass
 class ModelConfig:
+    """Model and training keys. A dataclass: each integer key's least value is field metadata."""
+
     n_h: int = integer_key(32)  # forward LSTM hidden size
     n_h2: int = integer_key(32)  # backward LSTM hidden size
     n_g: int = integer_key(64)  # decoder GRU hidden (and input) size
@@ -95,8 +96,7 @@ class ModelConfig:
 
 
 class PathIds(NamedTuple):
-    """A padded path resolved to vocabulary ids. A tuple, not a dataclass:
-    encode keys its dicts by these, and a tuple hashes and compares in C."""
+    """A padded path resolved to vocabulary ids (an immutable record, see corpus); encode keys its dicts by these."""
 
     word_ids: tuple[int, ...]
     dep_ids: tuple[int, ...]
@@ -251,19 +251,19 @@ def _require_finite(params: ModelParams, where: str) -> None:
         raise NumericError(f"{where}: parameter {name!r} holds a non-finite value")
 
 
-def paths_to_ids(group: PairGroup, vocabs: tuple[Vocab, Vocab, Vocab], n_l: int) -> list[PathIds]:
-    """The group's paths as vocabulary ids, each brought to length n_l:
-    padded at the end with PAD_ID, or truncated to its first n_l - 1 tokens
-    plus its last, so that both endpoints survive."""
+def paths_to_ids(paths: Sequence[SspTriple], vocabs: tuple[Vocab, Vocab, Vocab], n_l: int) -> list[PathIds]:
+    """The ids of paths, one pair's paths as group_pairs gives them, each
+    brought to length n_l: padded at the end with PAD_ID, or truncated to
+    its first n_l - 1 tokens plus its last, so that both endpoints survive."""
     word_vocab, dep_vocab, pos_vocab = vocabs
     return [
         PathIds(
             _fit(word_vocab.ids(path.words), n_l),
             _fit(dep_vocab.ids(path.deps), n_l),
             _fit(pos_vocab.ids(path.poss), n_l),
-            min(len(path), n_l),
+            min(len(path.words), n_l),
         )
-        for path in group.paths
+        for path in paths
     ]
 
 
@@ -529,7 +529,7 @@ def train(
                 raise NumericError(f"epoch {epoch}, pairs {reprlib.repr(pairs)}: non-finite gradient norm")
             ad.sgd_step(params.flat, grads.flat, cfg.learning_rate)
         if on_epoch is not None:
-            on_epoch(epoch, fmean(example_losses), params)
+            on_epoch(epoch, math.fsum(example_losses) / len(example_losses), params)
     # No loss is computed after the last step, so nothing above has seen its result.
     _require_finite(params, f"epoch {cfg.epochs}")
     return params

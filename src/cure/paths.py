@@ -3,13 +3,12 @@
 Each instance yields three parallel sequences over the tokens on the path
 from the subject's representative token to the object's: the words, the
 dependency tags, and the POS tags. Instances are grouped per ordered
-entity pair for training and inference.
+entity pair for training and inference, each group a (pair, paths) tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import EntitySpan, ParsedSentence, pair_key
 
@@ -20,24 +19,13 @@ OBJECT_DEPS = frozenset({"dobj", "pobj", "iobj", "obj"})
 MODIFIER_DEPS = frozenset({"amod", "nmod", "appos", "poss"})
 
 
-@dataclass(frozen=True)
-class SspTriple:
-    """Parallel, equally long word / dependency-tag / POS-tag sequences of one path."""
+class SspTriple(NamedTuple):
+    """Parallel, equally long word / dependency-tag / POS-tag sequences of
+    one path (an immutable record, see corpus)."""
 
     words: tuple[str, ...]
     deps: tuple[str, ...]
     poss: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-@dataclass(frozen=True)
-class PairGroup:
-    """All path instances of one ordered (subject, object) entity pair."""
-
-    pair: tuple[str, str]
-    paths: tuple[SspTriple, ...]
 
 
 def representative_token(sentence: ParsedSentence, span: EntitySpan) -> int:
@@ -79,10 +67,11 @@ def shortest_path(sentence: ParsedSentence) -> SspTriple:
     return SspTriple(words=words, deps=deps, poss=poss)
 
 
-def group_pairs(instances: Iterable[tuple[tuple[str, str], SspTriple]], min_paths: int) -> list[PairGroup]:
-    """Group path instances by ordered pair key, dropping pairs with fewer
-    than min_paths instances. Output is deterministic: groups sorted by key,
-    paths within a group sorted by content (duplicates kept)."""
+def group_pairs(instances: Iterable[tuple[tuple[str, str], SspTriple]],
+                min_paths: int) -> list[tuple[tuple[str, str], tuple[SspTriple, ...]]]:
+    """Group path instances by ordered pair key into (pair, paths) tuples,
+    dropping pairs with fewer than min_paths instances. Groups are sorted by
+    pair, and a group's paths by words, then deps, then poss (duplicates kept)."""
     buckets: dict[tuple[str, str], list[SspTriple]] = {}
     for pair, path in instances:
         buckets.setdefault(pair, []).append(path)
@@ -90,8 +79,8 @@ def group_pairs(instances: Iterable[tuple[tuple[str, str], SspTriple]], min_path
     for pair in sorted(buckets):
         paths = buckets[pair]
         if len(paths) >= min_paths:
-            paths.sort(key=lambda p: (p.words, p.deps, p.poss))
-            groups.append(PairGroup(pair=pair, paths=tuple(paths)))
+            paths.sort()
+            groups.append((pair, tuple(paths)))
     return groups
 
 

@@ -11,8 +11,8 @@ The tests check that each template instantiates to a valid sentence.
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ SUBJ = "{SUBJ}"
 OBJ = "{OBJ}"
 
 
-@dataclass(frozen=True)
-class RelationTemplate:
+class RelationTemplate(NamedTuple):
     name: str  # gold relation name
     trigger: str  # distinctive word, always on the entity-entity path
     # Parsed sentences, one (text, pos, dep, head) per token; SUBJ and OBJ mark the entity slots.

@@ -22,7 +22,9 @@ UNK_ID = 1
 
 @dataclass(frozen=True)
 class Vocab:
-    """Dense string-to-id map with PAD at 0 and UNK at 1; ids() is total."""
+    """Dense string-to-id map with PAD at 0 and UNK at 1; ids() is total.
+    A dataclass, not a NamedTuple: it validates its symbols and derives
+    index, a name that tuple.index holds."""
 
     symbols: tuple[str, ...]
     index: dict[str, int] = field(init=False, repr=False)

@@ -374,7 +374,7 @@ def pad_or_truncate(path: SspTriple, n_l: int) -> PaddedPath:
     first n_l-1 elements plus the final element so both endpoints survive."""
     if n_l < 2:
         raise ValidationError("n_l must be at least 2")
-    k = len(path)
+    k = len(path.words)
     if k > n_l:
         keep = list(range(n_l - 1)) + [k - 1]
         return PaddedPath(

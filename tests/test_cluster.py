@@ -43,6 +43,22 @@ class TestHac:
         with pytest.raises(ValidationError):
             hac(vecs([0.0]))
 
+    def test_each_merge_calls_a_wrapped_merge_init_once(self):
+        """bench/spans.py counts HAC merges by replacing Merge.__init__ with a
+        wrapper that calls the original: that must keep working."""
+        original, calls = Merge.__init__, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        Merge.__init__ = counted
+        try:
+            dendrogram = hac(vecs([0.0], [1.0], [3.0], [7.0], [15.0]))
+        finally:
+            Merge.__init__ = original
+        assert len(calls) == len(dendrogram.merges) == 4
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 12))
     def test_average_linkage_merge_distances_non_decreasing(self, seed, n):

@@ -165,20 +165,26 @@ def triple(tag: str) -> SspTriple:
 class TestGroupPairs:
     def test_threshold_filter(self):
         instances = [(("A", "B"), triple("x")) for _ in range(3)] + [(("C", "D"), triple("y"))]
-        groups = group_pairs(instances, min_paths=2)
-        assert len(groups) == 1
-        assert groups[0].pair == ("A", "B")
-        assert len(groups[0].paths) == 3
+        ((pair, paths),) = group_pairs(instances, min_paths=2)
+        assert pair == ("A", "B")
+        assert len(paths) == 3
 
     def test_ordered_pair_semantics(self):
         instances = [(("A", "B"), triple("x")), (("B", "A"), triple("x"))]
         groups = group_pairs(instances, min_paths=1)
-        assert [g.pair for g in groups] == [("A", "B"), ("B", "A")]
+        assert [pair for pair, _ in groups] == [("A", "B"), ("B", "A")]
 
     def test_duplicates_kept(self):
         instances = [(("A", "B"), triple("x")), (("A", "B"), triple("x"))]
-        (group,) = group_pairs(instances, min_paths=2)
-        assert len(group.paths) == 2
+        ((_, paths),) = group_pairs(instances, min_paths=2)
+        assert len(paths) == 2
+
+    def test_paths_sort_by_words_then_deps_then_poss(self):
+        tied = [SspTriple(("a", "b"), ("y", "x"), ("P", "P")), SspTriple(("a", "b"), ("x", "y"), ("Q", "P")),
+                SspTriple(("a", "b"), ("x", "y"), ("P", "Q")), SspTriple(("a",), ("z",), ("Z",))]
+        instances = [(("A", "B"), path) for path in (tied[0], tied[1], tied[3], tied[2], tied[1])]
+        ((_, paths),) = group_pairs(instances, min_paths=1)
+        assert paths == (tied[3], tied[2], tied[1], tied[1], tied[0])
 
     def test_group_count_matches_brute_force_tally(self):
         """Group count over a synthetic corpus equals a simple dict tally."""
@@ -206,7 +212,7 @@ class TestGroupPairs:
         shuffled = list(instances)
         rng.shuffle(shuffled)
         assert group_pairs(shuffled, min_paths=2) == groups
-        regrouped = group_pairs([(g.pair, p) for g in groups for p in g.paths], min_paths=2)
+        regrouped = group_pairs([(pair, p) for pair, paths in groups for p in paths], min_paths=2)
         assert regrouped == groups
 
 

@@ -130,7 +130,7 @@ class TestPrf1:
 
     def test_f1_is_harmonic_mean(self):
         score = RelationScore("r", recall=0.5, precision=0.25, f1=0.0)
-        assert score.f1 == 0.0  # dataclass itself is inert; prf1 computes f1
+        assert score.f1 == 0.0  # the record itself is inert; prf1 computes f1
         predicted = {"a": "r", "b": "r", "c": "r", "d": "r"}
         gold = {"a": ("r",), "b": ("x",), "c": ("x",), "d": ("x",)}
         scores = {s.relation: s for s in prf1(predicted, gold)}

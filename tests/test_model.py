@@ -26,7 +26,7 @@ from cure.model import (
     train,
     write_checkpoint,
 )
-from cure.paths import PairGroup, SspTriple
+from cure.paths import SspTriple
 from cure.vocab import PAD, UNK, UNK_ID, Vocab
 
 from helpers import (
@@ -604,5 +604,4 @@ class TestPathsToIds:
     def test_equals_padding_the_strings_then_looking_them_up(self, paths, n_l):
         """Paths shorter than, as long as and longer than n_l, unknown
         words and a literal <PAD>: the same ids, id for id."""
-        group = PairGroup(pair=("s", "o"), paths=tuple(paths))
-        assert paths_to_ids(group, self.VOCABS, n_l) == [self.reference(p, n_l) for p in paths]
+        assert paths_to_ids(paths, self.VOCABS, n_l) == [self.reference(p, n_l) for p in paths]

@@ -94,7 +94,7 @@ class TestShortestPath:
             validate_sentence(sentence)
             for span in spans:
                 assert span.start <= representative_token(sentence, span) < span.end
-            assert len(shortest_path(sentence)) >= 2
+            assert len(shortest_path(sentence).words) >= 2
 
     def test_matches_bfs_oracle_on_random_trees(self):
         """50 random valid trees: extracted path equals BFS on the undirected tree."""
